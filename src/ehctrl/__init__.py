@@ -9,15 +9,13 @@ plant/channel/battery system with full seed determinism.
 
 from .comm import ChannelConfig, DecodingCurve, SlotOutcome, draw_channels, reception_probability, resolve_slot
 from .control import (
+    PlantBank,
     PlantModel,
-    PlantState,
     control_performance_bound,
-    lyapunov_value,
     required_reception_probability,
-    step_plant,
 )
 from .coordination import AvailabilitySchedule, DualMailbox
-from .energy import BatteryState, HarvestConfig, draw_harvest, step_battery
+from .energy import BatteryState, HarvestConfig, draw_harvest, step_batteries
 from .errors import (
     ConfigError,
     EnergyCausalityError,
@@ -26,15 +24,14 @@ from .errors import (
     InvariantViolation,
 )
 from .scheduler import (
-    NodeDualState,
-    NodePrimal,
+    DualState,
     SchedulerParams,
-    compute_primal,
+    apply_dual_step,
     compute_s,
     compute_y,
     compute_z,
+    dual_subgradients,
     init_duals,
-    update_duals,
 )
 from .sim import SimConfig, SimulationAborted, Summary, TelemetryRecord, run, summarize
 
@@ -47,36 +44,33 @@ __all__ = [
     "ConfigError",
     "DecodingCurve",
     "DualMailbox",
+    "DualState",
     "EnergyCausalityError",
     "HarvestConfig",
     "InfeasibleTargetError",
     "InvalidStateError",
     "InvariantViolation",
-    "NodeDualState",
-    "NodePrimal",
+    "PlantBank",
     "PlantModel",
-    "PlantState",
     "SchedulerParams",
     "SimConfig",
     "SimulationAborted",
     "SlotOutcome",
     "Summary",
     "TelemetryRecord",
-    "compute_primal",
+    "apply_dual_step",
     "compute_s",
     "compute_y",
     "compute_z",
     "control_performance_bound",
     "draw_channels",
+    "dual_subgradients",
     "draw_harvest",
     "init_duals",
-    "lyapunov_value",
     "reception_probability",
     "required_reception_probability",
     "resolve_slot",
     "run",
-    "step_battery",
-    "step_plant",
+    "step_batteries",
     "summarize",
-    "update_duals",
 ]

@@ -72,14 +72,13 @@ class ChannelConfig:
 
 @dataclass(eq=False)
 class SlotOutcome:
-    """Per-node channel and reception record for one slot.
+    """Per-node reception record for one slot.
 
     ``received[i]`` is true iff node i transmitted, suffered no collision,
     and its packet decoded. ``collided[i]`` can only be true when some other
     node transmitted in the same slot.
     """
 
-    h: np.ndarray
     q: np.ndarray
     transmitted: np.ndarray
     collided: np.ndarray
@@ -96,14 +95,17 @@ def _per_node_rngs(rng, count: int) -> Sequence[np.random.Generator]:
     return rngs
 
 
-def draw_channels(config: ChannelConfig, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def draw_channels(
+    config: ChannelConfig, count: int, rng, size: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw one fading state per node (i.i.d. exponential with the configured
-    mean) and its decode probability. ``rng`` is a single generator or one
-    generator per node."""
+    mean) and its decode probability; with ``size``, a (size, count) block of
+    consecutive slots. ``rng`` is a single generator or one generator per
+    node; each node's slots are consecutive draws of its generator."""
     if count < 1:
         raise ConfigError("need at least one node")
     rngs = _per_node_rngs(rng, count)
-    h = np.array([rngs[i].exponential(config.fading_mean) for i in range(count)])
+    h = np.stack([r.exponential(config.fading_mean, size) for r in rngs], axis=-1)
     return h, np.asarray(config.decode(h))
 
 
@@ -112,15 +114,14 @@ def resolve_slot(
     transmitted,
     q,
     rng,
-    h=None,
 ) -> SlotOutcome:
     """Resolve one slot's receptions given who transmitted.
 
-    For each transmitting node i, an independent Bernoulli(q_c) collision
-    event is drawn against every other transmitter j (consumed from node i's
-    stream in ascending j order, then one decode draw). The decode draw
-    happens whether or not the packet collided, so collision and decoding
-    stay independent.
+    Each transmitting node i draws, from its own stream, one uniform per
+    other transmitter (independent Bernoulli(q_c) collision events in
+    ascending order) and then one decode uniform, all in a single call. The
+    decode draw happens whether or not the packet collided, so collision and
+    decoding stay independent.
     """
     transmitted = np.asarray(transmitted, dtype=bool)
     q = np.asarray(q, dtype=float)
@@ -130,20 +131,13 @@ def resolve_slot(
     rngs = _per_node_rngs(rng, count)
     collided = np.zeros(count, dtype=bool)
     decoded = np.zeros(count, dtype=bool)
-    for i in range(count):
-        if not transmitted[i]:
-            continue
-        for j in range(count):
-            if j == i or not transmitted[j]:
-                continue
-            if rngs[i].random() < config.collision_prob:
-                collided[i] = True
-        decoded[i] = rngs[i].random() < q[i]
+    senders = np.flatnonzero(transmitted).tolist()
+    for i in senders:
+        *collision, decode = rngs[i].random(len(senders)).tolist()
+        collided[i] = min(collision, default=math.inf) < config.collision_prob
+        decoded[i] = decode < q[i]
     received = transmitted & ~collided & decoded
-    if h is None:
-        h = np.zeros(count)
     return SlotOutcome(
-        h=np.asarray(h, dtype=float),
         q=q,
         transmitted=transmitted,
         collided=collided,

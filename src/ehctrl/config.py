@@ -49,7 +49,6 @@ DEFAULTS: dict = {
     "availability": {"mode": "always-on", "prob": 0.5, "staleness_bound": 1},
     "energy_accounting": "fluid",
     "dual_access": "mailbox",
-    "execution": "sequential",
     "initial_state": 0.0,
     "required_reception": None,
     "schedule_window": [1050, 1100],
@@ -206,7 +205,6 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
         seed=int(raw["seed"]),
         energy_accounting=raw["energy_accounting"],
         dual_access=raw["dual_access"],
-        execution=raw["execution"],
         initial_states=initial_states,
         schedule_window=(int(window[0]), int(window[1])),
     )

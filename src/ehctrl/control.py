@@ -13,6 +13,7 @@ bisection on the smallest eigenvalue replaces a general SDP solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -86,41 +87,86 @@ class PlantModel:
     def dim(self) -> int:
         return self.a_open.shape[0]
 
-    def draw_noise(self, rng: np.random.Generator) -> np.ndarray:
-        """Sample one process-noise vector with the configured covariance."""
-        return self.noise_factor @ rng.standard_normal(self.dim)
 
+class PlantBank:
+    """The plants of one run and their current states.
 
-@dataclass(frozen=True, eq=False)
-class PlantState:
-    x: np.ndarray
-    t: int = 0
+    Scalar plants step together as one vector; each matrix plant keeps its
+    own matmul. Process noise is ``noise_factor @ normal`` with standard
+    normal draws from each plant's own stream.
+    """
 
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "x", x)
-        if self.t < 0:
-            raise ConfigError("slot index must be non-negative")
+    def __init__(self, models: Sequence[PlantModel], states: Sequence[np.ndarray]):
+        self.models = tuple(models)
+        self.scalar = np.array([i for i, m in enumerate(models) if m.dim == 1], dtype=int)
+        self.matrix = [i for i, m in enumerate(models) if m.dim > 1]
+        self._matrix_models = [self.models[i] for i in self.matrix]
+        picked = [self.models[i] for i in self.scalar]
+        self._a_open = np.array([m.a_open[0, 0] for m in picked])
+        self._a_closed = np.array([m.a_closed[0, 0] for m in picked])
+        self._weight = np.array([m.lyapunov_weight[0, 0] for m in picked])
+        self._factor = np.array([m.noise_factor[0, 0] for m in picked])
+        self.x_scalar = np.array([float(states[i][0]) for i in self.scalar])
+        self.x_matrix = [np.array(states[i], dtype=float) for i in self.matrix]
+        self._scalar_history = np.zeros((0, self.scalar.size))
+        self._matrix_history: list[np.ndarray] = []
 
+    def draw_normals(self, rngs: Sequence[np.random.Generator], size: int) -> list[tuple]:
+        """``size`` consecutive slots of standard normal draws, one tuple per
+        slot: the scalar plants' draws, then one vector per matrix plant."""
+        scalar = np.array(
+            [rngs[i].standard_normal(size) for i in self.scalar], dtype=float
+        ).reshape(self.scalar.size, size).T
+        matrix = [
+            rngs[i].standard_normal((size, m.dim)) for i, m in zip(self.matrix, self._matrix_models)
+        ]
+        return list(zip(scalar, *matrix))
 
-def step_plant(
-    model: PlantModel, state: PlantState, received: bool, noise: np.ndarray
-) -> PlantState:
-    """Advance the plant one slot: closed-loop matrix if the packet arrived,
-    open-loop otherwise, plus the injected noise vector."""
-    noise = np.atleast_1d(np.asarray(noise, dtype=float))
-    if not np.all(np.isfinite(state.x)):
-        raise InvalidStateError(f"plant state is non-finite at slot {state.t}")
-    if not np.all(np.isfinite(noise)):
-        raise InvalidStateError(f"noise vector is non-finite at slot {state.t}")
-    matrix = model.a_closed if received else model.a_open
-    return PlantState(x=matrix @ state.x + noise, t=state.t + 1)
+    def history(self, horizon: int) -> list[np.ndarray]:
+        """Per-plant (horizon, dim) state buffers filled by :meth:`save`; the
+        scalar plants' buffers are columns of one array."""
+        self._scalar_history = np.zeros((horizon, self.scalar.size))
+        states = [None] * len(self.models)
+        for k, i in enumerate(self.scalar):
+            states[i] = self._scalar_history[:, k:k + 1]
+        for i, m in zip(self.matrix, self._matrix_models):
+            states[i] = np.zeros((horizon, m.dim))
+        self._matrix_history = [states[i] for i in self.matrix]
+        return states
 
+    def save(self, t: int) -> None:
+        """Store the current states in row ``t`` of the history buffers."""
+        self._scalar_history[t] = self.x_scalar
+        for buffer, x in zip(self._matrix_history, self.x_matrix):
+            buffer[t] = x
 
-def lyapunov_value(model: PlantModel, state: PlantState) -> float:
-    """Quadratic certificate value x' W x (always >= 0 for PD weight)."""
-    x = state.x
-    return float(x @ model.lyapunov_weight @ x)
+    def lyapunov(self) -> np.ndarray:
+        """Quadratic certificate values x' W x of every plant (>= 0)."""
+        values = np.empty(len(self.models))
+        values[self.scalar] = self.x_scalar * self._weight * self.x_scalar
+        for i, m, x in zip(self.matrix, self._matrix_models, self.x_matrix):
+            values[i] = float(x @ m.lyapunov_weight @ x)
+        return values
+
+    def step(self, received: np.ndarray, normals: tuple, slot: int = 0) -> None:
+        """Advance every plant one slot: closed-loop dynamics where the
+        packet arrived, open loop otherwise, plus process noise. Raises
+        :class:`InvalidStateError` naming the first plant that went
+        non-finite."""
+        scalar_normal, *matrix_normals = normals
+        gain = np.where(received[self.scalar], self._a_closed, self._a_open)
+        # A matmul sums from +0.0, so its noise is never -0.0; match that.
+        x_scalar = gain * self.x_scalar + (self._factor * scalar_normal + 0.0)
+        x_matrix = [
+            (m.a_closed if received[i] else m.a_open) @ x + m.noise_factor @ normal
+            for i, m, x, normal in zip(self.matrix, self._matrix_models, self.x_matrix, matrix_normals)
+        ]
+        finite = [bool(np.isfinite(x).all()) for x in x_matrix]
+        if not (np.isfinite(x_scalar).all() and all(finite)):
+            bad = [int(i) for i in self.scalar[~np.isfinite(x_scalar)]]
+            bad += [i for i, ok in zip(self.matrix, finite) if not ok]
+            raise InvalidStateError(f"plant {min(bad)} state went non-finite at slot {slot}")
+        self.x_scalar, self.x_matrix = x_scalar, x_matrix
 
 
 def control_performance_bound(model: PlantModel) -> float:

@@ -19,12 +19,10 @@ and carry the sender's post-update values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .scheduler import DualSubgradient, NodeDualState
 
 AVAILABILITY_MODES = ("always-on", "random", "piggyback")
 
@@ -48,7 +46,9 @@ class AvailabilitySchedule:
 
 class DualMailbox:
     """Stale multiplier copies: ``values[i, j]`` is the latest nu_{j,i} known
-    to receiver i, ``slots[i, j]`` the slot sender j shared it in.
+    to receiver i, ``slots[i, j]`` the slot sender j shared it in. Row i is
+    what node i knows of the others; the diagonal is never written and stays
+    zero.
 
     Initial values are zero at slot zero, matching the all-zero multiplier
     initialization that every node knows without communicating.
@@ -58,13 +58,6 @@ class DualMailbox:
         self.count = count
         self.values = np.zeros((count, count))
         self.slots = np.zeros((count, count), dtype=int)
-
-    def snapshot_for(self, node: int) -> np.ndarray:
-        """Stale remote multipliers nu_{j, node} as last received (own index
-        is zero and unused)."""
-        row = self.values[node].copy()
-        row[node] = 0.0
-        return row
 
     def staleness(self, t: int) -> np.ndarray:
         """Slot lag of every pair's snapshot during slot t (diagonal is zero:
@@ -88,13 +81,14 @@ class AvailabilityDecision:
 def advance_availability(
     schedule: AvailabilitySchedule,
     t: int,
-    rng,
+    uniforms,
     transmit_flags,
     mailbox: DualMailbox,
 ) -> AvailabilityDecision:
     """Availability sets for slot t, with forced exchanges injected for any
-    pair that would otherwise exceed the staleness bound next slot. ``rng``
-    is one generator per node (consumed only in random mode).
+    pair that would otherwise exceed the staleness bound next slot.
+    ``uniforms`` holds one uniform draw per node for this slot, read only in
+    random mode (node i is up when its draw is below ``prob``).
 
     Only the random mode models nodes going down; always-on and piggyback
     nodes stay capable every slot. Piggyback restricts when duals are
@@ -106,7 +100,7 @@ def advance_availability(
         capable = np.ones(count, dtype=bool)
         pair = np.ones((count, count), dtype=bool)
     elif schedule.mode == "random":
-        capable = np.array([rng[i].random() < schedule.prob for i in range(count)])
+        capable = np.asarray(uniforms) < schedule.prob
         pair = capable[:, None] & capable[None, :]
     else:
         capable = np.ones(count, dtype=bool)
@@ -125,40 +119,12 @@ def advance_availability(
 def exchange_duals(
     mailbox: DualMailbox,
     decision: AvailabilityDecision,
-    duals: Sequence[NodeDualState],
+    nu: np.ndarray,
     t: int,
 ) -> None:
     """Refresh mailbox entries for every exchanging pair with the senders'
-    current multipliers, stamped with this slot. Non-exchanging pairs keep
-    their old snapshot untouched."""
-    for i in range(mailbox.count):
-        for j in range(mailbox.count):
-            if i == j or not decision.exchange[i, j]:
-                continue
-            mailbox.values[i, j] = duals[j].nu_own[i]
-            mailbox.slots[i, j] = t
-
-
-def asynchronous_subgradient_mask(
-    available: np.ndarray,
-    subgradients: Sequence[DualSubgradient],
-) -> list[DualSubgradient]:
-    """Zero the multiplier component (i, j) of every node's subgradient when
-    node j is not sharing this slot; phi and beta pass through untouched."""
-    available = np.asarray(available, dtype=bool)
-    masked = []
-    for grads in subgradients:
-        masked.append(
-            DualSubgradient(
-                phi=grads.phi,
-                nu=np.where(available, grads.nu, 0.0),
-                beta=grads.beta,
-            )
-        )
-    return masked
-
-
-def nu_update_mask(available: np.ndarray) -> np.ndarray:
-    """Boolean mask over multiplier columns: component j updates iff node j
-    is sharing this slot."""
-    return np.asarray(available, dtype=bool)
+    current multipliers (receiver i gets nu[j, i] from sender j), stamped
+    with this slot. Non-exchanging pairs keep their old snapshot untouched."""
+    exchange = decision.exchange
+    mailbox.values = np.where(exchange, nu.T, mailbox.values)
+    mailbox.slots[exchange] = t

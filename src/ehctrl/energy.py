@@ -1,9 +1,10 @@
 """Energy-harvesting arrivals and finite-battery dynamics.
 
-The battery update is b' = clamp(b - spend + harvested, 0, capacity). Spending
-more than the current charge is a hard error, never a clamp: under a properly
-sized configuration the scheduler provably never requests it, so a violation
-means the sizing rule was broken somewhere.
+The battery update is b' = clamp(b - spend + harvested, 0, capacity), applied
+to every node's battery at once. Spending more than the current charge is a
+hard error, never a clamp: under a properly sized configuration the scheduler
+provably never requests it, so a violation means the sizing rule was broken
+somewhere.
 """
 
 from __future__ import annotations
@@ -59,27 +60,34 @@ class HarvestConfig:
             raise ConfigError("bernoulli harvest needs mean <= 1")
 
 
-def draw_harvest(config: HarvestConfig, rng: np.random.Generator) -> float:
-    """Sample one slot's harvested energy (non-negative, long-run mean
-    equal to the configured mean)."""
+def draw_harvest(config: HarvestConfig, rng: np.random.Generator, size: int | None = None):
+    """Sample harvested energy (non-negative, long-run mean equal to the
+    configured mean): one float, or an array of ``size`` consecutive slots
+    drawn in the same stream order."""
     if config.distribution == "bernoulli":
-        return 1.0 if rng.random() < config.mean else 0.0
-    if config.distribution == "deterministic":
-        return config.mean
-    return float(rng.uniform(0.0, 2.0 * config.mean))
+        draws = np.where(rng.random(size) < config.mean, 1.0, 0.0)
+    elif config.distribution == "deterministic":
+        draws = np.full(() if size is None else size, config.mean)
+    else:
+        draws = rng.uniform(0.0, 2.0 * config.mean, size)
+    return float(draws) if size is None else draws
 
 
-def step_battery(
-    state: BatteryState,
-    spend: float,
-    harvested: float,
-    node: int = 0,
+def step_batteries(
+    charge: np.ndarray,
+    capacity: np.ndarray,
+    spend: np.ndarray,
+    harvested: np.ndarray,
     slot: int | None = None,
-) -> BatteryState:
-    """Advance the battery one slot, enforcing per-slot energy causality."""
-    if harvested < 0:
+) -> np.ndarray:
+    """Advance every battery one slot, enforcing per-slot energy causality;
+    the first node that overspends is reported."""
+    if np.any(harvested < 0):
         raise ConfigError("harvested energy cannot be negative")
-    if spend > state.charge + CAUSALITY_ATOL:
-        raise EnergyCausalityError(node=node, spend=spend, charge=state.charge, slot=slot)
-    charge = min(max(state.charge - spend + harvested, 0.0), state.capacity)
-    return BatteryState(charge=charge, capacity=state.capacity)
+    over = spend > charge + CAUSALITY_ATOL
+    if over.any():
+        node = int(np.argmax(over))
+        raise EnergyCausalityError(
+            node=node, spend=float(spend[node]), charge=float(charge[node]), slot=slot
+        )
+    return np.minimum(np.maximum(charge - spend + harvested, 0.0), capacity)

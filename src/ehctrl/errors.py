@@ -29,9 +29,12 @@ class InvalidStateError(RuntimeError):
 
 
 class InvariantViolation(RuntimeError):
-    """A runtime invariant of the simulation broke (mirror, dual bound, NaN state)."""
+    """A runtime invariant of the simulation broke. ``kind`` names it:
+    ``"mirror"`` (battery/multiplier mirror identity) or ``"dual_bound"``
+    (multiplier cap)."""
 
-    def __init__(self, message: str, slot: int | None = None):
+    def __init__(self, message: str, kind: str, slot: int | None = None):
+        self.kind = kind
         self.slot = slot
         where = f" at slot {slot}" if slot is not None else ""
         super().__init__(f"invariant violated{where}: {message}")

@@ -1,10 +1,11 @@
-"""Per-node primal-dual random-access policy.
+"""Primal-dual random-access policy, evaluated for all nodes at once.
 
-Each node owns one multiplier row: ``nu_own[i]`` prices its own reception
-constraint, ``nu_own[j]`` (j != i) prices the interference it causes to node
-j's constraint, ``phi`` prices the log-domain reception requirement and
-``beta`` the average energy constraint. Remote multipliers enter only through
-``nu_stale``, the last values received from the other nodes.
+Node i owns one multiplier row: ``nu[i, i]`` prices its own reception
+constraint, ``nu[i, j]`` (j != i) prices the interference it causes to node
+j's constraint, ``phi[i]`` prices the log-domain reception requirement and
+``beta[i]`` the average energy constraint. Remote multipliers enter only
+through the stale copies, the last values received from the other nodes.
+Every step below is elementwise across nodes.
 
 Closed forms, with c = nu_ii * q_i - q_c * sum_{j != i} nu_ji - beta:
 
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import BatteryState
 from .errors import ConfigError
 
 
@@ -109,150 +109,99 @@ def sizing_violations(params: SchedulerParams, capacities) -> list[str]:
 
 
 @dataclass(eq=False)
-class NodeDualState:
-    """Dual variables owned by one node plus its stale copies of the remote
-    multipliers it needs for the transmit decision."""
+class DualState:
+    """Dual variables of every node: ``nu[i]`` is node i's multiplier row,
+    ``phi[i]`` and ``beta[i]`` its reception and energy prices."""
 
-    phi: float
-    nu_own: np.ndarray
-    nu_stale: np.ndarray
-    beta: float
-
-    def copy(self) -> "NodeDualState":
-        return NodeDualState(
-            phi=self.phi,
-            nu_own=self.nu_own.copy(),
-            nu_stale=self.nu_stale.copy(),
-            beta=self.beta,
-        )
-
-
-@dataclass(eq=False)
-class NodePrimal:
-    z: float
-    s_own: float
-    s_cross: np.ndarray
-    y: np.ndarray
-
-
-@dataclass(eq=False)
-class DualSubgradient:
-    phi: float
+    phi: np.ndarray
     nu: np.ndarray
-    beta: float
+    beta: np.ndarray
 
 
-def init_duals(node: int, battery: BatteryState, params: SchedulerParams) -> NodeDualState:
+def init_duals(charge: np.ndarray, capacity: np.ndarray, params: SchedulerParams) -> DualState:
     """Start-of-run duals: everything zero except beta, which mirrors the
     initial battery headroom scaled by the step size."""
     count = params.count
-    return NodeDualState(
-        phi=0.0,
-        nu_own=np.zeros(count),
-        nu_stale=np.zeros(count),
-        beta=params.epsilon * (battery.capacity - battery.charge),
+    return DualState(
+        phi=np.zeros(count),
+        nu=np.zeros((count, count)),
+        beta=params.epsilon * (capacity - charge),
     )
 
 
-def compute_z(node: int, duals: NodeDualState, q_i: float, params: SchedulerParams) -> float:
-    """Transmit probability: exact minimizer of z (z - c) over [0, 1],
-    i.e. clip(c / 2, 0, 1). Remote multipliers enter via the stale copies."""
-    interference = float(np.sum(duals.nu_stale)) - float(duals.nu_stale[node])
-    c = duals.nu_own[node] * q_i - params.collision_prob * interference - duals.beta
-    return min(max(0.5 * c, 0.0), 1.0)
+def compute_z(duals: DualState, stale: np.ndarray, q: np.ndarray, params: SchedulerParams) -> np.ndarray:
+    """Transmit probabilities: the exact minimizer of z (z - c) over [0, 1],
+    i.e. clip(c / 2, 0, 1). Remote multipliers enter only through ``stale``,
+    where ``stale[i, j]`` is node i's copy of nu_ji (zero diagonal)."""
+    interference = stale.sum(axis=1)
+    c = np.diagonal(duals.nu) * q - params.collision_prob * interference - duals.beta
+    return np.minimum(np.maximum(0.5 * c, 0.0), 1.0)
 
 
-def compute_s(node: int, duals: NodeDualState, params: SchedulerParams) -> tuple[float, np.ndarray]:
-    """Auxiliary reception variables. The floor keeps the log terms of the
-    phi update finite; the nu = 0 corners take the limits of the closed
-    forms (s_own -> 1, s_cross -> 0)."""
+def compute_s(duals: DualState, params: SchedulerParams) -> tuple[np.ndarray, np.ndarray]:
+    """Auxiliary reception variables ``s_own`` (M,) and ``s_cross`` (M, M)
+    with zero diagonal. The floor keeps the log terms of the phi update
+    finite; the nu = 0 corners take the limits of the closed forms
+    (s_own -> 1, s_cross -> 0)."""
     floor = params.s_floor
-    nu_ii = duals.nu_own[node]
-    if nu_ii == 0.0:
-        s_own = 1.0
-    else:
-        s_own = min(max(duals.phi / nu_ii, floor), 1.0)
-    s_cross = np.zeros(params.count)
-    for j in range(params.count):
-        if j == node:
-            continue
-        nu_ij = duals.nu_own[j]
-        if nu_ij == 0.0:
-            continue
-        s_cross[j] = min(max(1.0 - duals.phi / nu_ij, 0.0), 1.0 - floor)
+    nu = duals.nu
+    # phi / 0 reads as +inf, which the clips below send to the limits.
+    ratio = np.divide(duals.phi[:, None], nu, out=np.full(nu.shape, np.inf), where=nu != 0.0)
+    s_own = np.minimum(np.maximum(np.diagonal(ratio), floor), 1.0)
+    s_cross = np.minimum(np.maximum(1.0 - ratio, 0.0), 1.0 - floor)
+    np.fill_diagonal(s_cross, 0.0)
     return s_own, s_cross
 
 
-def compute_y(node: int, duals: NodeDualState, params: SchedulerParams) -> np.ndarray:
+def compute_y(duals: DualState, params: SchedulerParams) -> np.ndarray:
     """Auxiliary relaxation variables: zero until a multiplier climbs
     strictly above its cap, then the full upper bound (ties stay at zero)."""
-    over = duals.nu_own > params.nu_bar[node]
-    return np.where(over, params.y_bar[node], 0.0)
-
-
-def compute_primal(node: int, duals: NodeDualState, q_i: float, params: SchedulerParams) -> NodePrimal:
-    s_own, s_cross = compute_s(node, duals, params)
-    return NodePrimal(
-        z=compute_z(node, duals, q_i, params),
-        s_own=s_own,
-        s_cross=s_cross,
-        y=compute_y(node, duals, params),
-    )
+    return np.where(duals.nu > params.nu_bar, params.y_bar, 0.0)
 
 
 def dual_subgradients(
-    node: int,
-    primal: NodePrimal,
-    q_i: float,
-    e_i: float,
+    z: np.ndarray,
+    s_own: np.ndarray,
+    s_cross: np.ndarray,
+    y: np.ndarray,
+    q: np.ndarray,
+    e: np.ndarray,
     params: SchedulerParams,
-) -> DualSubgradient:
-    """Stochastic subgradients of the dual function at the current primal
-    point, evaluated on this slot's observations."""
-    p_i = params.p[node]
-    log_terms = math.log(primal.s_own) + sum(
-        math.log1p(-primal.s_cross[j]) for j in range(params.count) if j != node
-    )
-    phi_grad = (math.log(p_i) if p_i > 0.0 else -math.inf) - log_terms
-    nu_grad = np.empty(params.count)
-    for j in range(params.count):
-        if j == node:
-            nu_grad[j] = primal.s_own - primal.z * q_i - primal.y[j]
-        else:
-            nu_grad[j] = params.collision_prob * primal.z - primal.s_cross[j] - primal.y[j]
-    beta_grad = primal.z - e_i
-    return DualSubgradient(phi=phi_grad, nu=nu_grad, beta=beta_grad)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stochastic subgradients (phi, nu, beta) of every node's dual function
+    at the current primal point, evaluated on this slot's observations.
+
+    The log terms stay on libm and are summed per node in ascending column
+    order; entries with s_cross = 0 add -0.0 and are skipped exactly."""
+    cross = [0] * params.count
+    rows, cols = np.nonzero(s_cross)
+    for i, s in zip(rows.tolist(), s_cross[rows, cols].tolist()):
+        cross[i] += math.log1p(-s)
+    phi_grad = np.array([
+        (math.log(p) if p > 0.0 else -math.inf) - (math.log(s) + c)
+        for p, s, c in zip(params.p.tolist(), s_own.tolist(), cross)
+    ])
+    nu_grad = params.collision_prob * z[:, None] - s_cross - y
+    np.fill_diagonal(nu_grad, s_own - z * q - np.diagonal(y))
+    return phi_grad, nu_grad, z - e
 
 
 def apply_dual_step(
-    duals: NodeDualState,
-    grads: DualSubgradient,
+    duals: DualState,
+    grads: tuple[np.ndarray, np.ndarray, np.ndarray],
     params: SchedulerParams,
-    nu_mask=None,
-) -> NodeDualState:
-    """Projected ascent step. ``nu_mask`` freezes multiplier components whose
-    subgradient is unavailable this slot (asynchronous operation); phi and
-    beta always step."""
+    available: np.ndarray | None = None,
+) -> DualState:
+    """Projected ascent step for every node. Multiplier column j is frozen
+    while node j is unavailable (``available[j]`` false), since its
+    subgradient cannot be formed; phi and beta always step."""
+    phi_grad, nu_grad, beta_grad = grads
     eps = params.epsilon
-    # grads.phi = -inf (p_i = 0) projects cleanly to 0 here.
-    phi = max(duals.phi + eps * grads.phi, 0.0)
-    step = eps * grads.nu
-    if nu_mask is not None:
-        step = np.where(np.asarray(nu_mask, dtype=bool), step, 0.0)
-    nu_own = np.maximum(duals.nu_own + step, 0.0)
-    beta = max(duals.beta + eps * grads.beta, 0.0)
-    return NodeDualState(phi=phi, nu_own=nu_own, nu_stale=duals.nu_stale.copy(), beta=beta)
-
-
-def update_duals(
-    node: int,
-    duals: NodeDualState,
-    primal: NodePrimal,
-    q_i: float,
-    e_i: float,
-    params: SchedulerParams,
-    nu_mask=None,
-) -> NodeDualState:
-    """One full dual update from this slot's primal point and observations."""
-    grads = dual_subgradients(node, primal, q_i, e_i, params)
-    return apply_dual_step(duals, grads, params, nu_mask=nu_mask)
+    if available is not None:
+        nu_grad = np.where(available[None, :], nu_grad, 0.0)
+    # phi_grad = -inf (p_i = 0) projects cleanly to 0 here.
+    return DualState(
+        phi=np.maximum(duals.phi + eps * phi_grad, 0.0),
+        nu=np.maximum(duals.nu + eps * nu_grad, 0.0),
+        beta=np.maximum(duals.beta + eps * beta_grad, 0.0),
+    )

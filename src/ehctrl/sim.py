@@ -1,10 +1,13 @@
 """Slot-loop orchestration of the coupled plant/channel/battery/dual system.
 
-Every slot runs, in this fixed order:
+The state of all nodes is held as arrays: multipliers phi (M,), nu (M, M)
+and beta (M,), battery charges (M,), the mailbox (M, M) and the plant
+states. Every step except collision resolution is one array expression over
+all nodes. Every slot runs, in this fixed order:
 
   1. draw channel states and harvest arrivals
-  2. each node computes its auxiliary, reception and transmit variables from
-     its own multipliers and the stale remote copies
+  2. every node computes its auxiliary, reception and transmit variables
+     from its own multipliers and the stale remote copies
   3. Bernoulli transmission draws
   4. collision/decoding resolution -> per-node reception flags
   5. plants step (closed loop on reception, open loop otherwise)
@@ -16,9 +19,11 @@ Every slot runs, in this fixed order:
 Reordering steps 2 and 7 changes results and is forbidden. Randomness comes
 from named per-node streams (channel, harvest, transmission, collision,
 availability, noise) expanded from the root seed, so disabling one source
-never shifts another. Two runs with equal config and seed produce identical
-outputs, in sequential and parallel execution alike; the parallelizable
-steps (2 and 7) consume no randomness.
+never shifts another. Every stream but the collision one is drawn
+``DRAW_CHUNK`` slots at a time, which reproduces the slot-by-slot draw
+sequence exactly; a transmitter draws a slot's collision and decode
+uniforms in one call. Two runs with equal config and seed produce identical
+outputs.
 
 Runtime-checked invariants, any breach aborting the run with a slot-stamped
 diagnostic: per-slot energy causality, finite plant state, the multiplier
@@ -28,16 +33,15 @@ beta = epsilon * (capacity - charge) under fluid energy accounting.
 
 from __future__ import annotations
 
+import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import comm, coordination, energy, scheduler
 from .comm import ChannelConfig
-from .control import PlantModel, PlantState, lyapunov_value, step_plant
+from .control import PlantBank, PlantModel
 from .coordination import AvailabilitySchedule, DualMailbox
 from .energy import BatteryState, HarvestConfig
 from .errors import (
@@ -55,7 +59,10 @@ DUAL_BOUND_ATOL = 1e-9
 
 ENERGY_ACCOUNTING_MODES = ("fluid", "integer")
 DUAL_ACCESS_MODES = ("mailbox", "direct")
-EXECUTION_MODES = ("sequential", "parallel")
+
+# Slots of each random stream drawn per call; bounds the draw buffers to
+# O(DRAW_CHUNK * M) whatever the horizon.
+DRAW_CHUNK = 256
 
 _STREAM_NAMES = ("channel", "harvest", "transmission", "collision", "availability", "noise")
 
@@ -74,7 +81,6 @@ class SimConfig:
     seed: int
     energy_accounting: str = "fluid"
     dual_access: str = "mailbox"
-    execution: str = "sequential"
     initial_states: tuple[np.ndarray, ...] | None = None
     schedule_window: tuple[int, int] = (1050, 1100)
 
@@ -95,8 +101,6 @@ class SimConfig:
             raise ConfigError(f"energy_accounting must be one of {ENERGY_ACCOUNTING_MODES}")
         if self.dual_access not in DUAL_ACCESS_MODES:
             raise ConfigError(f"dual_access must be one of {DUAL_ACCESS_MODES}")
-        if self.execution not in EXECUTION_MODES:
-            raise ConfigError(f"execution must be one of {EXECUTION_MODES}")
         if self.initial_states is not None:
             states = tuple(
                 np.atleast_1d(np.asarray(x, dtype=float)) for x in self.initial_states
@@ -200,7 +204,6 @@ def make_streams(seed: int, count: int) -> dict[str, list[np.random.Generator]]:
 
 def _allocate(record: TelemetryRecord, config: SimConfig) -> None:
     T, M = config.horizon, config.count
-    record.states = [np.zeros((T, plant.dim)) for plant in config.plants]
     for name in ("lyapunov", "z", "h", "q", "battery", "harvested", "phi", "beta"):
         setattr(record, name, np.zeros((T, M)))
     for name in ("transmitted", "received", "collided"):
@@ -245,7 +248,19 @@ def per_slot_reception(z: np.ndarray, q: np.ndarray, collision_prob: float) -> n
     return q * z * others
 
 
-def run(config: SimConfig, slot_callback: Callable[[int], None] | None = None) -> SimResult:
+def _per_slot(draw, horizon: int):
+    """Yield ``horizon`` slots of draws, calling ``draw(n)`` for the next n
+    slots (first axis) at most ``DRAW_CHUNK`` at a time."""
+    for start in range(0, horizon, DRAW_CHUNK):
+        yield from draw(min(DRAW_CHUNK, horizon - start))
+
+
+def _uniforms(rngs):
+    """Draw function for one uniform per node stream and slot."""
+    return lambda n: np.stack([rng.random(n) for rng in rngs], axis=1)
+
+
+def run(config: SimConfig) -> SimResult:
     """Run the full slot loop; returns telemetry and summary, raising
     :class:`SimulationAborted` (partial telemetry attached) on any invariant
     breach."""
@@ -254,75 +269,80 @@ def run(config: SimConfig, slot_callback: Callable[[int], None] | None = None) -
     params = config.params
     streams = make_streams(config.seed, M)
     fluid = config.energy_accounting == "fluid"
+    direct = config.dual_access == "direct"
     logger.debug(
-        "run: %d nodes, %d slots, seed %d, %s/%s/%s",
-        M, T, config.seed, config.availability.mode, config.dual_access, config.execution,
+        "run: %d nodes, %d slots, seed %d, %s/%s",
+        M, T, config.seed, config.availability.mode, config.dual_access,
     )
 
-    if config.initial_states is not None:
-        plants = [PlantState(x) for x in config.initial_states]
-    else:
-        plants = [PlantState(np.zeros(p.dim)) for p in config.plants]
-    batteries = list(config.batteries)
-    duals = [scheduler.init_duals(i, batteries[i], params) for i in range(M)]
+    plants = PlantBank(
+        config.plants, config.initial_states or [np.zeros(p.dim) for p in config.plants]
+    )
+    capacity = np.array([b.capacity for b in config.batteries])
+    charge = np.array([b.charge for b in config.batteries])
+    duals = scheduler.init_duals(charge, capacity, params)
     mailbox = DualMailbox(M)
+    cap = params.nu_bar + params.epsilon + DUAL_BOUND_ATOL
 
     record = TelemetryRecord(horizon=T, count=M, required_p=params.p.copy())
     record.violations = {
         "causality": 0, "mirror": 0, "dual_bound": 0, "nonfinite": 0,
     }
     _allocate(record, config)
+    record.states = plants.history(T)
 
-    pool = None
-    if config.execution == "parallel" and M > 1:
-        pool = ThreadPoolExecutor(max_workers=min(M, 8))
-    node_range = range(M)
-
-    def map_nodes(fn):
-        if pool is None:
-            return [fn(i) for i in node_range]
-        return list(pool.map(fn, node_range))
+    channel = _per_slot(
+        lambda n: zip(*comm.draw_channels(config.channel, M, streams["channel"], n)), T
+    )
+    harvest = _per_slot(
+        lambda n: np.stack(
+            [energy.draw_harvest(h, rng, n) for h, rng in zip(config.harvests, streams["harvest"])],
+            axis=1,
+        ),
+        T,
+    )
+    transmit = _per_slot(_uniforms(streams["transmission"]), T)
+    availability = (
+        _per_slot(_uniforms(streams["availability"]), T)
+        if config.availability.mode == "random"
+        else itertools.repeat(None)
+    )
+    normals = _per_slot(lambda n: plants.draw_normals(streams["noise"], n), T)
 
     t = 0
     rows = 0
     try:
         for t in range(T):
             # 1. environment draws
-            h, q = comm.draw_channels(config.channel, M, streams["channel"])
-            e = np.array(
-                [energy.draw_harvest(config.harvests[i], streams["harvest"][i]) for i in node_range]
-            )
+            h, q = next(channel)
+            e = next(harvest)
 
             # 2. primal computation from current duals and stale copies
-            for i in node_range:
-                if config.dual_access == "direct":
-                    stale = np.array([duals[j].nu_own[i] for j in node_range])
-                    stale[i] = 0.0
-                else:
-                    stale = mailbox.snapshot_for(i)
-                duals[i].nu_stale = stale
-            primal = map_nodes(lambda i: scheduler.compute_primal(i, duals[i], q[i], params))
-            z = np.array([primal[i].z for i in node_range])
+            if direct:
+                stale = duals.nu.T.copy()
+                np.fill_diagonal(stale, 0.0)
+            else:
+                stale = mailbox.values
+            z = scheduler.compute_z(duals, stale, q, params)
+            s_own, s_cross = scheduler.compute_s(duals, params)
+            y = scheduler.compute_y(duals, params)
 
             # 3. transmission draws (integer accounting gates on whole units)
-            tx = np.array(
-                [streams["transmission"][i].random() < z[i] for i in node_range]
-            )
+            tx = next(transmit) < z
             if not fluid:
-                tx &= np.array([batteries[i].charge >= 1.0 for i in node_range])
+                tx &= charge >= 1.0
 
             # 4. collision/decoding resolution
-            outcome = comm.resolve_slot(config.channel, tx, q, streams["collision"], h=h)
+            outcome = comm.resolve_slot(config.channel, tx, q, streams["collision"])
 
             # telemetry snapshot of start-of-slot state
-            for i in node_range:
-                record.states[i][t] = plants[i].x
-                record.lyapunov[t, i] = lyapunov_value(config.plants[i], plants[i])
-                record.battery[t, i] = batteries[i].charge
-                record.phi[t, i] = duals[i].phi
-                record.beta[t, i] = duals[i].beta
-                record.nu[t, i] = duals[i].nu_own
-                record.nu_stale[t, i] = duals[i].nu_stale
+            plants.save(t)
+            record.lyapunov[t] = plants.lyapunov()
+            record.battery[t] = charge
+            record.phi[t] = duals.phi
+            record.beta[t] = duals.beta
+            record.nu[t] = duals.nu
+            record.nu_stale[t] = stale
             record.z[t] = z
             record.transmitted[t] = tx
             record.received[t] = outcome.received
@@ -333,76 +353,60 @@ def run(config: SimConfig, slot_callback: Callable[[int], None] | None = None) -
             rows = t + 1
 
             # 5. plant steps
-            new_plants = []
-            for i in node_range:
-                noise = config.plants[i].draw_noise(streams["noise"][i])
-                nxt = step_plant(config.plants[i], plants[i], bool(outcome.received[i]), noise)
-                if not np.all(np.isfinite(nxt.x)):
-                    raise InvalidStateError(f"plant {i} state went non-finite at slot {t}")
-                new_plants.append(nxt)
+            plants.step(outcome.received, next(normals), t)
 
             # 6. battery steps (fluid: the transmit probability is the spend)
             spend = z if fluid else tx.astype(float)
-            new_batteries = [
-                energy.step_battery(batteries[i], float(spend[i]), float(e[i]), node=i, slot=t)
-                for i in node_range
-            ]
+            new_charge = energy.step_batteries(charge, capacity, spend, e, slot=t)
 
             # 7. masked dual updates
             decision = coordination.advance_availability(
-                config.availability, t, streams["availability"], tx, mailbox
+                config.availability, t, next(availability), tx, mailbox
             )
-            grads = map_nodes(
-                lambda i: scheduler.dual_subgradients(i, primal[i], q[i], e[i], params)
-            )
-            masked = coordination.asynchronous_subgradient_mask(decision.available, grads)
-            new_duals = map_nodes(
-                lambda i: scheduler.apply_dual_step(duals[i], masked[i], params)
-            )
+            grads = scheduler.dual_subgradients(z, s_own, s_cross, y, q, e, params)
+            new_duals = scheduler.apply_dual_step(duals, grads, params, decision.available)
 
             # 8. exchange into mailboxes (post-update values, stamped this slot)
-            coordination.exchange_duals(mailbox, decision, new_duals, t)
+            coordination.exchange_duals(mailbox, decision, new_duals.nu, t)
 
-            # invariant checks on the advanced state
-            for i in node_range:
-                cap_row = params.nu_bar[i] + params.epsilon + DUAL_BOUND_ATOL
-                if np.any(new_duals[i].nu_own > cap_row):
-                    raise InvariantViolation(
-                        f"multiplier bound exceeded for node {i}: "
-                        f"nu = {new_duals[i].nu_own}, cap = {cap_row}",
-                        slot=t,
-                    )
-                if fluid:
-                    mirror = params.epsilon * (
-                        new_batteries[i].capacity - new_batteries[i].charge
-                    )
-                    if abs(new_duals[i].beta - mirror) > MIRROR_ATOL:
-                        raise InvariantViolation(
-                            f"battery mirror diverged for node {i}: "
-                            f"beta = {new_duals[i].beta!r}, expected {mirror!r}",
-                            slot=t,
-                        )
-
-            plants, batteries, duals = new_plants, new_batteries, new_duals
-            if slot_callback is not None:
-                slot_callback(t)
+            _check_invariants(new_duals, new_charge, capacity, cap, params, fluid, t)
+            charge, duals = new_charge, new_duals
     except (EnergyCausalityError, InvariantViolation, InvalidStateError) as exc:
         _finalize(record, rows, config.channel.collision_prob)
-        key = "causality" if isinstance(exc, EnergyCausalityError) else (
-            "nonfinite" if isinstance(exc, InvalidStateError) else _violation_key(exc)
-        )
+        if isinstance(exc, InvariantViolation):
+            key = exc.kind
+        else:
+            key = "causality" if isinstance(exc, EnergyCausalityError) else "nonfinite"
         record.violations[key] += 1
         raise SimulationAborted(exc, record, t) from exc
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     _finalize(record, T, config.channel.collision_prob)
     return SimResult(config=config, record=record, summary=summarize(record))
 
 
-def _violation_key(exc: InvariantViolation) -> str:
-    return "mirror" if "mirror" in str(exc) else "dual_bound"
+def _check_invariants(duals, charge, capacity, cap, params, fluid: bool, t: int) -> None:
+    """Multiplier cap and (fluid accounting) battery mirror on the advanced
+    state; the first offending node is reported, cap before mirror."""
+    over = (duals.nu > cap).any(axis=1)
+    bad = over
+    if fluid:
+        mirror = params.epsilon * (capacity - charge)
+        bad = over | (np.abs(duals.beta - mirror) > MIRROR_ATOL)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if over[i]:
+        raise InvariantViolation(
+            f"multiplier bound exceeded for node {i}: nu = {duals.nu[i]}, cap = {cap[i]}",
+            kind="dual_bound",
+            slot=t,
+        )
+    raise InvariantViolation(
+        f"battery mirror diverged for node {i}: "
+        f"beta = {float(duals.beta[i])!r}, expected {float(mirror[i])!r}",
+        kind="mirror",
+        slot=t,
+    )
 
 
 def summarize(record: TelemetryRecord) -> Summary:

@@ -21,13 +21,13 @@ from ehctrl import telemetry
 from ehctrl.config import build_config, read_raw
 from ehctrl.control import PlantModel, required_reception_probability
 from ehctrl.scheduler import (
-    NodeDualState,
-    NodePrimal,
+    DualState,
     SchedulerParams,
+    apply_dual_step,
     compute_s,
     compute_y,
     compute_z,
-    update_duals,
+    dual_subgradients,
 )
 from ehctrl.sim import run
 
@@ -57,13 +57,11 @@ class RunCache:
     def __init__(self):
         self._results = {}
 
-    def get(self, seed, mode="always-on", bound=1, execution="sequential",
-            access="mailbox"):
-        key = (seed, mode, bound, execution, access)
+    def get(self, seed, mode="always-on", bound=1, access="mailbox"):
+        key = (seed, mode, bound, access)
         if key not in self._results:
             raw = read_raw(None)
             raw["availability"] = {"mode": mode, "prob": 0.5, "staleness_bound": bound}
-            raw["execution"] = execution
             raw["dual_access"] = access
             config = build_config(raw, seed=seed)
             self._results[key] = run(config)
@@ -230,13 +228,16 @@ def test_criterion_5_dual_bound(acceptance_runs):
     # Adversarial run: drive a multiplier past its cap and watch the reset.
     params = SchedulerParams(epsilon=1.0, nu_bar=2.0, y_bar=4.0,
                              p=np.array([0.3, 0.3]), collision_prob=1.0)
-    duals = NodeDualState(phi=0.0, nu_own=np.zeros(2), nu_stale=np.zeros(2), beta=0.0)
+    duals = DualState(phi=np.zeros(2), nu=np.zeros((2, 2)), beta=np.zeros(2))
     trajectory = []
     for _ in range(12):
-        y = compute_y(0, duals, params)
-        primal = NodePrimal(z=1.0, s_own=params.s_floor, s_cross=np.zeros(2), y=y)
-        duals = update_duals(0, duals, primal, q_i=0.0, e_i=1.0, params=params)
-        trajectory.append(duals.nu_own[1])
+        y = compute_y(duals, params)
+        grads = dual_subgradients(
+            z=np.ones(2), s_own=np.full(2, params.s_floor), s_cross=np.zeros((2, 2)),
+            y=y, q=np.zeros(2), e=np.ones(2), params=params,
+        )
+        duals = apply_dual_step(duals, grads, params)
+        trajectory.append(duals.nu[0, 1])
     trajectory = np.array(trajectory)
     exceeded = trajectory.max() > 2.0
     capped = trajectory.max() <= 2.0 + 1.0 + DUAL_TOL
@@ -286,25 +287,26 @@ def test_criterion_8_optimizer_oracles():
     rng = np.random.default_rng(88)
     worst_primal = 0.0
     for _ in range(1000):
-        duals = NodeDualState(
-            phi=float(rng.uniform(0.01, 30.0)),
-            nu_own=rng.uniform(0.01, 25.0, 2),
-            nu_stale=rng.uniform(0.0, 25.0, 2),
-            beta=float(rng.uniform(0.0, 25.0)),
+        # Node 0's duals; node 1 only supplies the stale copy nu_10.
+        phi = float(rng.uniform(0.01, 30.0))
+        nu_own = rng.uniform(0.01, 25.0, 2)
+        nu_stale = rng.uniform(0.0, 25.0, 2)
+        beta = float(rng.uniform(0.0, 25.0))
+        duals = DualState(
+            phi=np.full(2, phi), nu=np.array([nu_own, [0.0, 0.0]]), beta=np.full(2, beta)
         )
+        stale = np.array([[0.0, nu_stale[1]], [0.0, 0.0]])
         q = float(rng.uniform(0.0, 1.0))
-        z = compute_z(0, duals, q, params)
-        c = duals.nu_own[0] * q - params.collision_prob * duals.nu_stale[1] - duals.beta
+        z = compute_z(duals, stale, np.full(2, q), params)[0]
+        c = nu_own[0] * q - params.collision_prob * nu_stale[1] - beta
         worst_primal = max(worst_primal, abs(z - grid_argmin(z_objective(c), 0.0, 1.0)))
-        s_own, s_cross = compute_s(0, duals, params)
-        own_oracle = grid_argmin(
-            s_own_objective(duals.phi, duals.nu_own[0]), params.s_floor, 1.0
-        )
+        s_own, s_cross = compute_s(duals, params)
+        own_oracle = grid_argmin(s_own_objective(phi, nu_own[0]), params.s_floor, 1.0)
         cross_oracle = grid_argmin(
-            s_cross_objective(duals.phi, duals.nu_own[1]), 0.0, 1.0 - params.s_floor
+            s_cross_objective(phi, nu_own[1]), 0.0, 1.0 - params.s_floor
         )
         worst_primal = max(
-            worst_primal, abs(s_own - own_oracle), abs(s_cross[1] - cross_oracle)
+            worst_primal, abs(s_own[0] - own_oracle), abs(s_cross[0, 1] - cross_oracle)
         )
 
     worst_lmi = 0.0
@@ -377,11 +379,7 @@ def test_criterion_9_asynchrony(cache, tmp_path):
 def test_criterion_10_determinism(cache, tmp_path):
     res_a = cache.get(DEFAULT_SEED)
     res_b = run(res_a.config)  # fresh run of the identical config
-    res_par = cache.get(DEFAULT_SEED, execution="parallel")
     telemetry.write_slots_csv(res_a.record, tmp_path / "a.csv")
     telemetry.write_slots_csv(res_b.record, tmp_path / "b.csv")
-    telemetry.write_slots_csv(res_par.record, tmp_path / "par.csv")
     rerun_same = (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    parallel_same = (tmp_path / "a.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
-    _report(10, rerun_same and parallel_same,
-            f"rerun identical: {rerun_same}, parallel identical: {parallel_same}")
+    _report(10, rerun_same, f"rerun identical: {rerun_same}")

@@ -175,7 +175,9 @@ class TestRunCommand:
                      "--out", str(out), "--strict"]) == 2
 
     def test_invariant_breach_exits_3_with_partial_telemetry(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ehctrl.scheduler, "compute_z", lambda node, duals, q, params: 0.6)
+        monkeypatch.setattr(
+            ehctrl.scheduler, "compute_z", lambda duals, stale, q, params: np.full(q.shape, 0.6)
+        )
         cfg = tmp_path / "tiny-battery.cfg"
         cfg.write_text("battery: {capacity: 20.0, initial: 0.2}\n")
         out = tmp_path / "out"

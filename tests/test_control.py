@@ -6,14 +6,26 @@ from hypothesis import given, strategies as st
 
 from conftest import grid_required_probability
 from ehctrl.control import (
+    PlantBank,
     PlantModel,
-    PlantState,
     control_performance_bound,
-    lyapunov_value,
     required_reception_probability,
-    step_plant,
 )
 from ehctrl.errors import ConfigError, InfeasibleTargetError, InvalidStateError
+
+
+def step_one(model, x, received, normal):
+    """Step a single plant from state ``x`` with the given standard normal draw."""
+    bank = PlantBank([model], [np.asarray(x, dtype=float)])
+    if model.dim == 1:
+        bank.step(np.array([received]), (np.asarray(normal, dtype=float),))
+        return bank.x_scalar
+    bank.step(np.array([received]), (np.zeros(0), np.asarray(normal, dtype=float)))
+    return bank.x_matrix[0]
+
+
+def certificate(model, x):
+    return PlantBank([model], [np.asarray(x, dtype=float)]).lyapunov()[0]
 
 
 def scalar_plant(a_open, a_closed, rho=0.8, weight=1.0, cov=1.0) -> PlantModel:
@@ -25,13 +37,12 @@ def scalar_plant(a_open, a_closed, rho=0.8, weight=1.0, cov=1.0) -> PlantModel:
 
 class TestStepPlant:
     def test_open_loop_scalar(self):
-        state = step_plant(scalar_plant(1.1, 0.15), PlantState([1.0]), False, [0.0])
-        assert state.x[0] == pytest.approx(1.1)
-        assert state.t == 1
+        x = step_one(scalar_plant(1.1, 0.15), [1.0], False, [0.0])
+        assert x[0] == pytest.approx(1.1)
 
     def test_zero_fixed_point(self):
-        state = step_plant(scalar_plant(1.1, 0.15), PlantState([0.0]), True, [0.0])
-        assert state.x[0] == 0.0
+        x = step_one(scalar_plant(1.1, 0.15), [0.0], True, [0.0])
+        assert x[0] == 0.0
 
     def test_matrix_closed_loop(self):
         model = PlantModel(
@@ -41,33 +52,33 @@ class TestStepPlant:
             lyapunov_weight=np.eye(2),
             decrease_rate=0.8,
         )
-        state = step_plant(model, PlantState([1.0, 1.0]), True, [0.5, -0.5])
-        assert state.x == pytest.approx([0.6, -0.4])
+        x = step_one(model, [1.0, 1.0], True, [0.5, -0.5])
+        assert x == pytest.approx([0.6, -0.4])
 
     def test_nonfinite_state_rejected(self):
         with pytest.raises(InvalidStateError):
-            step_plant(scalar_plant(1.1, 0.15), PlantState([math.nan]), True, [0.0])
+            step_one(scalar_plant(1.1, 0.15), [math.nan], True, [0.0])
         with pytest.raises(InvalidStateError):
-            step_plant(scalar_plant(1.1, 0.15), PlantState([1.0]), True, [math.inf])
+            step_one(scalar_plant(1.1, 0.15), [1.0], True, [math.inf])
 
 
 class TestLyapunovValue:
     def test_scalar_square(self):
-        assert lyapunov_value(scalar_plant(1.1, 0.15), PlantState([2.0])) == pytest.approx(4.0)
+        assert certificate(scalar_plant(1.1, 0.15), [2.0]) == pytest.approx(4.0)
 
     def test_euclidean(self):
         model = PlantModel(
             a_open=np.eye(2) * 1.05, a_closed=np.eye(2) * 0.1,
             noise_cov=np.eye(2), lyapunov_weight=np.eye(2), decrease_rate=0.8,
         )
-        assert lyapunov_value(model, PlantState([3.0, 4.0])) == pytest.approx(25.0)
+        assert certificate(model, [3.0, 4.0]) == pytest.approx(25.0)
 
     def test_weighted_quadratic(self):
         model = PlantModel(
             a_open=np.eye(2) * 1.05, a_closed=np.eye(2) * 0.1,
             noise_cov=np.eye(2), lyapunov_weight=np.diag([2.0, 1.0]), decrease_rate=0.8,
         )
-        assert lyapunov_value(model, PlantState([1.0, 1.0])) == pytest.approx(3.0)
+        assert certificate(model, [1.0, 1.0]) == pytest.approx(3.0)
 
 
 class TestRequiredReceptionProbability:
@@ -157,11 +168,11 @@ def test_geometric_decrease_under_forced_reception():
         model.a_closed.T @ model.lyapunov_weight @ model.a_closed
     )
     assert np.linalg.eigvalsh(pencil).min() >= 0
-    state = PlantState([3.0, -2.0])
-    value = lyapunov_value(model, state)
+    state = np.array([3.0, -2.0])
+    value = certificate(model, state)
     for _ in range(30):
-        state = step_plant(model, state, True, np.zeros(2))
-        new_value = lyapunov_value(model, state)
+        state = step_one(model, state, True, np.zeros(2))
+        new_value = certificate(model, state)
         assert new_value <= model.decrease_rate * value + 1e-12
         value = new_value
 

@@ -6,28 +6,24 @@ from ehctrl.coordination import (
     AvailabilitySchedule,
     DualMailbox,
     advance_availability,
-    asynchronous_subgradient_mask,
     exchange_duals,
 )
 from ehctrl.errors import ConfigError
-from ehctrl.scheduler import DualSubgradient, NodeDualState
+from ehctrl.scheduler import DualState, SchedulerParams, apply_dual_step
 
 
-def make_duals(count, fill):
-    """Node j's multiplier row set to fill(j, i) for each column i."""
-    return [
-        NodeDualState(
-            phi=0.0,
-            nu_own=np.array([fill(j, i) for i in range(count)], dtype=float),
-            nu_stale=np.zeros(count),
-            beta=0.0,
-        )
-        for j in range(count)
-    ]
+def make_nu(count, fill):
+    """Multiplier matrix with node j's row set to fill(j, i) for each column i."""
+    return np.array([[fill(j, i) for i in range(count)] for j in range(count)], dtype=float)
 
 
 def rngs(count, seed=0):
     return [np.random.default_rng((seed, k)) for k in range(count)]
+
+
+def uniforms(streams):
+    """One slot's availability draws, one per node stream."""
+    return np.array([rng.random() for rng in streams])
 
 
 class TestSchedule:
@@ -43,11 +39,11 @@ class TestSchedule:
         mailbox = DualMailbox(3)
         schedule = AvailabilitySchedule(mode="always-on")
         for t in range(5):
-            decision = advance_availability(schedule, t, rngs(3), [False] * 3, mailbox)
+            decision = advance_availability(schedule, t, None, [False] * 3, mailbox)
             assert decision.available.all()
             off_diag = decision.exchange[~np.eye(3, dtype=bool)]
             assert off_diag.all()
-            exchange_duals(mailbox, decision, make_duals(3, lambda j, i: t), t)
+            exchange_duals(mailbox, decision, make_nu(3, lambda j, i: t), t)
             assert mailbox.staleness(t).max() <= 1
 
 
@@ -60,8 +56,10 @@ class TestStalenessBounds:
         worst = 0
         for t in range(10_000):
             worst = max(worst, int(mailbox.staleness(t).max()))
-            decision = advance_availability(schedule, t, streams, [False, False], mailbox)
-            exchange_duals(mailbox, decision, make_duals(2, lambda j, i: t), t)
+            decision = advance_availability(
+                schedule, t, uniforms(streams), [False, False], mailbox
+            )
+            exchange_duals(mailbox, decision, make_nu(2, lambda j, i: t), t)
         assert worst <= bound
 
     def test_piggyback_forced_refresh_at_bound(self):
@@ -70,16 +68,16 @@ class TestStalenessBounds:
         mailbox = DualMailbox(2)
         refreshed_at = []
         for t in range(15):  # node 2 stays silent throughout
-            decision = advance_availability(schedule, t, rngs(2), [False, False], mailbox)
+            decision = advance_availability(schedule, t, None, [False, False], mailbox)
             if decision.exchange[0, 1]:
                 refreshed_at.append(t)
-            exchange_duals(mailbox, decision, make_duals(2, lambda j, i: t), t)
+            exchange_duals(mailbox, decision, make_nu(2, lambda j, i: t), t)
         assert refreshed_at == [bound]  # fires exactly when staleness hits the bound
 
     def test_piggyback_shares_on_transmission(self):
         schedule = AvailabilitySchedule(mode="piggyback", staleness_bound=50)
         mailbox = DualMailbox(2)
-        decision = advance_availability(schedule, 0, rngs(2), [False, True], mailbox)
+        decision = advance_availability(schedule, 0, None, [False, True], mailbox)
         assert decision.exchange[0, 1] and not decision.exchange[1, 0]
         # piggyback nodes stay capable of computing every slot
         assert decision.available.all()
@@ -88,15 +86,16 @@ class TestStalenessBounds:
 class TestMailbox:
     def test_snapshot_is_receiver_column(self):
         mailbox = DualMailbox(2)
-        duals = make_duals(2, lambda j, i: 10 * j + i)
+        duals = make_nu(2, lambda j, i: 10 * j + i)
         decision = AvailabilityDecision(
             available=np.ones(2, dtype=bool),
             exchange=~np.eye(2, dtype=bool),
         )
         exchange_duals(mailbox, decision, duals, t=3)
         # receiver 0 holds nu_{1,0} = 10, receiver 1 holds nu_{0,1} = 1
-        assert mailbox.snapshot_for(0)[1] == 10.0
-        assert mailbox.snapshot_for(1)[0] == 1.0
+        assert mailbox.values[0, 1] == 10.0
+        assert mailbox.values[1, 0] == 1.0
+        assert np.all(np.diagonal(mailbox.values) == 0.0)
         assert mailbox.slots[0, 1] == 3
 
     def test_unavailable_sender_leaves_mailbox_untouched(self):
@@ -105,7 +104,7 @@ class TestMailbox:
             available=np.array([True, False]),
             exchange=np.array([[False, False], [True, False]]),
         )
-        exchange_duals(mailbox, decision, make_duals(2, lambda j, i: 7.0), t=5)
+        exchange_duals(mailbox, decision, make_nu(2, lambda j, i: 7.0), t=5)
         assert mailbox.values[0, 1] == 0.0 and mailbox.slots[0, 1] == 0
         assert mailbox.values[1, 0] == 7.0 and mailbox.slots[1, 0] == 5
 
@@ -116,9 +115,11 @@ class TestMailbox:
         history = {}
         exchanged = set()
         for t in range(500):
-            duals = make_duals(2, lambda j, i: np.sin(0.1 * t + j) + 2.0 + i)
-            history[t] = [d.nu_own.copy() for d in duals]
-            decision = advance_availability(schedule, t, streams, [False, False], mailbox)
+            duals = make_nu(2, lambda j, i: np.sin(0.1 * t + j) + 2.0 + i)
+            history[t] = duals
+            decision = advance_availability(
+                schedule, t, uniforms(streams), [False, False], mailbox
+            )
             exchange_duals(mailbox, decision, duals, t)
             exchanged.update(
                 (i, j) for i in range(2) for j in range(2) if decision.exchange[i, j]
@@ -137,24 +138,35 @@ class TestMailbox:
                     available=np.ones(2, dtype=bool),
                     exchange=~np.eye(2, dtype=bool),
                 )
-                exchange_duals(mailbox, decision, make_duals(2, lambda j, i: t), t)
+                exchange_duals(mailbox, decision, make_nu(2, lambda j, i: t), t)
         # staleness during successive slots alternates between 1 and 2
         assert observed[2:] == [1, 2, 1, 2, 1, 2]
 
 
 class TestSubgradientMask:
+    """The dual step freezes multiplier column j while node j is unavailable."""
+
+    @staticmethod
+    def step(available, grads):
+        params = SchedulerParams(epsilon=1.0, nu_bar=19.0, y_bar=25.0,
+                                 p=np.array([0.3, 0.3]), collision_prob=0.25)
+        duals = DualState(phi=np.full(2, 5.0), nu=np.full((2, 2), 5.0), beta=np.full(2, 5.0))
+        stepped = apply_dual_step(duals, grads, params, available=available)
+        return stepped.phi - 5.0, stepped.nu - 5.0, stepped.beta - 5.0
+
     def test_passthrough_and_freeze(self):
-        grads = [
-            DualSubgradient(phi=1.0, nu=np.array([0.5, -0.5]), beta=2.0),
-            DualSubgradient(phi=-1.0, nu=np.array([0.25, 0.75]), beta=-2.0),
-        ]
-        masked = asynchronous_subgradient_mask(np.array([True, False]), grads)
-        assert masked[0].nu[0] == 0.5 and masked[0].nu[1] == 0.0
-        assert masked[1].nu[0] == 0.25 and masked[1].nu[1] == 0.0
+        grads = (
+            np.array([1.0, -1.0]),
+            np.array([[0.5, -0.5], [0.25, 0.75]]),
+            np.array([2.0, -2.0]),
+        )
+        phi, nu, beta = self.step(np.array([True, False]), grads)
+        assert nu[0, 0] == 0.5 and nu[0, 1] == 0.0
+        assert nu[1, 0] == 0.25 and nu[1, 1] == 0.0
         # phi and beta always pass through
-        assert masked[0].phi == 1.0 and masked[1].beta == -2.0
+        assert phi[0] == 1.0 and beta[1] == -2.0
 
     def test_always_on_is_identity(self):
-        grads = [DualSubgradient(phi=0.3, nu=np.array([1.0, 2.0]), beta=0.1)]
-        masked = asynchronous_subgradient_mask(np.ones(2, dtype=bool), grads)
-        assert np.array_equal(masked[0].nu, grads[0].nu)
+        grads = (np.array([0.3, 0.3]), np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0.1, 0.1]))
+        _, nu, _ = self.step(np.ones(2, dtype=bool), grads)
+        assert np.array_equal(nu, grads[1])

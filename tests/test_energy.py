@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ehctrl.energy import BatteryState, HarvestConfig, draw_harvest, step_battery
+from ehctrl.energy import BatteryState, HarvestConfig, draw_harvest, step_batteries
 from ehctrl.errors import ConfigError, EnergyCausalityError
 
 
@@ -33,6 +33,15 @@ class TestHarvest:
             HarvestConfig(mean=1.5, distribution="bernoulli")
 
 
+def step_battery(state, spend, harvested):
+    """One battery through the all-node battery step."""
+    charge = step_batteries(
+        np.array([state.charge]), np.array([state.capacity]),
+        np.array([float(spend)]), np.array([float(harvested)]),
+    )
+    return BatteryState(charge=float(charge[0]), capacity=state.capacity)
+
+
 class TestStepBattery:
     def test_balanced_at_capacity(self):
         state = step_battery(BatteryState(20.0, 20.0), 0.5, 0.5)
@@ -48,7 +57,9 @@ class TestStepBattery:
 
     def test_causality_violation_raises(self):
         with pytest.raises(EnergyCausalityError) as err:
-            step_battery(BatteryState(0.2, 20.0), 0.5, 1.0, node=1, slot=7)
+            # node 0 stays causal; node 1 overspends
+            step_batteries(np.array([5.0, 0.2]), np.full(2, 20.0), np.array([0.5, 0.5]),
+                           np.ones(2), slot=7)
         assert err.value.slot == 7 and err.value.node == 1
 
     def test_charge_range_enforced(self):

@@ -5,21 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import grid_argmin, s_cross_objective, s_own_objective, z_objective
-from ehctrl.energy import BatteryState
 from ehctrl.errors import ConfigError
 from ehctrl.scheduler import (
-    DualSubgradient,
-    NodeDualState,
+    DualState,
     SchedulerParams,
     apply_dual_step,
-    compute_primal,
     compute_s,
     compute_y,
     compute_z,
     dual_subgradients,
     init_duals,
     sizing_violations,
-    update_duals,
 )
 
 
@@ -32,151 +28,172 @@ def make_params(count=2, epsilon=1.0, nu_bar=19.0, y_bar=25.0, q_c=0.25, p=None)
     )
 
 
-def make_duals(count=2, phi=0.0, nu_own=None, nu_stale=None, beta=0.0):
-    return NodeDualState(
-        phi=phi,
-        nu_own=np.zeros(count) if nu_own is None else np.asarray(nu_own, dtype=float),
-        nu_stale=np.zeros(count) if nu_stale is None else np.asarray(nu_stale, dtype=float),
-        beta=beta,
-    )
+def make_duals(count=2, phi=0.0, nu_own=None, beta=0.0):
+    """Duals with node 0's multiplier row set to ``nu_own``, other rows zero."""
+    nu = np.zeros((count, count))
+    if nu_own is not None:
+        nu[0] = nu_own
+    return DualState(phi=np.full(count, float(phi)), nu=nu, beta=np.full(count, float(beta)))
+
+
+def node0_z(duals, q, params, nu_stale=None):
+    """Node 0's transmit probability given its stale copies nu_j0 (j != 0)."""
+    count = duals.phi.size
+    stale = np.zeros((count, count))
+    if nu_stale is not None:
+        stale[0, 1:] = np.asarray(nu_stale, dtype=float)[1:]
+    return compute_z(duals, stale, np.full(count, q), params)[0]
+
+
+def zero_grads(count=2):
+    return np.zeros(count), np.zeros((count, count)), np.zeros(count)
 
 
 class TestComputeZ:
     def test_interior(self):
         params = make_params()
         duals = make_duals(nu_own=[1.0, 0.0])
-        assert compute_z(0, duals, 1.0, params) == pytest.approx(0.5)
+        assert node0_z(duals, 1.0, params) == pytest.approx(0.5)
 
     def test_boundary_clip_after_halving(self):
         # argmin of z^2 - 3z over [0,1] sits at the boundary, not at 3/2 clipped first
         params = make_params()
         duals = make_duals(nu_own=[3.0, 0.0])
-        assert compute_z(0, duals, 1.0, params) == 1.0
+        assert node0_z(duals, 1.0, params) == 1.0
 
     def test_empty_battery_never_transmits(self):
         # battery empty: beta = eps*b_max with b_max >= nu_bar/eps + 1
         params = make_params(nu_bar=19.0, epsilon=1.0)
         b_max = 20.0
-        duals = make_duals(nu_own=[19.0 + 1.0, 0.0], nu_stale=[0.0, 0.0], beta=1.0 * b_max)
+        duals = make_duals(nu_own=[19.0 + 1.0, 0.0], beta=1.0 * b_max)
         for q in (0.0, 0.5, 1.0):
-            assert compute_z(0, duals, q, params) == 0.0
+            assert node0_z(duals, q, params, nu_stale=[0.0, 0.0]) == 0.0
 
     def test_stale_interference_reduces_z(self):
         params = make_params(q_c=0.5)
-        quiet = compute_z(0, make_duals(nu_own=[2.0, 0.0]), 1.0, params)
-        loud = compute_z(0, make_duals(nu_own=[2.0, 0.0], nu_stale=[0.0, 1.0]), 1.0, params)
+        quiet = node0_z(make_duals(nu_own=[2.0, 0.0]), 1.0, params)
+        loud = node0_z(make_duals(nu_own=[2.0, 0.0]), 1.0, params, nu_stale=[0.0, 1.0])
         assert loud == pytest.approx(quiet - 0.25)
 
 
 class TestComputeS:
     def test_interior_ratio(self):
-        s_own, _ = compute_s(0, make_duals(phi=1.0, nu_own=[2.0, 0.0]), make_params())
-        assert s_own == pytest.approx(0.5)
+        s_own, _ = compute_s(make_duals(phi=1.0, nu_own=[2.0, 0.0]), make_params())
+        assert s_own[0] == pytest.approx(0.5)
 
     def test_cross_upper_boundary_at_zero_phi(self):
         params = make_params()
-        _, s_cross = compute_s(0, make_duals(phi=0.0, nu_own=[0.0, 5.0]), params)
-        assert s_cross[1] == pytest.approx(1.0 - params.s_floor)
+        _, s_cross = compute_s(make_duals(phi=0.0, nu_own=[0.0, 5.0]), params)
+        assert s_cross[0, 1] == pytest.approx(1.0 - params.s_floor)
 
     def test_own_upper_clamp(self):
-        s_own, _ = compute_s(0, make_duals(phi=3.0, nu_own=[1.0, 0.0]), make_params())
-        assert s_own == 1.0
+        s_own, _ = compute_s(make_duals(phi=3.0, nu_own=[1.0, 0.0]), make_params())
+        assert s_own[0] == 1.0
 
     def test_zero_multiplier_corners(self):
-        s_own, s_cross = compute_s(0, make_duals(phi=0.7), make_params())
-        assert s_own == 1.0
-        assert s_cross[1] == 0.0
+        s_own, s_cross = compute_s(make_duals(phi=0.7), make_params())
+        assert s_own[0] == 1.0
+        assert s_cross[0, 1] == 0.0
 
     def test_floor_keeps_logs_finite(self):
         params = make_params()
-        s_own, s_cross = compute_s(0, make_duals(phi=0.0, nu_own=[9.0, 9.0]), params)
-        assert s_own == params.s_floor
-        assert math.isfinite(math.log(s_own))
-        assert math.isfinite(math.log1p(-s_cross[1]))
+        s_own, s_cross = compute_s(make_duals(phi=0.0, nu_own=[9.0, 9.0]), params)
+        assert s_own[0] == params.s_floor
+        assert math.isfinite(math.log(s_own[0]))
+        assert math.isfinite(math.log1p(-s_cross[0, 1]))
 
 
 class TestComputeY:
     def test_tie_stays_zero(self):
         duals = make_duals(nu_own=[19.0, 0.0])
-        assert compute_y(0, duals, make_params())[0] == 0.0
+        assert compute_y(duals, make_params())[0, 0] == 0.0
 
     def test_above_cap_releases_full_bound(self):
         duals = make_duals(nu_own=[19.5, 0.0])
-        assert compute_y(0, duals, make_params())[0] == 25.0
+        assert compute_y(duals, make_params())[0, 0] == 25.0
 
     def test_below_threshold(self):
         duals = make_duals(nu_own=[0.0, 0.0])
-        assert np.all(compute_y(0, duals, make_params()) == 0.0)
+        assert np.all(compute_y(duals, make_params())[0] == 0.0)
 
 
 class TestDualUpdates:
     def test_zero_subgradient_fixed_point(self):
         params = make_params()
         duals = make_duals(phi=1.2, nu_own=[3.0, 0.4], beta=0.7)
-        stepped = apply_dual_step(duals, DualSubgradient(0.0, np.zeros(2), 0.0), params)
-        assert stepped.phi == duals.phi
-        assert np.array_equal(stepped.nu_own, duals.nu_own)
-        assert stepped.beta == duals.beta
+        stepped = apply_dual_step(duals, zero_grads(), params)
+        assert np.array_equal(stepped.phi, duals.phi)
+        assert np.array_equal(stepped.nu, duals.nu)
+        assert np.array_equal(stepped.beta, duals.beta)
 
     def test_beta_projection_at_zero(self):
         params = make_params()
         duals = make_duals(beta=0.0)
-        grads = DualSubgradient(0.0, np.zeros(2), 0.0 - 0.5)
-        assert apply_dual_step(duals, grads, params).beta == 0.0
+        phi_grad, nu_grad, _ = zero_grads()
+        grads = (phi_grad, nu_grad, np.full(2, 0.0 - 0.5))
+        assert apply_dual_step(duals, grads, params).beta[0] == 0.0
 
     def test_cap_overflow_resets_to_zero(self):
         # multiplier at nu_bar + eps with the auxiliary released: next update zeroes it
         params = make_params(nu_bar=19.0, y_bar=25.0, q_c=1.0, epsilon=1.0)
         duals = make_duals(nu_own=[0.0, 20.0])
-        primal = compute_primal(0, duals, 1.0, params)
-        assert primal.y[1] == 25.0
-        new = update_duals(0, duals, primal, q_i=1.0, e_i=0.0, params=params)
+        q = np.ones(2)
+        z = compute_z(duals, np.zeros((2, 2)), q, params)
+        s_own, s_cross = compute_s(duals, params)
+        y = compute_y(duals, params)
+        assert y[0, 1] == 25.0
+        grads = dual_subgradients(z, s_own, s_cross, y, q, np.zeros(2), params)
+        new = apply_dual_step(duals, grads, params)
         # subgradient for the cross component: q_c*z - s - y = 1*z - s - 25 <= 1 - 25
-        assert new.nu_own[1] == 0.0
+        assert new.nu[0, 1] == 0.0
 
     def test_mask_freezes_components(self):
         params = make_params()
         duals = make_duals(phi=0.5, nu_own=[2.0, 1.0], beta=0.3)
-        grads = DualSubgradient(1.0, np.array([1.0, 1.0]), 1.0)
-        stepped = apply_dual_step(duals, grads, params, nu_mask=np.array([True, False]))
-        assert stepped.nu_own[0] == pytest.approx(3.0)
-        assert stepped.nu_own[1] == pytest.approx(1.0)
-        assert stepped.phi == pytest.approx(1.5)  # phi never masked
-        assert stepped.beta == pytest.approx(1.3)
+        grads = (np.ones(2), np.ones((2, 2)), np.ones(2))
+        stepped = apply_dual_step(duals, grads, params, available=np.array([True, False]))
+        assert stepped.nu[0, 0] == pytest.approx(3.0)
+        assert stepped.nu[0, 1] == pytest.approx(1.0)
+        assert stepped.phi[0] == pytest.approx(1.5)  # phi never masked
+        assert stepped.beta[0] == pytest.approx(1.3)
 
     def test_vacuous_requirement_keeps_phi_zero(self):
         params = make_params(p=[0.0, 0.3])
         duals = make_duals()
-        primal = compute_primal(0, duals, 0.5, params)
-        new = update_duals(0, duals, primal, q_i=0.5, e_i=0.5, params=params)
-        assert new.phi == 0.0
+        q = np.full(2, 0.5)
+        z = compute_z(duals, np.zeros((2, 2)), q, params)
+        s_own, s_cross = compute_s(duals, params)
+        grads = dual_subgradients(z, s_own, s_cross, compute_y(duals, params), q, q, params)
+        new = apply_dual_step(duals, grads, params)
+        assert new.phi[0] == 0.0
 
     def test_duals_stay_nonnegative(self):
         params = make_params()
         rng = np.random.default_rng(5)
         duals = make_duals()
         for _ in range(200):
-            grads = DualSubgradient(
-                rng.normal(scale=3.0), rng.normal(scale=2.0, size=2), rng.normal()
-            )
-            duals = apply_dual_step(duals, grads, params)
-            assert duals.phi >= 0.0 and duals.beta >= 0.0
-            assert np.all(duals.nu_own >= 0.0)
+            phi_grad, nu_grad, beta_grad = zero_grads()
+            phi_grad[0] = rng.normal(scale=3.0)
+            nu_grad[0] = rng.normal(scale=2.0, size=2)
+            beta_grad[0] = rng.normal()
+            duals = apply_dual_step(duals, (phi_grad, nu_grad, beta_grad), params)
+            assert np.all(duals.phi >= 0.0) and np.all(duals.beta >= 0.0)
+            assert np.all(duals.nu >= 0.0)
 
 
 class TestInitDuals:
     def test_full_battery(self):
-        duals = init_duals(0, BatteryState(20.0, 20.0), make_params())
-        assert duals.beta == 0.0
-        assert duals.phi == 0.0
-        assert np.all(duals.nu_own == 0.0) and np.all(duals.nu_stale == 0.0)
+        duals = init_duals(np.full(2, 20.0), np.full(2, 20.0), make_params())
+        assert np.all(duals.beta == 0.0)
+        assert np.all(duals.phi == 0.0)
+        assert np.all(duals.nu == 0.0)
 
     def test_empty_battery(self):
-        assert init_duals(0, BatteryState(0.0, 20.0), make_params()).beta == 20.0
+        assert init_duals(np.zeros(2), np.full(2, 20.0), make_params()).beta[0] == 20.0
 
     def test_step_size_scaling(self):
         params = make_params(epsilon=0.5)
-        assert init_duals(0, BatteryState(10.0, 20.0), params).beta == 5.0
+        assert init_duals(np.full(2, 10.0), np.full(2, 20.0), params).beta[0] == 5.0
 
 
 class TestSizing:
@@ -211,14 +228,13 @@ class TestBruteForceOracles:
         rng = np.random.default_rng(12)
         worst = 0.0
         for _ in range(300):
-            duals = make_duals(
-                nu_own=rng.uniform(0.0, 25.0, 2),
-                nu_stale=rng.uniform(0.0, 25.0, 2),
-                beta=rng.uniform(0.0, 25.0),
-            )
+            nu_own = rng.uniform(0.0, 25.0, 2)
+            nu_stale = rng.uniform(0.0, 25.0, 2)
+            beta = rng.uniform(0.0, 25.0)
+            duals = make_duals(nu_own=nu_own, beta=beta)
             q = rng.uniform(0.0, 1.0)
-            z = compute_z(0, duals, q, params)
-            c = duals.nu_own[0] * q - params.collision_prob * duals.nu_stale[1] - duals.beta
+            z = node0_z(duals, q, params, nu_stale=nu_stale)
+            c = nu_own[0] * q - params.collision_prob * nu_stale[1] - beta
             z_grid = grid_argmin(z_objective(c), 0.0, 1.0)
             worst = max(worst, abs(z - z_grid))
         assert worst <= 2e-3
@@ -232,10 +248,10 @@ class TestBruteForceOracles:
             phi = rng.uniform(0.01, 30.0)
             nu = rng.uniform(0.01, 25.0, 2)
             duals = make_duals(phi=phi, nu_own=nu)
-            s_own, s_cross = compute_s(0, duals, params)
+            s_own, s_cross = compute_s(duals, params)
             own_grid = grid_argmin(s_own_objective(phi, nu[0]), floor, 1.0)
             cross_grid = grid_argmin(s_cross_objective(phi, nu[1]), 0.0, 1.0 - floor)
-            worst = max(worst, abs(s_own - own_grid), abs(s_cross[1] - cross_grid))
+            worst = max(worst, abs(s_own[0] - own_grid), abs(s_cross[0, 1] - cross_grid))
         assert worst <= 2e-3
 
 
@@ -248,16 +264,15 @@ class TestMultiplierCapProperty:
         rng = np.random.default_rng(seed)
         duals = make_duals()
         for _ in range(80):
-            y = compute_y(0, duals, params)
-            primal_z = rng.uniform(0.0, 1.0)
-            s_own = rng.uniform(params.s_floor, 1.0)
-            s_cross = np.array([0.0, rng.uniform(0.0, 1.0 - params.s_floor)])
-            from ehctrl.scheduler import NodePrimal
-
-            primal = NodePrimal(z=primal_z, s_own=s_own, s_cross=s_cross, y=y)
-            duals = update_duals(0, duals, primal, q_i=rng.uniform(0, 1),
-                                 e_i=rng.uniform(0, 1), params=params)
-            assert np.all(duals.nu_own <= params.nu_bar[0] + params.epsilon + 1e-9)
+            y = compute_y(duals, params)
+            z = np.full(2, rng.uniform(0.0, 1.0))
+            s_own = np.full(2, rng.uniform(params.s_floor, 1.0))
+            s_cross = np.array([[0.0, rng.uniform(0.0, 1.0 - params.s_floor)], [0.0, 0.0]])
+            q = np.full(2, rng.uniform(0, 1))
+            e = np.full(2, rng.uniform(0, 1))
+            grads = dual_subgradients(z, s_own, s_cross, y, q, e, params)
+            duals = apply_dual_step(duals, grads, params)
+            assert np.all(duals.nu <= params.nu_bar + params.epsilon + 1e-9)
 
 
 def test_adversarial_cap_reset_trajectory():
@@ -267,14 +282,15 @@ def test_adversarial_cap_reset_trajectory():
     params = make_params(nu_bar=2.0, y_bar=4.0, q_c=1.0, epsilon=1.0)
     duals = make_duals()
     history = []
-    from ehctrl.scheduler import NodePrimal
-
     for _ in range(12):
-        y = compute_y(0, duals, params)
+        y = compute_y(duals, params)
         # adversarial primal: full transmission, no reception slack
-        primal = NodePrimal(z=1.0, s_own=params.s_floor, s_cross=np.zeros(2), y=y)
-        duals = update_duals(0, duals, primal, q_i=0.0, e_i=1.0, params=params)
-        history.append(duals.nu_own[1])
+        grads = dual_subgradients(
+            z=np.ones(2), s_own=np.full(2, params.s_floor), s_cross=np.zeros((2, 2)),
+            y=y, q=np.zeros(2), e=np.ones(2), params=params,
+        )
+        duals = apply_dual_step(duals, grads, params)
+        history.append(duals.nu[0, 1])
     history = np.array(history)
     assert history.max() > params.nu_bar[0, 1]                      # cap exceeded
     assert history.max() <= params.nu_bar[0, 1] + params.epsilon    # but bounded

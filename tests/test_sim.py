@@ -58,11 +58,6 @@ class TestDeterminism:
         res_b = run(short_config(seed=4))
         assert not np.array_equal(res_a.record.z, res_b.record.z)
 
-    def test_parallel_matches_sequential(self):
-        res_seq = run(short_config(seed=5, execution="sequential"))
-        res_par = run(short_config(seed=5, execution="parallel"))
-        assert_identical(res_seq.record, res_par.record)
-
     def test_direct_access_matches_always_on_mailbox(self):
         res_mail = run(short_config(seed=6, dual_access="mailbox"))
         res_direct = run(short_config(seed=6, dual_access="direct"))
@@ -157,7 +152,9 @@ class TestDegenerateRuns:
 
 class TestAborts:
     def test_causality_breach_aborts(self, monkeypatch):
-        monkeypatch.setattr(ehctrl.scheduler, "compute_z", lambda node, duals, q, params: 0.6)
+        monkeypatch.setattr(
+            ehctrl.scheduler, "compute_z", lambda duals, stale, q, params: np.full(q.shape, 0.6)
+        )
         config = short_config(seed=1, horizon=50, battery={"capacity": 20.0, "initial": 0.2})
         with pytest.raises(SimulationAborted) as err:
             run(config)
@@ -167,16 +164,37 @@ class TestAborts:
         assert err.value.record.horizon == 1  # partial telemetry kept
 
     def test_mirror_divergence_aborts(self, monkeypatch):
-        true_step = ehctrl.energy.step_battery
+        true_step = ehctrl.energy.step_batteries
 
-        def leaky_step(state, spend, harvested, node=0, slot=None):
-            return true_step(state, spend, min(harvested + 0.05, 1.0), node=node, slot=slot)
+        def leaky_step(charge, capacity, spend, harvested, slot=None):
+            return true_step(charge, capacity, spend, np.minimum(harvested + 0.05, 1.0), slot=slot)
 
-        monkeypatch.setattr(ehctrl.energy, "step_battery", leaky_step)
+        monkeypatch.setattr(ehctrl.energy, "step_batteries", leaky_step)
         with pytest.raises(SimulationAborted) as err:
             run(short_config(seed=1, horizon=200, battery={"capacity": 20.0, "initial": 10.0}))
         assert isinstance(err.value.cause, InvariantViolation)
         assert "mirror" in str(err.value.cause)
+        assert err.value.cause.kind == "mirror"
+        assert err.value.record.violations["mirror"] == 1
+
+    def test_dual_cap_breach_aborts(self, monkeypatch):
+        true_step = ehctrl.scheduler.apply_dual_step
+
+        def overshooting_step(duals, grads, params, available=None):
+            stepped = true_step(duals, grads, params, available)
+            stepped.nu[1, 0] = params.nu_bar[1, 0] + params.epsilon + 1.0
+            return stepped
+
+        monkeypatch.setattr(ehctrl.scheduler, "apply_dual_step", overshooting_step)
+        with pytest.raises(SimulationAborted) as err:
+            run(short_config(seed=1, horizon=50))
+        assert isinstance(err.value.cause, InvariantViolation)
+        assert err.value.cause.kind == "dual_bound"
+        assert "node 1" in str(err.value.cause)
+        assert err.value.slot == 0
+        assert err.value.record.violations == {
+            "causality": 0, "mirror": 0, "dual_bound": 1, "nonfinite": 0,
+        }
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_state_aborts(self):
