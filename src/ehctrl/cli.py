@@ -29,8 +29,9 @@ import yaml
 
 from . import config as config_mod
 from . import telemetry
-from .control import PlantModel, required_reception_probability
+from .control import PlantModel, control_performance_bound, required_reception_probability
 from .errors import ConfigError, InfeasibleTargetError
+from .scheduler import sizing_needs
 from .sim import SimulationAborted, run, sizing_report, summarize
 
 logger = logging.getLogger(__name__)
@@ -117,12 +118,13 @@ def cmd_run(args) -> int:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     _write_outputs(result.record, result.summary, config, args.out)
-    for entry in result.summary.nodes:
+    for entry, plant in zip(result.summary.nodes, config.plants):
         print(
             f"node {entry.node + 1}: required p = {entry.p_required:.4f}, "
             f"p_tx = {entry.p_tx:.4f}, p_rx = {entry.p_rx_analytic:.4f} "
             f"(empirical {entry.p_rx_empirical:.4f}), "
             f"ctrl_perf = {entry.ctrl_perf:.4f}, "
+            f"bound = {control_performance_bound(plant):.4f}, "
             f"energy balance = {entry.energy_balance:.4f}"
         )
     return EXIT_OK
@@ -161,11 +163,9 @@ def cmd_required_prob(args) -> int:
 def cmd_check_config(args) -> int:
     config = config_mod.load_config(args.config, strict=False)
     problems = sizing_report(config)
-    eps = config.params.epsilon
-    needed_y = (config.params.nu_bar + 2.0 * eps) / eps
+    needed_y, needed_b = sizing_needs(config.params)
     print(f"auxiliary caps: min y_bar = {config.params.y_bar.min():g}, "
           f"needed >= {needed_y.max():g}")
-    needed_b = np.diag(config.params.nu_bar) / eps + 1.0
     caps = [b.capacity for b in config.batteries]
     print(f"battery capacities: min = {min(caps):g}, needed >= {needed_b.max():g}")
     if problems:

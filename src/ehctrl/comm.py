@@ -86,25 +86,23 @@ class SlotOutcome:
     received: np.ndarray
 
 
-def _per_node_rngs(rng, count: int) -> Sequence[np.random.Generator]:
-    if isinstance(rng, np.random.Generator):
-        return [rng] * count
-    rngs = list(rng)
+def _per_node_rngs(rngs, count: int) -> Sequence[np.random.Generator]:
+    rngs = list(rngs)
     if len(rngs) != count:
         raise ConfigError(f"expected {count} random streams, got {len(rngs)}")
     return rngs
 
 
 def draw_channels(
-    config: ChannelConfig, count: int, rng, size: int | None = None
+    config: ChannelConfig, count: int, rngs, size: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one fading state per node (i.i.d. exponential with the configured
     mean) and its decode probability; with ``size``, a (size, count) block of
-    consecutive slots. ``rng`` is a single generator or one generator per
-    node; each node's slots are consecutive draws of its generator."""
+    consecutive slots. ``rngs`` holds one generator per node; each node's
+    slots are consecutive draws of its generator."""
     if count < 1:
         raise ConfigError("need at least one node")
-    rngs = _per_node_rngs(rng, count)
+    rngs = _per_node_rngs(rngs, count)
     h = np.stack([r.exponential(config.fading_mean, size) for r in rngs], axis=-1)
     return h, np.asarray(config.decode(h))
 
@@ -113,7 +111,7 @@ def resolve_slot(
     config: ChannelConfig,
     transmitted,
     q,
-    rng,
+    rngs,
 ) -> SlotOutcome:
     """Resolve one slot's receptions given who transmitted.
 
@@ -128,7 +126,7 @@ def resolve_slot(
     if transmitted.shape != q.shape:
         raise ConfigError("transmitted and q must have equal length")
     count = transmitted.size
-    rngs = _per_node_rngs(rng, count)
+    rngs = _per_node_rngs(rngs, count)
     collided = np.zeros(count, dtype=bool)
     decoded = np.zeros(count, dtype=bool)
     senders = np.flatnonzero(transmitted).tolist()

@@ -89,84 +89,76 @@ class PlantModel:
 
 
 class PlantBank:
-    """The plants of one run and their current states.
-
-    Scalar plants step together as one vector; each matrix plant keeps its
-    own matmul. Process noise is ``noise_factor @ normal`` with standard
-    normal draws from each plant's own stream.
-    """
+    """The plants of one run and their states, stacked per state dimension d
+    (scalar plants are d = 1): ``index[g]`` lists the k plants of stack g,
+    ``x[g]`` is their (k, d, 1) state stack, and a slot is the stacked matmul
+    ``where(received, A_c, A_o) @ x + noise``. Stacks are never padded to a
+    common d: a padded matmul runs another kernel and changes the last bits."""
 
     def __init__(self, models: Sequence[PlantModel], states: Sequence[np.ndarray]):
         self.models = tuple(models)
-        self.scalar = np.array([i for i, m in enumerate(models) if m.dim == 1], dtype=int)
-        self.matrix = [i for i, m in enumerate(models) if m.dim > 1]
-        self._matrix_models = [self.models[i] for i in self.matrix]
-        picked = [self.models[i] for i in self.scalar]
-        self._a_open = np.array([m.a_open[0, 0] for m in picked])
-        self._a_closed = np.array([m.a_closed[0, 0] for m in picked])
-        self._weight = np.array([m.lyapunov_weight[0, 0] for m in picked])
-        self._factor = np.array([m.noise_factor[0, 0] for m in picked])
-        self.x_scalar = np.array([float(states[i][0]) for i in self.scalar])
-        self.x_matrix = [np.array(states[i], dtype=float) for i in self.matrix]
-        self._scalar_history = np.zeros((0, self.scalar.size))
-        self._matrix_history: list[np.ndarray] = []
+        dims = np.array([m.dim for m in self.models])
+        self.index = [np.flatnonzero(dims == d) for d in sorted(set(dims.tolist()))]
 
-    def draw_normals(self, rngs: Sequence[np.random.Generator], size: int) -> list[tuple]:
-        """``size`` consecutive slots of standard normal draws, one tuple per
-        slot: the scalar plants' draws, then one vector per matrix plant."""
-        scalar = np.array(
-            [rngs[i].standard_normal(size) for i in self.scalar], dtype=float
-        ).reshape(self.scalar.size, size).T
-        matrix = [
-            rngs[i].standard_normal((size, m.dim)) for i, m in zip(self.matrix, self._matrix_models)
+        def stack(values):
+            return [np.array([values[i] for i in idx], dtype=float) for idx in self.index]
+
+        self._a_open = stack([m.a_open for m in self.models])
+        self._a_closed = stack([m.a_closed for m in self.models])
+        self._weight = stack([m.lyapunov_weight for m in self.models])
+        self._factor = stack([m.noise_factor for m in self.models])
+        self.x = [x[:, :, None] for x in stack(states)]
+        self._history: list[np.ndarray] = []
+
+    def draw_noise(self, rngs: Sequence[np.random.Generator], size: int) -> list[tuple]:
+        """``size`` consecutive slots of process noise ``noise_factor @ normal``
+        from each plant's own stream, one tuple of (k, d, 1) stacks per slot."""
+        noise = [
+            factor @ np.stack(
+                [rngs[i].standard_normal((size, x.shape[1])) for i in idx], axis=1
+            )[..., None]
+            for idx, factor, x in zip(self.index, self._factor, self.x)
         ]
-        return list(zip(scalar, *matrix))
+        return list(zip(*noise))
 
     def history(self, horizon: int) -> list[np.ndarray]:
-        """Per-plant (horizon, dim) state buffers filled by :meth:`save`; the
-        scalar plants' buffers are columns of one array."""
-        self._scalar_history = np.zeros((horizon, self.scalar.size))
-        states = [None] * len(self.models)
-        for k, i in enumerate(self.scalar):
-            states[i] = self._scalar_history[:, k:k + 1]
-        for i, m in zip(self.matrix, self._matrix_models):
-            states[i] = np.zeros((horizon, m.dim))
-        self._matrix_history = [states[i] for i in self.matrix]
-        return states
+        """Per-plant (horizon, dim) state buffers filled by :meth:`save`:
+        views of one (horizon, k, d) buffer per stack."""
+        self._history = [np.zeros((horizon, *x.shape[:2])) for x in self.x]
+        views = {i: buffer[:, k] for idx, buffer in zip(self.index, self._history)
+                 for k, i in enumerate(idx)}
+        return [views[i] for i in range(len(self.models))]
 
     def save(self, t: int) -> None:
         """Store the current states in row ``t`` of the history buffers."""
-        self._scalar_history[t] = self.x_scalar
-        for buffer, x in zip(self._matrix_history, self.x_matrix):
-            buffer[t] = x
+        for buffer, x in zip(self._history, self.x):
+            buffer[t] = x[..., 0]
 
-    def lyapunov(self) -> np.ndarray:
-        """Quadratic certificate values x' W x of every plant (>= 0)."""
-        values = np.empty(len(self.models))
-        values[self.scalar] = self.x_scalar * self._weight * self.x_scalar
-        for i, m, x in zip(self.matrix, self._matrix_models, self.x_matrix):
-            values[i] = float(x @ m.lyapunov_weight @ x)
+    def certificates(self, rows: int) -> np.ndarray:
+        """Quadratic certificate values x' W x (>= 0) of the first ``rows``
+        saved states, shape (rows, plants)."""
+        values = np.empty((rows, len(self.models)))
+        for idx, weight, buffer in zip(self.index, self._weight, self._history):
+            x = buffer[:rows]
+            values[:, idx] = (x[:, :, None, :] @ weight @ x[..., None])[..., 0, 0]
         return values
 
-    def step(self, received: np.ndarray, normals: tuple, slot: int = 0) -> None:
+    def step(self, received: np.ndarray, noise: tuple, slot: int = 0) -> None:
         """Advance every plant one slot: closed-loop dynamics where the
         packet arrived, open loop otherwise, plus process noise. Raises
         :class:`InvalidStateError` naming the first plant that went
         non-finite."""
-        scalar_normal, *matrix_normals = normals
-        gain = np.where(received[self.scalar], self._a_closed, self._a_open)
-        # A matmul sums from +0.0, so its noise is never -0.0; match that.
-        x_scalar = gain * self.x_scalar + (self._factor * scalar_normal + 0.0)
-        x_matrix = [
-            (m.a_closed if received[i] else m.a_open) @ x + m.noise_factor @ normal
-            for i, m, x, normal in zip(self.matrix, self._matrix_models, self.x_matrix, matrix_normals)
+        stepped = [
+            np.where(received[idx][:, None, None], a_closed, a_open) @ x + w
+            for idx, a_open, a_closed, x, w
+            in zip(self.index, self._a_open, self._a_closed, self.x, noise)
         ]
-        finite = [bool(np.isfinite(x).all()) for x in x_matrix]
-        if not (np.isfinite(x_scalar).all() and all(finite)):
-            bad = [int(i) for i in self.scalar[~np.isfinite(x_scalar)]]
-            bad += [i for i, ok in zip(self.matrix, finite) if not ok]
-            raise InvalidStateError(f"plant {min(bad)} state went non-finite at slot {slot}")
-        self.x_scalar, self.x_matrix = x_scalar, x_matrix
+        if not all(np.isfinite(x).all() for x in stepped):
+            bad = np.concatenate(
+                [idx[~np.isfinite(x).all(axis=(1, 2))] for idx, x in zip(self.index, stepped)]
+            )
+            raise InvalidStateError(f"plant {bad.min()} state went non-finite at slot {slot}")
+        self.x = stepped
 
 
 def control_performance_bound(model: PlantModel) -> float:

@@ -29,7 +29,7 @@ sizing rule enforce causality at runtime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,7 @@ class SchedulerParams:
     p: np.ndarray
     collision_prob: float
     s_floor: float = 1e-6
+    log_p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -70,6 +71,10 @@ class SchedulerParams:
         if not 0.0 <= self.collision_prob <= 1.0:
             raise ConfigError("collision_prob must lie in [0, 1]")
         object.__setattr__(self, "p", p)
+        # libm logs, -inf where p = 0 (the phi step then projects to 0).
+        object.__setattr__(
+            self, "log_p", np.array([math.log(v) if v > 0.0 else -math.inf for v in p.tolist()])
+        )
         object.__setattr__(self, "nu_bar", _cap_matrix(self.nu_bar, count, "nu_bar"))
         object.__setattr__(self, "y_bar", _cap_matrix(self.y_bar, count, "y_bar"))
 
@@ -78,13 +83,20 @@ class SchedulerParams:
         return self.p.size
 
 
+def sizing_needs(params: SchedulerParams) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest sized y_bar (M, M), which bounds the duals, and battery
+    capacities (M,), which make per-slot energy causality hold."""
+    eps = params.epsilon
+    return (params.nu_bar + 2.0 * eps) / eps, np.diag(params.nu_bar) / eps + 1.0
+
+
 def sizing_violations(params: SchedulerParams, capacities) -> list[str]:
     """Check the two sizing rules that bound the duals and guarantee per-slot
     energy causality. Returns one message per violated rule (empty = sized
     correctly)."""
     problems = []
     eps = params.epsilon
-    needed_y = (params.nu_bar + 2.0 * eps) / eps
+    needed_y, needed_b = sizing_needs(params)
     if np.any(params.y_bar < needed_y - 1e-12):
         worst = np.unravel_index(np.argmax(needed_y - params.y_bar), params.y_bar.shape)
         problems.append(
@@ -94,7 +106,6 @@ def sizing_violations(params: SchedulerParams, capacities) -> list[str]:
     capacities = np.atleast_1d(np.asarray(capacities, dtype=float))
     if capacities.size != params.count:
         raise ConfigError("one battery capacity per node required")
-    needed_b = np.diag(params.nu_bar) / eps + 1.0
     if np.any(capacities < needed_b - 1e-12):
         worst = int(np.argmax(needed_b - capacities))
         problems.append(
@@ -178,8 +189,8 @@ def dual_subgradients(
     for i, s in zip(rows.tolist(), s_cross[rows, cols].tolist()):
         cross[i] += math.log1p(-s)
     phi_grad = np.array([
-        (math.log(p) if p > 0.0 else -math.inf) - (math.log(s) + c)
-        for p, s, c in zip(params.p.tolist(), s_own.tolist(), cross)
+        log_p - (math.log(s) + c)
+        for log_p, s, c in zip(params.log_p.tolist(), s_own.tolist(), cross)
     ])
     nu_grad = params.collision_prob * z[:, None] - s_cross - y
     np.fill_diagonal(nu_grad, s_own - z * q - np.diagonal(y))

@@ -1,16 +1,17 @@
 """Slot-loop orchestration of the coupled plant/channel/battery/dual system.
 
 The state of all nodes is held as arrays: multipliers phi (M,), nu (M, M)
-and beta (M,), battery charges (M,), the mailbox (M, M) and the plant
-states. Every step except collision resolution is one array expression over
-all nodes. Every slot runs, in this fixed order:
+and beta (M,), battery charges (M,), the mailbox (M, M) and one plant state
+stack per state dimension. Every step except collision resolution is one
+array expression over all nodes. Every slot runs, in this fixed order:
 
   1. draw channel states and harvest arrivals
   2. every node computes its auxiliary, reception and transmit variables
      from its own multipliers and the stale remote copies
   3. Bernoulli transmission draws
   4. collision/decoding resolution -> per-node reception flags
-  5. plants step (closed loop on reception, open loop otherwise)
+  5. plants step (closed loop on reception, open loop otherwise), one
+     stacked matmul per plant dimension
   6. batteries step with the transmit probability as the energy spend
   7. dual subgradient updates, masked by availability
   8. multiplier exchange into the mailboxes
@@ -21,9 +22,11 @@ from named per-node streams (channel, harvest, transmission, collision,
 availability, noise) expanded from the root seed, so disabling one source
 never shifts another. Every stream but the collision one is drawn
 ``DRAW_CHUNK`` slots at a time, which reproduces the slot-by-slot draw
-sequence exactly; a transmitter draws a slot's collision and decode
-uniforms in one call. Two runs with equal config and seed produce identical
-outputs.
+sequence exactly; process noise is factored once per chunk, and a
+transmitter draws a slot's collision and decode uniforms in one call. The
+certificate V = x'Wx is computed from the saved states after the loop (of
+the completed rows on an abort). Two runs with equal config and seed
+produce identical outputs.
 
 Runtime-checked invariants, any breach aborting the run with a slot-stamped
 diagnostic: per-slot energy causality, finite plant state, the multiplier
@@ -144,13 +147,11 @@ class TelemetryRecord:
     phi: np.ndarray = None
     beta: np.ndarray = None
     nu: np.ndarray = None
-    nu_stale: np.ndarray = None
     ctrl_perf: np.ndarray = None
     p_tx: np.ndarray = None
     p_rx_analytic: np.ndarray = None
     p_rx_empirical: np.ndarray = None
     energy_balance: np.ndarray = None
-    nu_mean: np.ndarray = None
     violations: dict = field(default_factory=dict)
 
 
@@ -204,12 +205,11 @@ def make_streams(seed: int, count: int) -> dict[str, list[np.random.Generator]]:
 
 def _allocate(record: TelemetryRecord, config: SimConfig) -> None:
     T, M = config.horizon, config.count
-    for name in ("lyapunov", "z", "h", "q", "battery", "harvested", "phi", "beta"):
+    for name in ("z", "h", "q", "battery", "harvested", "phi", "beta"):
         setattr(record, name, np.zeros((T, M)))
     for name in ("transmitted", "received", "collided"):
         setattr(record, name, np.zeros((T, M), dtype=bool))
     record.nu = np.zeros((T, M, M))
-    record.nu_stale = np.zeros((T, M, M))
 
 
 def _finalize(record: TelemetryRecord, upto: int, collision_prob: float) -> None:
@@ -219,11 +219,9 @@ def _finalize(record: TelemetryRecord, upto: int, collision_prob: float) -> None
     record.states = [s[:T] for s in record.states]
     for name in (
         "lyapunov", "z", "h", "q", "battery", "harvested", "phi", "beta",
-        "transmitted", "received", "collided",
+        "transmitted", "received", "collided", "nu",
     ):
         setattr(record, name, getattr(record, name)[:T])
-    record.nu = record.nu[:T]
-    record.nu_stale = record.nu_stale[:T]
 
     denom = np.arange(1, T + 1, dtype=float)[:, None]
     record.ctrl_perf = np.cumsum(record.lyapunov, axis=0) / denom
@@ -232,7 +230,6 @@ def _finalize(record: TelemetryRecord, upto: int, collision_prob: float) -> None
     record.energy_balance = np.cumsum(record.harvested - record.z, axis=0) / denom
     analytic = per_slot_reception(record.z, record.q, collision_prob)
     record.p_rx_analytic = np.cumsum(analytic, axis=0) / denom
-    record.nu_mean = np.cumsum(record.nu, axis=0) / denom[:, :, None]
 
 
 def per_slot_reception(z: np.ndarray, q: np.ndarray, collision_prob: float) -> np.ndarray:
@@ -307,7 +304,7 @@ def run(config: SimConfig) -> SimResult:
         if config.availability.mode == "random"
         else itertools.repeat(None)
     )
-    normals = _per_slot(lambda n: plants.draw_normals(streams["noise"], n), T)
+    noise = _per_slot(lambda n: plants.draw_noise(streams["noise"], n), T)
 
     t = 0
     rows = 0
@@ -337,12 +334,10 @@ def run(config: SimConfig) -> SimResult:
 
             # telemetry snapshot of start-of-slot state
             plants.save(t)
-            record.lyapunov[t] = plants.lyapunov()
             record.battery[t] = charge
             record.phi[t] = duals.phi
             record.beta[t] = duals.beta
             record.nu[t] = duals.nu
-            record.nu_stale[t] = stale
             record.z[t] = z
             record.transmitted[t] = tx
             record.received[t] = outcome.received
@@ -353,7 +348,7 @@ def run(config: SimConfig) -> SimResult:
             rows = t + 1
 
             # 5. plant steps
-            plants.step(outcome.received, next(normals), t)
+            plants.step(outcome.received, next(noise), t)
 
             # 6. battery steps (fluid: the transmit probability is the spend)
             spend = z if fluid else tx.astype(float)
@@ -372,6 +367,7 @@ def run(config: SimConfig) -> SimResult:
             _check_invariants(new_duals, new_charge, capacity, cap, params, fluid, t)
             charge, duals = new_charge, new_duals
     except (EnergyCausalityError, InvariantViolation, InvalidStateError) as exc:
+        record.lyapunov = plants.certificates(rows)
         _finalize(record, rows, config.channel.collision_prob)
         if isinstance(exc, InvariantViolation):
             key = exc.kind
@@ -380,6 +376,7 @@ def run(config: SimConfig) -> SimResult:
         record.violations[key] += 1
         raise SimulationAborted(exc, record, t) from exc
 
+    record.lyapunov = plants.certificates(T)
     _finalize(record, T, config.channel.collision_prob)
     return SimResult(config=config, record=record, summary=summarize(record))
 

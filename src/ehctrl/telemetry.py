@@ -171,10 +171,11 @@ def write_figure_csvs(record: TelemetryRecord, outdir, window: tuple[int, int] =
 
     path = outdir / "fig_dual_means.csv"
     header = ["slot"] + [f"nu_mean_{i + 1}_{j + 1}" for i in range(M) for j in range(M)]
+    nu_mean = np.cumsum(record.nu, axis=0) / np.arange(1, T + 1, dtype=float)[:, None, None]
     _write_rows(
         path, header,
         (
-            [slots[t]] + [_fmt(record.nu_mean[t, i, j]) for i in range(M) for j in range(M)]
+            [slots[t]] + [_fmt(nu_mean[t, i, j]) for i in range(M) for j in range(M)]
             for t in range(T)
         ),
     )

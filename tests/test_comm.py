@@ -20,14 +20,14 @@ def make_config(collision_prob=0.25, **decode_kwargs) -> ChannelConfig:
 class TestDrawChannels:
     def test_deterministic_given_seed(self):
         cfg = make_config()
-        a = draw_channels(cfg, 2, np.random.default_rng(42))
-        b = draw_channels(cfg, 2, np.random.default_rng(42))
+        a = draw_channels(cfg, 2, [np.random.default_rng(42)] * 2)
+        b = draw_channels(cfg, 2, [np.random.default_rng(42)] * 2)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_fading_mean(self):
         cfg = make_config()
         rng = np.random.default_rng(0)
-        h = np.array([draw_channels(cfg, 1, rng)[0][0] for _ in range(100_000)])
+        h = np.array([draw_channels(cfg, 1, [rng])[0][0] for _ in range(100_000)])
         assert h.mean() == pytest.approx(2.0, abs=0.05)
 
     @pytest.mark.parametrize("kind,kwargs", [
@@ -52,13 +52,13 @@ class TestDrawChannels:
 
 class TestResolveSlot:
     def test_lone_perfect_link(self):
-        out = resolve_slot(make_config(), [True], [1.0], np.random.default_rng(0))
+        out = resolve_slot(make_config(), [True], [1.0], [np.random.default_rng(0)])
         assert out.received[0] and not out.collided[0]
 
     def test_certain_collision(self):
         out = resolve_slot(
             make_config(collision_prob=1.0), [True, True], [1.0, 1.0],
-            np.random.default_rng(0),
+            [np.random.default_rng(0)] * 2,
         )
         assert out.collided.all()
         assert not out.received.any()
@@ -68,7 +68,7 @@ class TestResolveSlot:
     def test_no_interferer_no_collision(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            out = resolve_slot(make_config(collision_prob=1.0), [True, False], [0.5, 0.5], rng)
+            out = resolve_slot(make_config(collision_prob=1.0), [True, False], [0.5, 0.5], [rng] * 2)
             assert not out.collided[0]
             assert not out.transmitted[1] and not out.received[1]
 
@@ -78,7 +78,7 @@ class TestResolveSlot:
         hits = 0
         n = 100_000
         for _ in range(n):
-            out = resolve_slot(cfg, [True, True], [1.0, 1.0], rng)
+            out = resolve_slot(cfg, [True, True], [1.0, 1.0], [rng] * 2)
             hits += int(out.received[0])
         assert hits / n == pytest.approx(0.75, abs=0.01)
 
@@ -88,7 +88,7 @@ class TestResolveSlot:
         for _ in range(500):
             tx = rng.random(3) < 0.5
             q = rng.random(3)
-            out = resolve_slot(cfg, tx, q, rng)
+            out = resolve_slot(cfg, tx, q, [rng] * 3)
             assert np.array_equal(out.received, out.transmitted & ~out.collided & out.decoded)
             for i in range(3):
                 if not tx[i] or tx.sum() == 1:
@@ -128,5 +128,5 @@ class TestReceptionProbability:
         hits = 0
         for _ in range(n):
             tx = rng.random(2) < z
-            hits += int(resolve_slot(cfg, tx, q, rng).received[0])
+            hits += int(resolve_slot(cfg, tx, q, [rng] * 2).received[0])
         assert abs(hits / n - expected) <= 4 / np.sqrt(n)

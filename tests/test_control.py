@@ -14,18 +14,29 @@ from ehctrl.control import (
 from ehctrl.errors import ConfigError, InfeasibleTargetError, InvalidStateError
 
 
+class FixedNormal:
+    """Stand-in noise stream that returns the given standard normal draw."""
+
+    def __init__(self, normal):
+        self.normal = np.asarray(normal, dtype=float)
+
+    def standard_normal(self, size):
+        return self.normal.reshape(size)
+
+
 def step_one(model, x, received, normal):
     """Step a single plant from state ``x`` with the given standard normal draw."""
     bank = PlantBank([model], [np.asarray(x, dtype=float)])
-    if model.dim == 1:
-        bank.step(np.array([received]), (np.asarray(normal, dtype=float),))
-        return bank.x_scalar
-    bank.step(np.array([received]), (np.zeros(0), np.asarray(normal, dtype=float)))
-    return bank.x_matrix[0]
+    (noise,) = bank.draw_noise([FixedNormal(normal)], 1)
+    bank.step(np.array([received]), noise)
+    return bank.x[0][0, :, 0]
 
 
 def certificate(model, x):
-    return PlantBank([model], [np.asarray(x, dtype=float)]).lyapunov()[0]
+    bank = PlantBank([model], [np.asarray(x, dtype=float)])
+    bank.history(1)
+    bank.save(0)
+    return bank.certificates(1)[0, 0]
 
 
 def scalar_plant(a_open, a_closed, rho=0.8, weight=1.0, cov=1.0) -> PlantModel:

@@ -1,9 +1,11 @@
 """Golden sha256 digests of simulation outputs.
 
-The digests below were taken from the per-node reference engine. Any engine
-that claims to be the same engine must reproduce them byte for byte; a
-digest may only change together with an explanation of why the output
-changed. Print the digests of the current tree with
+The digests below were taken from the per-node reference engine, except
+``MIXED_DIMS_SLOTS``, taken from the array engine that still stepped each
+matrix plant with its own matmul. Any engine that claims to be the same
+engine must reproduce them byte for byte; a digest may only change together
+with an explanation of why the output changed. Print the digests of the
+current tree with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -32,6 +34,7 @@ RANDOM_SEED = 20_260_817
 RANDOM_CASES = 30
 MANY_NODES = 32
 MANY_NODES_HORIZON = 300
+MIXED_DIMS_HORIZON = 2000
 
 MATRIX_PLANTS = (
     PlantModel(
@@ -92,6 +95,8 @@ RANDOM_SLOTS = [
 ]
 
 MANY_NODES_SLOTS = "d3db7420025a9003941196df8cfa3cb5afb7b33107e941869662580a13ed64c8"
+
+MIXED_DIMS_SLOTS = "4e9566c7b4f9b50289e4c7b54ab53b9a49e84d813ed78cc633519f6af675be36"
 
 ABORTED_SLOTS = "36bf7e491de6eba749b27cf3326d607293bdc6fd4e30f8bc798661da20b041f6 aborted InvalidStateError@648"
 
@@ -155,6 +160,30 @@ def many_nodes_config():
     return config
 
 
+def mixed_dims_config():
+    """A 4x4 plant next to a 2x2 one, plus a noiseless 2x2 plant with negative
+    gains whose state decays through subnormals to zero; the 2x2 plant starts
+    at -0.0. Stepping plants of different dimensions through one padded
+    stack changes these bytes."""
+    raw = read_raw(None)
+    raw["plants"] = [
+        {"a_open": [[1.02, 0.1, 0.0, 0.0], [0.0, 0.98, 0.1, 0.0],
+                    [0.0, 0.0, 1.01, 0.1], [0.05, 0.0, 0.0, 0.95]],
+         "a_closed": (np.eye(4) * 0.2).tolist(),
+         "noise_cov": [[1.0, 0.3, 0.0, 0.0], [0.3, 1.0, 0.2, 0.0],
+                       [0.0, 0.2, 1.0, 0.0], [0.0, 0.0, 0.0, 0.5]],
+         "lyapunov_weight": [[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0],
+                             [0.0, 0.0, 1.0, 0.2], [0.0, 0.0, 0.2, 1.0]]},
+        {"a_open": [[1.05, 0.1], [0.0, 1.05]], "a_closed": (np.eye(2) * 0.1).tolist(),
+         "noise_cov": np.eye(2).tolist(), "lyapunov_weight": np.eye(2).tolist()},
+        {"a_open": [[-1.05, 0.1], [0.0, -1.02]], "a_closed": [[-0.2, 0.0], [0.05, -0.1]],
+         "noise_cov": np.zeros((2, 2)).tolist(), "lyapunov_weight": np.eye(2).tolist()},
+    ]
+    raw["channel"] = {**raw["channel"], "collision_prob": 0.1}
+    raw["initial_state"] = [1.0, -0.0, 2.0]
+    return build_config(raw, seed=11, horizon=MIXED_DIMS_HORIZON)
+
+
 def diverging_config():
     """A starved unstable plant whose state overflows: the run aborts."""
     raw = read_raw(None)
@@ -193,6 +222,10 @@ def test_many_nodes_slots(tmp_path):
     assert slots_digest(many_nodes_config(), tmp_path) == MANY_NODES_SLOTS
 
 
+def test_mixed_dims_slots(tmp_path):
+    assert slots_digest(mixed_dims_config(), tmp_path) == MIXED_DIMS_SLOTS
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_aborted_run_slots(tmp_path):
     assert slots_digest(diverging_config(), tmp_path) == ABORTED_SLOTS
@@ -204,4 +237,5 @@ if __name__ == "__main__":
         print("DEFAULT_OUTPUTS =", default_outputs(work / "out"))
         print("RANDOM_SLOTS =", [slots_digest(c, work) for c in random_configs()])
         print("MANY_NODES_SLOTS =", repr(slots_digest(many_nodes_config(), work)))
+        print("MIXED_DIMS_SLOTS =", repr(slots_digest(mixed_dims_config(), work)))
         print("ABORTED_SLOTS =", repr(slots_digest(diverging_config(), work)))

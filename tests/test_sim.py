@@ -33,9 +33,9 @@ def short_config(seed=1, horizon=1500, **overrides):
 def record_arrays(record: TelemetryRecord):
     yield from record.states
     for name in ("lyapunov", "z", "transmitted", "received", "collided", "h", "q",
-                 "battery", "harvested", "phi", "beta", "nu", "nu_stale",
+                 "battery", "harvested", "phi", "beta", "nu",
                  "ctrl_perf", "p_tx", "p_rx_analytic", "p_rx_empirical",
-                 "energy_balance", "nu_mean"):
+                 "energy_balance"):
         yield getattr(record, name)
 
 
@@ -142,7 +142,6 @@ class TestDegenerateRuns:
             setattr(record, name, np.ones((50, 1), dtype=bool))
         record.collided = np.zeros((50, 1), dtype=bool)
         record.nu = np.zeros((50, 1, 1))
-        record.nu_stale = np.zeros((50, 1, 1))
         record.violations = {}
         _finalize(record, 50, collision_prob=0.25)
         summary = summarize(record)
