@@ -21,6 +21,7 @@ from .errors import (
     EnergyCausalityError,
     InfeasibleTargetError,
     InvalidStateError,
+    InvariantBreach,
     InvariantViolation,
 )
 from .scheduler import (
@@ -49,6 +50,7 @@ __all__ = [
     "HarvestConfig",
     "InfeasibleTargetError",
     "InvalidStateError",
+    "InvariantBreach",
     "InvariantViolation",
     "PlantBank",
     "PlantModel",

@@ -98,14 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_outputs(result_record, summary, config, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    telemetry.write_slots_csv(result_record, outdir / "slots.csv")
-    telemetry.write_summary_csv(summary, outdir / "summary.csv")
-    telemetry.write_summary_json(summary, outdir / "summary.json")
-    telemetry.write_figure_csvs(result_record, outdir, window=config.schedule_window)
-
-
 def cmd_run(args) -> int:
     config = config_mod.load_config(
         args.config, seed=args.seed, horizon=args.horizon, strict=args.strict
@@ -114,10 +106,12 @@ def cmd_run(args) -> int:
         result = run(config)
     except SimulationAborted as exc:
         logger.error("%s", exc)
-        _write_outputs(exc.record, summarize(exc.record), config, args.out)
+        telemetry.write_outputs(
+            exc.record, summarize(exc.record), args.out, config.schedule_window
+        )
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    _write_outputs(result.record, result.summary, config, args.out)
+    telemetry.write_outputs(result.record, result.summary, args.out, config.schedule_window)
     for entry, plant in zip(result.summary.nodes, config.plants):
         print(
             f"node {entry.node + 1}: required p = {entry.p_required:.4f}, "
@@ -234,17 +228,7 @@ def cmd_sweep(args) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "sweep.csv"
-    header = list(rows[0].keys())
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    str(row[k]) if isinstance(row[k], (int, str)) else repr(float(row[k]))
-                    for k in header
-                )
-                + "\n"
-            )
+    telemetry.write_csv(path, {key: [row[key] for row in rows] for key in rows[0]})
     print(f"wrote {path} ({len(rows)} points)")
     return EXIT_OK
 

@@ -56,6 +56,18 @@ DEFAULTS: dict = {
 }
 
 
+# Keys of one plant, harvest or battery entry: the required ones, and the
+# optional ones with their defaults.
+_ENTRY_KEYS = {
+    "plants": (
+        ("a_open", "a_closed"),
+        {"noise_cov": 1.0, "lyapunov_weight": 1.0, "decrease_rate": 0.8},
+    ),
+    "harvest": (("mean",), {"distribution": "bernoulli"}),
+    "battery": (("capacity",), {"initial": None}),
+}
+
+
 def _merge(base: dict, override: dict) -> dict:
     merged = copy.deepcopy(base)
     for key, value in override.items():
@@ -94,6 +106,29 @@ def _per_node(value, count: int, key: str) -> list:
     return [value] * count
 
 
+def _entry(entry, where: str, key: str) -> dict:
+    """One plant, harvest or battery entry with its optional keys filled in,
+    checked to be a mapping with every required key and no unknown one;
+    ``where`` names it in errors."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    required, optional = _ENTRY_KEYS[key]
+    for name in required:
+        if name not in entry:
+            raise ConfigError(f"{where}.{name} is required")
+    unknown = sorted(set(entry) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"unknown config key {where}.{unknown[0]}")
+    return {**optional, **entry}
+
+
+def _node_entries(raw: dict, key: str, count: int) -> list[dict]:
+    """The checked harvest or battery entry of every node."""
+    value = raw[key]
+    names = [f"{key}[{i}]" for i in range(count)] if isinstance(value, list) else [key] * count
+    return [_entry(e, name, key) for e, name in zip(_per_node(value, count, key), names)]
+
+
 def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
     """Turn a raw config dict into a validated :class:`SimConfig`.
 
@@ -109,14 +144,8 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
     if not isinstance(plant_entries, list) or not plant_entries:
         raise ConfigError("plants must be a non-empty list")
     plants = tuple(
-        PlantModel(
-            a_open=entry["a_open"],
-            a_closed=entry["a_closed"],
-            noise_cov=entry.get("noise_cov", 1.0),
-            lyapunov_weight=entry.get("lyapunov_weight", 1.0),
-            decrease_rate=entry.get("decrease_rate", 0.8),
-        )
-        for entry in plant_entries
+        PlantModel(**_entry(entry, f"plants[{i}]", "plants"))
+        for i, entry in enumerate(plant_entries)
     )
     count = len(plants)
 
@@ -134,17 +163,14 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
     )
 
     harvests = tuple(
-        HarvestConfig(
-            mean=float(entry["mean"]),
-            distribution=entry.get("distribution", "bernoulli"),
-        )
-        for entry in _per_node(raw["harvest"], count, "harvest")
+        HarvestConfig(mean=float(entry["mean"]), distribution=entry["distribution"])
+        for entry in _node_entries(raw, "harvest", count)
     )
 
     batteries = []
-    for entry in _per_node(raw["battery"], count, "battery"):
+    for entry in _node_entries(raw, "battery", count):
         capacity = float(entry["capacity"])
-        initial = entry.get("initial")
+        initial = entry["initial"]
         charge = capacity if initial is None else float(initial)
         batteries.append(BatteryState(charge=charge, capacity=capacity))
 

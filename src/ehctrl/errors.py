@@ -9,8 +9,17 @@ class InfeasibleTargetError(ValueError):
     """The closed loop cannot meet the requested decrease rate."""
 
 
-class EnergyCausalityError(RuntimeError):
+class InvariantBreach(RuntimeError):
+    """A runtime invariant of the simulation broke; ``kind`` names which one
+    and keys the run's ``violations`` counters."""
+
+    kind: str
+
+
+class EnergyCausalityError(InvariantBreach):
     """A node tried to spend more energy than its battery holds."""
+
+    kind = "causality"
 
     def __init__(self, node: int, spend: float, charge: float, slot: int | None = None):
         self.node = node
@@ -24,14 +33,15 @@ class EnergyCausalityError(RuntimeError):
         )
 
 
-class InvalidStateError(RuntimeError):
+class InvalidStateError(InvariantBreach):
     """Simulation state went non-finite; the run is corrupted."""
 
+    kind = "nonfinite"
 
-class InvariantViolation(RuntimeError):
-    """A runtime invariant of the simulation broke. ``kind`` names it:
-    ``"mirror"`` (battery/multiplier mirror identity) or ``"dual_bound"``
-    (multiplier cap)."""
+
+class InvariantViolation(InvariantBreach):
+    """A dual-side invariant broke: ``kind`` is ``"mirror"`` (battery/
+    multiplier mirror identity) or ``"dual_bound"`` (multiplier cap)."""
 
     def __init__(self, message: str, kind: str, slot: int | None = None):
         self.kind = kind

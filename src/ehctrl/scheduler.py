@@ -100,7 +100,7 @@ def sizing_violations(params: SchedulerParams, capacities) -> list[str]:
     if np.any(params.y_bar < needed_y - 1e-12):
         worst = np.unravel_index(np.argmax(needed_y - params.y_bar), params.y_bar.shape)
         problems.append(
-            f"auxiliary cap y_bar{list(worst)} = {params.y_bar[worst]:g} below "
+            f"auxiliary cap y_bar{[int(k) for k in worst]} = {params.y_bar[worst]:g} below "
             f"(nu_bar + 2*eps)/eps = {needed_y[worst]:g}"
         )
     capacities = np.atleast_1d(np.asarray(capacities, dtype=float))

@@ -25,13 +25,17 @@ never shifts another. Every stream but the collision one is drawn
 sequence exactly; process noise is factored once per chunk, and a
 transmitter draws a slot's collision and decode uniforms in one call. The
 certificate V = x'Wx is computed from the saved states after the loop (of
-the completed rows on an abort). Two runs with equal config and seed
-produce identical outputs.
+the completed rows on an abort). The record keeps these raw per-slot
+columns only; :func:`running_mean` derives the running averages for
+:func:`summarize` and the telemetry writers. Two runs with equal config and
+seed produce identical outputs.
 
 Runtime-checked invariants, any breach aborting the run with a slot-stamped
 diagnostic: per-slot energy causality, finite plant state, the multiplier
 cap nu <= nu_bar + epsilon, and the mirror identity
-beta = epsilon * (capacity - charge) under fluid energy accounting.
+beta = epsilon * (capacity - charge) under fluid energy accounting. Each
+breach is an :class:`~ehctrl.errors.InvariantBreach` whose ``kind`` keys the
+``violations`` counters.
 """
 
 from __future__ import annotations
@@ -47,12 +51,7 @@ from .comm import ChannelConfig
 from .control import PlantBank, PlantModel
 from .coordination import AvailabilitySchedule, DualMailbox
 from .energy import BatteryState, HarvestConfig
-from .errors import (
-    ConfigError,
-    EnergyCausalityError,
-    InvalidStateError,
-    InvariantViolation,
-)
+from .errors import ConfigError, InvariantBreach, InvariantViolation
 from .scheduler import SchedulerParams
 
 logger = logging.getLogger(__name__)
@@ -129,11 +128,13 @@ def sizing_report(config: SimConfig) -> list[str]:
 
 @dataclass(eq=False)
 class TelemetryRecord:
-    """Raw per-slot columns plus running averages derived from them."""
+    """Raw per-slot columns of one run. Running averages are derived from
+    them with :func:`running_mean` by :func:`summarize` and the writers."""
 
     horizon: int
     count: int
     required_p: np.ndarray
+    collision_prob: float
     states: list[np.ndarray] = field(default_factory=list)  # per plant, (T, n_i)
     lyapunov: np.ndarray = None
     z: np.ndarray = None
@@ -147,11 +148,6 @@ class TelemetryRecord:
     phi: np.ndarray = None
     beta: np.ndarray = None
     nu: np.ndarray = None
-    ctrl_perf: np.ndarray = None
-    p_tx: np.ndarray = None
-    p_rx_analytic: np.ndarray = None
-    p_rx_empirical: np.ndarray = None
-    energy_balance: np.ndarray = None
     violations: dict = field(default_factory=dict)
 
 
@@ -212,24 +208,22 @@ def _allocate(record: TelemetryRecord, config: SimConfig) -> None:
     record.nu = np.zeros((T, M, M))
 
 
-def _finalize(record: TelemetryRecord, upto: int, collision_prob: float) -> None:
-    """Trim to the completed slots and derive the running averages."""
-    T = upto
-    record.horizon = T
-    record.states = [s[:T] for s in record.states]
+def _finalize(record: TelemetryRecord, upto: int) -> None:
+    """Trim every column to the completed slots."""
+    record.horizon = upto
+    record.states = [s[:upto] for s in record.states]
     for name in (
         "lyapunov", "z", "h", "q", "battery", "harvested", "phi", "beta",
         "transmitted", "received", "collided", "nu",
     ):
-        setattr(record, name, getattr(record, name)[:T])
+        setattr(record, name, getattr(record, name)[:upto])
 
-    denom = np.arange(1, T + 1, dtype=float)[:, None]
-    record.ctrl_perf = np.cumsum(record.lyapunov, axis=0) / denom
-    record.p_tx = np.cumsum(record.z, axis=0) / denom
-    record.p_rx_empirical = np.cumsum(record.received, axis=0) / denom
-    record.energy_balance = np.cumsum(record.harvested - record.z, axis=0) / denom
-    analytic = per_slot_reception(record.z, record.q, collision_prob)
-    record.p_rx_analytic = np.cumsum(analytic, axis=0) / denom
+
+def running_mean(values: np.ndarray) -> np.ndarray:
+    """Running average over slots (the first axis): row t is the mean of
+    rows 0..t."""
+    slots = np.arange(1, len(values) + 1, dtype=float)
+    return np.cumsum(values, axis=0) / slots.reshape(-1, *(1,) * (values.ndim - 1))
 
 
 def per_slot_reception(z: np.ndarray, q: np.ndarray, collision_prob: float) -> np.ndarray:
@@ -281,7 +275,10 @@ def run(config: SimConfig) -> SimResult:
     mailbox = DualMailbox(M)
     cap = params.nu_bar + params.epsilon + DUAL_BOUND_ATOL
 
-    record = TelemetryRecord(horizon=T, count=M, required_p=params.p.copy())
+    record = TelemetryRecord(
+        horizon=T, count=M, required_p=params.p.copy(),
+        collision_prob=config.channel.collision_prob,
+    )
     record.violations = {
         "causality": 0, "mirror": 0, "dual_bound": 0, "nonfinite": 0,
     }
@@ -366,18 +363,14 @@ def run(config: SimConfig) -> SimResult:
 
             _check_invariants(new_duals, new_charge, capacity, cap, params, fluid, t)
             charge, duals = new_charge, new_duals
-    except (EnergyCausalityError, InvariantViolation, InvalidStateError) as exc:
+    except InvariantBreach as exc:
         record.lyapunov = plants.certificates(rows)
-        _finalize(record, rows, config.channel.collision_prob)
-        if isinstance(exc, InvariantViolation):
-            key = exc.kind
-        else:
-            key = "causality" if isinstance(exc, EnergyCausalityError) else "nonfinite"
-        record.violations[key] += 1
+        _finalize(record, rows)
+        record.violations[exc.kind] += 1
         raise SimulationAborted(exc, record, t) from exc
 
     record.lyapunov = plants.certificates(T)
-    _finalize(record, T, config.channel.collision_prob)
+    _finalize(record, T)
     return SimResult(config=config, record=record, summary=summarize(record))
 
 
@@ -410,19 +403,25 @@ def summarize(record: TelemetryRecord) -> Summary:
     """Final summary table; empty for a zero-length run."""
     if record.horizon == 0:
         return Summary(horizon=0, nodes=[], violations=dict(record.violations))
-    nodes = []
-    for i in range(record.count):
-        nodes.append(
-            NodeSummary(
-                node=i,
-                p_required=float(record.required_p[i]),
-                p_tx=float(record.p_tx[-1, i]),
-                p_rx_analytic=float(record.p_rx_analytic[-1, i]),
-                p_rx_empirical=float(record.p_rx_empirical[-1, i]),
-                ctrl_perf=float(record.ctrl_perf[-1, i]),
-                energy_balance=float(record.energy_balance[-1, i]),
-                battery_final=float(record.battery[-1, i]),
-                max_nu=record.nu[:, i, :].max(axis=0),
-            )
+    analytic = per_slot_reception(record.z, record.q, record.collision_prob)
+    finals = {
+        name: running_mean(values)[-1]
+        for name, values in (
+            ("p_tx", record.z),
+            ("p_rx_analytic", analytic),
+            ("p_rx_empirical", record.received),
+            ("ctrl_perf", record.lyapunov),
+            ("energy_balance", record.harvested - record.z),
         )
+    }
+    nodes = [
+        NodeSummary(
+            node=i,
+            p_required=float(record.required_p[i]),
+            **{name: float(final[i]) for name, final in finals.items()},
+            battery_final=float(record.battery[-1, i]),
+            max_nu=record.nu[:, i, :].max(axis=0),
+        )
+        for i in range(record.count)
+    ]
     return Summary(horizon=record.horizon, nodes=nodes, violations=dict(record.violations))

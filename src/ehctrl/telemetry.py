@@ -15,8 +15,12 @@ File layout (stable):
                 multiplier means, final probability bars, and a short
                 per-slot schedule window with collision marks)
 
-Floats are written with shortest round-trip repr so equal runs produce
-byte-identical files.
+The record holds raw per-slot columns only: the running averages are
+computed here with :func:`ehctrl.sim.running_mean`, and the probability bars
+come from the summary. Every CSV, ``sweep.csv`` included, is one mapping from
+header to column handed to :func:`write_csv`, which formats ``WRITE_CHUNK``
+rows at a time. Floats are written with shortest round-trip repr so equal
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,62 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .sim import Summary, TelemetryRecord
+from .sim import Summary, TelemetryRecord, running_mean
 
-
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _fmt_bool(value) -> str:
-    return "1" if value else "0"
-
-
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def write_slots_csv(record: TelemetryRecord, path) -> None:
-    """Per-slot, per-node raw telemetry."""
-    path = Path(path)
-    T, M = record.horizon, record.count
-    n_max = max((s.shape[1] for s in record.states), default=1) if M else 1
-    header = (
-        ["slot", "node"]
-        + [f"x{k + 1}" for k in range(n_max)]
-        + ["V", "z", "tx", "gamma", "h", "q", "b", "e", "phi"]
-        + [f"nu_{j + 1}" for j in range(M)]
-        + ["beta"]
-    )
-
-    def rows():
-        for t in range(T):
-            for i in range(M):
-                x = record.states[i][t]
-                xs = [_fmt(x[k]) if k < x.size else "" for k in range(n_max)]
-                yield (
-                    [str(t), str(i + 1)]
-                    + xs
-                    + [
-                        _fmt(record.lyapunov[t, i]),
-                        _fmt(record.z[t, i]),
-                        _fmt_bool(record.transmitted[t, i]),
-                        _fmt_bool(record.received[t, i]),
-                        _fmt(record.h[t, i]),
-                        _fmt(record.q[t, i]),
-                        _fmt(record.battery[t, i]),
-                        _fmt(record.harvested[t, i]),
-                        _fmt(record.phi[t, i]),
-                    ]
-                    + [_fmt(record.nu[t, i, j]) for j in range(M)]
-                    + [_fmt(record.beta[t, i])]
-                )
-
-    _write_rows(path, header, rows())
-
+# Rows formatted per step; bounds the cell strings held at once to
+# O(WRITE_CHUNK * columns) whatever the horizon.
+WRITE_CHUNK = 256
 
 _SUMMARY_FIELDS = (
     "p_required",
@@ -92,29 +45,81 @@ _SUMMARY_FIELDS = (
     "energy_balance",
     "battery_final",
 )
+_PROB_BARS = ("node", "p_required", "p_tx", "p_rx_analytic", "p_rx_empirical")
 _VIOLATION_KEYS = ("causality", "mirror", "dual_bound", "nonfinite")
 
 
-def write_summary_csv(summary: Summary, path) -> None:
-    path = Path(path)
-    M = len(summary.nodes)
-    header = (
-        ["node"]
-        + list(_SUMMARY_FIELDS)
-        + [f"max_nu_{j + 1}" for j in range(M)]
-        + [f"{k}_violations" for k in _VIOLATION_KEYS]
-    )
+def _cells(values) -> list[str]:
+    """Format one slice of a column: bools as 1/0, every other value as the
+    ``str`` of its Python value (for a float, its shortest round-trip repr)."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == bool:
+            return ["1" if v else "0" for v in values.tolist()]
+        values = values.tolist()
+    return [str(v) for v in values]
 
-    def rows():
-        for entry in summary.nodes:
-            yield (
-                [str(entry.node + 1)]
-                + [_fmt(getattr(entry, name)) for name in _SUMMARY_FIELDS]
-                + [_fmt(v) for v in entry.max_nu]
-                + [str(summary.violations.get(k, 0)) for k in _VIOLATION_KEYS]
-            )
 
-    _write_rows(path, header, rows())
+def write_csv(path, columns: dict) -> None:
+    """Write ``columns``, a mapping from header to an equal-length column (a
+    list, an array, or anything that slices into one), as one CSV file."""
+    rows = len(next(iter(columns.values())))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, rows, WRITE_CHUNK):
+            cells = [_cells(column[lo:lo + WRITE_CHUNK]) for column in columns.values()]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+
+
+class _StateCells:
+    """Column ``x{k+1}`` of slots.csv, built per slice of rows: entry k of the
+    row's plant state, blank where that plant has fewer dimensions."""
+
+    def __init__(self, states: list[np.ndarray], k: int):
+        self.states = states
+        self.k = k
+
+    def __len__(self) -> int:
+        return len(self.states) * len(self.states[0])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        slot, node = np.divmod(np.arange(*rows.indices(len(self))), len(self.states))
+        cells = np.full(slot.size, "", dtype=object)
+        for i, x in enumerate(self.states):
+            if x.shape[1] > self.k:
+                mine = node == i
+                cells[mine] = x[slot[mine], self.k]
+        return cells
+
+
+def _slot_node(slots: np.ndarray, count: int) -> dict:
+    """The slot and node columns of files with one row per (slot, node)."""
+    return {"slot": np.repeat(slots, count), "node": np.tile(np.arange(1, count + 1), slots.size)}
+
+
+def _per_node(name: str, values: np.ndarray) -> dict:
+    """Columns ``{name}_1..{name}_M`` of a (T, M) array."""
+    return {f"{name}_{i + 1}": values[:, i] for i in range(values.shape[1])}
+
+
+def write_slots_csv(record: TelemetryRecord, path) -> None:
+    """Per-slot, per-node raw telemetry."""
+    T, M = record.horizon, record.count
+    n_max = max((s.shape[1] for s in record.states), default=1)
+    per_row = {
+        name: getattr(record, field).reshape(-1)
+        for name, field in (
+            ("V", "lyapunov"), ("z", "z"), ("tx", "transmitted"), ("gamma", "received"),
+            ("h", "h"), ("q", "q"), ("b", "battery"), ("e", "harvested"), ("phi", "phi"),
+        )
+    }
+    nu = record.nu.reshape(T * M, M)
+    write_csv(path, {
+        **_slot_node(np.arange(T), M),
+        **{f"x{k + 1}": _StateCells(record.states, k) for k in range(n_max)},
+        **per_row,
+        **{f"nu_{j + 1}": nu[:, j] for j in range(M)},
+        "beta": record.beta.reshape(-1),
+    })
 
 
 def summary_dict(summary: Summary) -> dict:
@@ -132,90 +137,58 @@ def summary_dict(summary: Summary) -> dict:
     }
 
 
-def write_summary_json(summary: Summary, path) -> None:
-    with open(Path(path), "w", newline="\n") as fh:
-        json.dump(summary_dict(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _state_trace(record: TelemetryRecord, i: int) -> np.ndarray:
-    """Scalar trace of plant i: the state itself when scalar, else its norm."""
-    x = record.states[i]
+def _state_trace(x: np.ndarray) -> np.ndarray:
+    """Scalar trace of one plant: the state itself when scalar, else its norm."""
     if x.shape[1] == 1:
         return x[:, 0]
     return np.linalg.norm(x, axis=1)
 
 
-def write_figure_csvs(record: TelemetryRecord, outdir, window: tuple[int, int] = (1050, 1100)) -> list[Path]:
-    """Plot-ready aggregates mirroring the run's headline figures."""
+def write_outputs(
+    record: TelemetryRecord, summary: Summary, outdir, window: tuple[int, int]
+) -> None:
+    """Write slots.csv, summary.csv, summary.json and the plot-ready fig_*.csv
+    aggregates of one run into ``outdir``; ``window`` is the inclusive slot
+    range of fig_schedule_window.csv."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     T, M = record.horizon, record.count
-    slots = [str(t) for t in range(T)]
-    written = []
+    table = summary_dict(summary)
+    nodes = table["nodes"]
 
-    def per_node_file(name: str, column: str, values: np.ndarray):
-        path = outdir / name
-        header = ["slot"] + [f"{column}_{i + 1}" for i in range(M)]
-        _write_rows(
-            path, header,
-            ([slots[t]] + [_fmt(values[t, i]) for i in range(M)] for t in range(T)),
-        )
-        written.append(path)
+    write_slots_csv(record, outdir / "slots.csv")
+    write_csv(outdir / "summary.csv", {
+        **{name: [node[name] for node in nodes] for name in ("node", *_SUMMARY_FIELDS)},
+        **{f"max_nu_{j + 1}": [node["max_nu"][j] for node in nodes] for j in range(len(nodes))},
+        **{f"{k}_violations": [table["violations"][k]] * len(nodes) for k in _VIOLATION_KEYS},
+    })
+    with open(outdir / "summary.json", "w", newline="\n") as fh:
+        json.dump(table, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    traces = np.column_stack([_state_trace(record, i) for i in range(M)]) if T else np.zeros((0, M))
-    per_node_file("fig_state.csv", "x", traces)
-    per_node_file("fig_battery.csv", "b", record.battery)
-    per_node_file("fig_ctrl_perf.csv", "ctrl_perf", record.ctrl_perf)
-    per_node_file("fig_energy_balance.csv", "balance", record.energy_balance)
-
-    path = outdir / "fig_dual_means.csv"
-    header = ["slot"] + [f"nu_mean_{i + 1}_{j + 1}" for i in range(M) for j in range(M)]
-    nu_mean = np.cumsum(record.nu, axis=0) / np.arange(1, T + 1, dtype=float)[:, None, None]
-    _write_rows(
-        path, header,
-        (
-            [slots[t]] + [_fmt(nu_mean[t, i, j]) for i in range(M) for j in range(M)]
-            for t in range(T)
-        ),
-    )
-    written.append(path)
-
-    path = outdir / "fig_prob_bars.csv"
-    header = ["node", "p_required", "p_tx", "p_rx_analytic", "p_rx_empirical"]
-    if T:
-        bars = (
-            [
-                str(i + 1),
-                _fmt(record.required_p[i]),
-                _fmt(record.p_tx[-1, i]),
-                _fmt(record.p_rx_analytic[-1, i]),
-                _fmt(record.p_rx_empirical[-1, i]),
-            ]
-            for i in range(M)
-        )
-    else:
-        bars = iter(())
-    _write_rows(path, header, bars)
-    written.append(path)
-
-    lo = max(0, window[0])
-    hi = min(T, window[1] + 1)
-    path = outdir / "fig_schedule_window.csv"
-    header = ["slot", "node", "q", "tx", "collided"]
-    _write_rows(
-        path, header,
-        (
-            [
-                str(t),
-                str(i + 1),
-                _fmt(record.q[t, i]),
-                _fmt_bool(record.transmitted[t, i]),
-                _fmt_bool(record.collided[t, i]),
-            ]
-            for t in range(lo, hi)
-            for i in range(M)
-        ),
-    )
-    written.append(path)
-    return written
+    slot = {"slot": np.arange(T)}
+    write_csv(outdir / "fig_state.csv", {
+        **slot, **{f"x_{i + 1}": _state_trace(x) for i, x in enumerate(record.states)},
+    })
+    write_csv(outdir / "fig_battery.csv", {**slot, **_per_node("b", record.battery)})
+    write_csv(outdir / "fig_ctrl_perf.csv", {
+        **slot, **_per_node("ctrl_perf", running_mean(record.lyapunov)),
+    })
+    write_csv(outdir / "fig_energy_balance.csv", {
+        **slot, **_per_node("balance", running_mean(record.harvested - record.z)),
+    })
+    nu_mean = running_mean(record.nu)
+    write_csv(outdir / "fig_dual_means.csv", {
+        **slot,
+        **{f"nu_mean_{i + 1}_{j + 1}": nu_mean[:, i, j] for i in range(M) for j in range(M)},
+    })
+    write_csv(outdir / "fig_prob_bars.csv", {
+        name: [node[name] for node in nodes] for name in _PROB_BARS
+    })
+    lo, hi = max(0, window[0]), min(T, window[1] + 1)
+    write_csv(outdir / "fig_schedule_window.csv", {
+        **_slot_node(np.arange(lo, hi), M),
+        "q": record.q[lo:hi].reshape(-1),
+        "tx": record.transmitted[lo:hi].reshape(-1),
+        "collided": record.collided[lo:hi].reshape(-1),
+    })

@@ -67,6 +67,37 @@ class TestConfigLoading:
         assert config.batteries[0].charge == 5.0
         assert config.batteries[1].charge == 25.0
 
+    @pytest.mark.parametrize("entries, message", [
+        ("plants:\n  - {a_open: 1.1, a_closed: 0.15}\n  - {a_open: 1.05}\n",
+         "plants[1].a_closed is required"),
+        ("plants:\n  - 1.1\n", "plants[0] must be a mapping"),
+        ("harvest:\n  - {mean: 0.5}\n  - {distribution: uniform}\n",
+         "harvest[1].mean is required"),
+        ("battery:\n  - {capacity: 20.0}\n  - 5\n", "battery[1] must be a mapping"),
+    ], ids=["plant-key-missing", "plant-not-mapping", "harvest-key-missing",
+            "battery-not-mapping"])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, entries, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(entries)
+        assert main(["run", "--config", str(cfg), "--horizon", "5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries, key", [
+        ("plants:\n  - {a_open: 1.1, a_closed: 0.15, noise_cv: 5.0}\n"
+         "  - {a_open: 1.05, a_closed: 0.1}\n", "plants[0].noise_cv"),
+        ("harvest:\n  - {mean: 0.5}\n  - {mean: 0.5, distrib: uniform}\n",
+         "harvest[1].distrib"),
+        ("battery:\n  - {capacity: 20.0, intial: 5.0}\n  - {capacity: 20.0}\n",
+         "battery[0].intial"),
+    ], ids=["plant", "harvest", "battery"])
+    def test_unknown_entry_key_exits_2(self, tmp_path, capsys, entries, key):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(entries)
+        assert main(["run", "--config", str(cfg), "--horizon", "5",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown config key {key}" in capsys.readouterr().err
+
     def test_defaults_unmutated_by_builds(self):
         before = json.dumps(DEFAULTS, sort_keys=True, default=str)
         build_config(read_raw(None), seed=9, horizon=10)
@@ -84,6 +115,13 @@ class TestCheckConfig:
         assert main(["check-config", "--config", str(cfg)]) == 0
         assert "FAIL" in capsys.readouterr().out
         assert main(["check-config", "--config", str(cfg), "--strict"]) == 2
+
+    def test_undersized_cap_names_plain_index(self, tmp_path, capsys):
+        cfg = tmp_path / "y10.cfg"
+        cfg.write_text("scheduler: {y_bar: 10}\n")
+        assert main(["check-config", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL: auxiliary cap y_bar[0, 0] = 10 below (nu_bar + 2*eps)/eps = 21" in out
 
     def test_halved_step_size_needs_larger_battery(self, tmp_path, capsys):
         cfg = tmp_path / "eps.cfg"

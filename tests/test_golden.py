@@ -2,7 +2,8 @@
 
 The digests below were taken from the per-node reference engine, except
 ``MIXED_DIMS_SLOTS``, taken from the array engine that still stepped each
-matrix plant with its own matmul. Any engine that claims to be the same
+matrix plant with its own matmul, and ``SWEEP_CSV``, taken while ``sweep``
+still formatted its rows by hand. Any engine that claims to be the same
 engine must reproduce them byte for byte; a digest may only change together
 with an explanation of why the output changed. Print the digests of the
 current tree with
@@ -35,6 +36,8 @@ RANDOM_CASES = 30
 MANY_NODES = 32
 MANY_NODES_HORIZON = 300
 MIXED_DIMS_HORIZON = 2000
+SWEEP_ARGS = ["sweep", "--param", "harvest_mean", "--values", "0.3,0.6",
+              "--horizon", "300", "--seed", "5"]
 
 MATRIX_PLANTS = (
     PlantModel(
@@ -98,6 +101,8 @@ MANY_NODES_SLOTS = "d3db7420025a9003941196df8cfa3cb5afb7b33107e941869662580a13ed
 
 MIXED_DIMS_SLOTS = "4e9566c7b4f9b50289e4c7b54ab53b9a49e84d813ed78cc633519f6af675be36"
 
+SWEEP_CSV = "296760cc2d621e94cf199049531ec324be5923f86e226252b298539eeb5fa08c"
+
 ABORTED_SLOTS = "36bf7e491de6eba749b27cf3326d607293bdc6fd4e30f8bc798661da20b041f6 aborted InvalidStateError@648"
 
 
@@ -111,6 +116,12 @@ def default_outputs(outdir: Path) -> dict:
                  "--out", str(outdir)])
     assert code == 0
     return {path.name: _sha256(path) for path in sorted(outdir.iterdir())}
+
+
+def sweep_digest(outdir: Path) -> str:
+    """Digest of the ``sweep.csv`` that ``ehctrl sweep`` writes."""
+    assert main(SWEEP_ARGS + ["--out", str(outdir)]) == 0
+    return _sha256(outdir / "sweep.csv")
 
 
 def _with_matrix_plant(config, node: int, plant: PlantModel):
@@ -212,6 +223,10 @@ def test_default_config_outputs(tmp_path):
     assert default_outputs(tmp_path / "out") == DEFAULT_OUTPUTS
 
 
+def test_sweep_csv(tmp_path):
+    assert sweep_digest(tmp_path / "sweep") == SWEEP_CSV
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_random_config_slots(tmp_path):
     digests = [slots_digest(config, tmp_path) for config in random_configs()]
@@ -235,6 +250,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         print("DEFAULT_OUTPUTS =", default_outputs(work / "out"))
+        print("SWEEP_CSV =", repr(sweep_digest(work / "sweep")))
         print("RANDOM_SLOTS =", [slots_digest(c, work) for c in random_configs()])
         print("MANY_NODES_SLOTS =", repr(slots_digest(many_nodes_config(), work)))
         print("MIXED_DIMS_SLOTS =", repr(slots_digest(mixed_dims_config(), work)))

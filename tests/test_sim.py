@@ -12,9 +12,9 @@ from ehctrl.errors import EnergyCausalityError, InvalidStateError, InvariantViol
 from ehctrl.sim import (
     SimulationAborted,
     TelemetryRecord,
-    _finalize,
     per_slot_reception,
     run,
+    running_mean,
     sizing_report,
     summarize,
 )
@@ -33,9 +33,7 @@ def short_config(seed=1, horizon=1500, **overrides):
 def record_arrays(record: TelemetryRecord):
     yield from record.states
     for name in ("lyapunov", "z", "transmitted", "received", "collided", "h", "q",
-                 "battery", "harvested", "phi", "beta", "nu",
-                 "ctrl_perf", "p_tx", "p_rx_analytic", "p_rx_empirical",
-                 "energy_balance"):
+                 "battery", "harvested", "phi", "beta", "nu"):
         yield getattr(record, name)
 
 
@@ -93,21 +91,52 @@ class TestRunInvariants:
     def test_running_averages_recomputable(self, result):
         rec = result.record
         denom = np.arange(1, rec.horizon + 1)[:, None]
-        assert np.abs(rec.ctrl_perf - np.cumsum(rec.lyapunov, 0) / denom).max() <= 1e-9
-        assert np.abs(rec.p_tx - np.cumsum(rec.z, 0) / denom).max() <= 1e-9
-        assert np.abs(rec.p_rx_empirical - np.cumsum(rec.received, 0) / denom).max() <= 1e-9
-        balance = np.cumsum(rec.harvested - rec.z, 0) / denom
-        assert np.abs(rec.energy_balance - balance).max() <= 1e-9
         analytic = per_slot_reception(rec.z, rec.q, result.config.channel.collision_prob)
-        assert np.abs(rec.p_rx_analytic - np.cumsum(analytic, 0) / denom).max() <= 1e-9
+        for name, values in (
+            ("ctrl_perf", rec.lyapunov),
+            ("p_tx", rec.z),
+            ("p_rx_empirical", rec.received),
+            ("energy_balance", rec.harvested - rec.z),
+            ("p_rx_analytic", analytic),
+        ):
+            expected = np.cumsum(values, 0) / denom
+            assert np.abs(running_mean(values) - expected).max() <= 1e-9
+            finals = np.array([getattr(e, name) for e in result.summary.nodes])
+            assert np.abs(finals - expected[-1]).max() <= 1e-9
 
     def test_empirical_tracks_analytic(self, result):
-        rec = result.record
-        gap = abs(rec.p_rx_empirical[-1] - rec.p_rx_analytic[-1]).max()
-        assert gap <= 4.0 / np.sqrt(rec.horizon)
+        nodes = result.summary.nodes
+        gap = max(abs(e.p_rx_empirical - e.p_rx_analytic) for e in nodes)
+        assert gap <= 4.0 / np.sqrt(result.record.horizon)
 
     def test_default_sizing_clean(self, result):
         assert sizing_report(result.config) == []
+
+
+class TestIntegerAccounting:
+    @pytest.fixture(scope="class")
+    def run_integer(self):
+        config = short_config(
+            seed=1,
+            horizon=3000,
+            energy_accounting="integer",
+            harvest={"mean": 0.25, "distribution": "uniform"},
+            battery={"capacity": 20.0, "initial": 0.0},
+        )
+        return config, run(config).record
+
+    def test_transmissions_start_from_a_whole_unit(self, run_integer):
+        _, rec = run_integer
+        assert ((rec.battery < 1.0) & (rec.z > 0.0)).any()  # the gate had work to do
+        assert rec.transmitted.any()
+        assert np.all(rec.battery[rec.transmitted] >= 1.0)
+
+    def test_battery_spends_transmissions_exactly(self, run_integer):
+        config, rec = run_integer
+        caps = np.array([b.capacity for b in config.batteries])
+        unclipped = rec.battery[:-1] - rec.transmitted[:-1] + rec.harvested[:-1]
+        assert (unclipped > caps).any()  # the capacity clamp fires
+        assert np.array_equal(rec.battery[1:], np.clip(unclipped, 0.0, caps))
 
 
 class TestDegenerateRuns:
@@ -132,7 +161,9 @@ class TestDegenerateRuns:
         assert not result.record.received.any()
 
     def test_lone_perfect_link_summary(self):
-        record = TelemetryRecord(horizon=50, count=1, required_p=np.array([0.3]))
+        record = TelemetryRecord(
+            horizon=50, count=1, required_p=np.array([0.3]), collision_prob=0.25
+        )
         record.states = [np.zeros((50, 1))]
         for name in ("lyapunov", "h", "battery", "harvested", "phi", "beta"):
             setattr(record, name, np.zeros((50, 1)))
@@ -143,7 +174,6 @@ class TestDegenerateRuns:
         record.collided = np.zeros((50, 1), dtype=bool)
         record.nu = np.zeros((50, 1, 1))
         record.violations = {}
-        _finalize(record, 50, collision_prob=0.25)
         summary = summarize(record)
         assert summary.nodes[0].p_rx_analytic == pytest.approx(1.0)
         assert summary.nodes[0].p_rx_empirical == pytest.approx(1.0)
@@ -158,6 +188,7 @@ class TestAborts:
         with pytest.raises(SimulationAborted) as err:
             run(config)
         assert isinstance(err.value.cause, EnergyCausalityError)
+        assert err.value.cause.kind == "causality"
         assert err.value.slot == 0
         assert err.value.record.violations["causality"] == 1
         assert err.value.record.horizon == 1  # partial telemetry kept
@@ -209,6 +240,8 @@ class TestAborts:
         with pytest.raises(SimulationAborted) as err:
             run(config)
         assert isinstance(err.value.cause, InvalidStateError)
+        assert err.value.cause.kind == "nonfinite"
+        assert err.value.record.violations["nonfinite"] == 1
 
 
 class TestConfigSurface:
