@@ -107,6 +107,28 @@ def draw_channels(
     return h, np.asarray(config.decode(h))
 
 
+class BufferedUniforms:
+    """One generator's uniform stream, drawn ``chunk`` values at a time into
+    a float64 buffer. ``random(n)`` returns the next n values: the same
+    sequence as calling ``rng.random(n)`` directly, because for PCG64
+    ``random(a)`` followed by ``random(b)`` equals ``random(a + b)``."""
+
+    def __init__(self, rng: np.random.Generator, chunk: int):
+        self._rng = rng
+        self._chunk = chunk
+        self._buffer = np.empty(0)
+        self._next = 0
+
+    def random(self, n: int) -> np.ndarray:
+        start, stop = self._next, self._next + n
+        if stop > self._buffer.size:
+            fresh = self._rng.random(max(n, self._chunk))
+            self._buffer = np.concatenate((self._buffer[start:], fresh))
+            start, stop = 0, n
+        self._next = stop
+        return self._buffer[start:stop]
+
+
 def resolve_slot(
     config: ChannelConfig,
     transmitted,
@@ -117,9 +139,10 @@ def resolve_slot(
 
     Each transmitting node i draws, from its own stream, one uniform per
     other transmitter (independent Bernoulli(q_c) collision events in
-    ascending order) and then one decode uniform, all in a single call. The
-    decode draw happens whether or not the packet collided, so collision and
-    decoding stay independent.
+    ascending order) and then one decode uniform, all in a single
+    ``random(n)`` call on ``rngs[i]`` (a generator or a
+    :class:`BufferedUniforms`). The decode draw happens whether or not the
+    packet collided, so collision and decoding stay independent.
     """
     transmitted = np.asarray(transmitted, dtype=bool)
     q = np.asarray(q, dtype=float)
@@ -129,12 +152,13 @@ def resolve_slot(
     rngs = _per_node_rngs(rngs, count)
     collided = np.zeros(count, dtype=bool)
     decoded = np.zeros(count, dtype=bool)
-    senders = np.flatnonzero(transmitted).tolist()
+    senders = transmitted.nonzero()[0].tolist()
     for i in senders:
         *collision, decode = rngs[i].random(len(senders)).tolist()
         collided[i] = min(collision, default=math.inf) < config.collision_prob
         decoded[i] = decode < q[i]
-    received = transmitted & ~collided & decoded
+    # Only senders draw, so decoded implies transmitted.
+    received = decoded & ~collided
     return SlotOutcome(
         q=q,
         transmitted=transmitted,

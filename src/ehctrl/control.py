@@ -149,11 +149,11 @@ class PlantBank:
         :class:`InvalidStateError` naming the first plant that went
         non-finite."""
         stepped = [
-            np.where(received[idx][:, None, None], a_closed, a_open) @ x + w
+            np.where(received[idx, None, None], a_closed, a_open) @ x + w
             for idx, a_open, a_closed, x, w
             in zip(self.index, self._a_open, self._a_closed, self.x, noise)
         ]
-        if not all(np.isfinite(x).all() for x in stepped):
+        if any(np.count_nonzero(np.isfinite(x)) != x.size for x in stepped):
             bad = np.concatenate(
                 [idx[~np.isfinite(x).all(axis=(1, 2))] for idx, x in zip(self.index, stepped)]
             )

@@ -18,6 +18,7 @@ and carry the sender's post-update values.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,15 @@ class AvailabilityDecision:
     exchange: np.ndarray
 
 
+@functools.cache
+def _constant_masks(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only masks of every node and of every off-diagonal pair."""
+    everyone = np.ones(count, dtype=bool)
+    pairs = ~np.eye(count, dtype=bool)
+    everyone.flags.writeable = pairs.flags.writeable = False
+    return everyone, pairs
+
+
 def advance_availability(
     schedule: AvailabilitySchedule,
     t: int,
@@ -93,26 +103,23 @@ def advance_availability(
     Only the random mode models nodes going down; always-on and piggyback
     nodes stay capable every slot. Piggyback restricts when duals are
     shared (riding on measurement packets), not what a node can compute.
+    Always-on pairs share every slot, so none is ever forced and the
+    decision is the same read-only one every slot.
     """
-    transmit_flags = np.asarray(transmit_flags, dtype=bool)
-    count = mailbox.count
+    everyone, pairs = _constant_masks(mailbox.count)
     if schedule.mode == "always-on":
-        capable = np.ones(count, dtype=bool)
-        pair = np.ones((count, count), dtype=bool)
-    elif schedule.mode == "random":
-        capable = np.asarray(uniforms) < schedule.prob
-        pair = capable[:, None] & capable[None, :]
-    else:
-        capable = np.ones(count, dtype=bool)
-        # The sender's packet carries its duals, everyone listens.
-        pair = np.broadcast_to(transmit_flags[None, :], (count, count)).copy()
-
+        return AvailabilityDecision(available=everyone, exchange=pairs)
     # Next slot a pair's staleness is (t + 1) - last_slot; force a refresh
     # wherever that would exceed the bound.
     forced = (t + 1 - mailbox.slots) > schedule.staleness_bound
-    exchange = pair | forced
-    np.fill_diagonal(exchange, False)
-    available = capable | forced.any(axis=0)
+    if schedule.mode == "random":
+        capable = np.asarray(uniforms) < schedule.prob
+        exchange = ((capable[:, None] & capable) | forced) & pairs
+        available = capable | np.logical_or.reduce(forced, axis=0)
+    else:
+        # The sender's packet carries its duals, everyone listens.
+        exchange = (np.asarray(transmit_flags, dtype=bool) | forced) & pairs
+        available = everyone
     return AvailabilityDecision(available=available, exchange=exchange)
 
 
@@ -126,5 +133,5 @@ def exchange_duals(
     current multipliers (receiver i gets nu[j, i] from sender j), stamped
     with this slot. Non-exchanging pairs keep their old snapshot untouched."""
     exchange = decision.exchange
-    mailbox.values = np.where(exchange, nu.T, mailbox.values)
+    np.copyto(mailbox.values, nu.T, where=exchange)
     mailbox.slots[exchange] = t

@@ -81,12 +81,11 @@ def step_batteries(
     slot: int | None = None,
 ) -> np.ndarray:
     """Advance every battery one slot, enforcing per-slot energy causality;
-    the first node that overspends is reported."""
-    if np.any(harvested < 0):
-        raise ConfigError("harvested energy cannot be negative")
+    the first node that overspends is reported. ``harvested`` must be
+    non-negative (:func:`draw_harvest` output is)."""
     over = spend > charge + CAUSALITY_ATOL
-    if over.any():
-        node = int(np.argmax(over))
+    if np.count_nonzero(over):
+        node = int(over.argmax())
         raise EnergyCausalityError(
             node=node, spend=float(spend[node]), charge=float(charge[node]), slot=slot
         )

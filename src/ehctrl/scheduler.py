@@ -144,8 +144,8 @@ def compute_z(duals: DualState, stale: np.ndarray, q: np.ndarray, params: Schedu
     """Transmit probabilities: the exact minimizer of z (z - c) over [0, 1],
     i.e. clip(c / 2, 0, 1). Remote multipliers enter only through ``stale``,
     where ``stale[i, j]`` is node i's copy of nu_ji (zero diagonal)."""
-    interference = stale.sum(axis=1)
-    c = np.diagonal(duals.nu) * q - params.collision_prob * interference - duals.beta
+    interference = np.add.reduce(stale, axis=1)
+    c = duals.nu.diagonal() * q - params.collision_prob * interference - duals.beta
     return np.minimum(np.maximum(0.5 * c, 0.0), 1.0)
 
 
@@ -157,10 +157,12 @@ def compute_s(duals: DualState, params: SchedulerParams) -> tuple[np.ndarray, np
     floor = params.s_floor
     nu = duals.nu
     # phi / 0 reads as +inf, which the clips below send to the limits.
-    ratio = np.divide(duals.phi[:, None], nu, out=np.full(nu.shape, np.inf), where=nu != 0.0)
-    s_own = np.minimum(np.maximum(np.diagonal(ratio), floor), 1.0)
+    ratio = np.empty(nu.shape)
+    ratio.fill(np.inf)
+    np.divide(duals.phi[:, None], nu, out=ratio, where=nu != 0.0)
+    s_own = np.minimum(np.maximum(ratio.diagonal(), floor), 1.0)
     s_cross = np.minimum(np.maximum(1.0 - ratio, 0.0), 1.0 - floor)
-    np.fill_diagonal(s_cross, 0.0)
+    s_cross.flat[:: len(nu) + 1] = 0.0
     return s_own, s_cross
 
 
@@ -184,16 +186,20 @@ def dual_subgradients(
 
     The log terms stay on libm and are summed per node in ascending column
     order; entries with s_cross = 0 add -0.0 and are skipped exactly."""
-    cross = [0] * params.count
-    rows, cols = np.nonzero(s_cross)
+    cross = [0] * len(z)
+    rows, cols = s_cross.nonzero()
     for i, s in zip(rows.tolist(), s_cross[rows, cols].tolist()):
         cross[i] += math.log1p(-s)
     phi_grad = np.array([
         log_p - (math.log(s) + c)
         for log_p, s, c in zip(params.log_p.tolist(), s_own.tolist(), cross)
     ])
-    nu_grad = params.collision_prob * z[:, None] - s_cross - y
-    np.fill_diagonal(nu_grad, s_own - z * q - np.diagonal(y))
+    nu_grad = params.collision_prob * z[:, None] - s_cross
+    own = s_own - z * q
+    if np.count_nonzero(y):  # x - 0.0 is x: only a fired relaxation is subtracted
+        nu_grad -= y
+        own -= y.diagonal()
+    nu_grad.flat[:: len(z) + 1] = own
     return phi_grad, nu_grad, z - e
 
 

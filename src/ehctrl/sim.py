@@ -12,7 +12,8 @@ array expression over all nodes. Every slot runs, in this fixed order:
   4. collision/decoding resolution -> per-node reception flags
   5. plants step (closed loop on reception, open loop otherwise), one
      stacked matmul per plant dimension
-  6. batteries step with the transmit probability as the energy spend
+  6. batteries step with the energy spend (the transmit probability under
+     fluid accounting, the transmission under integer accounting)
   7. dual subgradient updates, masked by availability
   8. multiplier exchange into the mailboxes
   9. telemetry append (rows carry start-of-slot state)
@@ -20,27 +21,37 @@ array expression over all nodes. Every slot runs, in this fixed order:
 Reordering steps 2 and 7 changes results and is forbidden. Randomness comes
 from named per-node streams (channel, harvest, transmission, collision,
 availability, noise) expanded from the root seed, so disabling one source
-never shifts another. Every stream but the collision one is drawn
-``DRAW_CHUNK`` slots at a time, which reproduces the slot-by-slot draw
-sequence exactly; process noise is factored once per chunk, and a
-transmitter draws a slot's collision and decode uniforms in one call. The
-certificate V = x'Wx is computed from the saved states after the loop (of
-the completed rows on an abort). The record keeps these raw per-slot
-columns only; :func:`running_mean` derives the running averages for
-:func:`summarize` and the telemetry writers. Two runs with equal config and
-seed produce identical outputs.
+never shifts another.
+
+Work that does not depend on the feedback runs once per ``DRAW_CHUNK``
+slots: the channel, harvest, transmission, availability and noise streams
+are drawn for the whole chunk (which reproduces the slot-by-slot draw
+sequence exactly), process noise is factored, harvests are checked to be
+non-negative, and the h, q and e columns are written to the record as one
+slice each. Each slot then runs steps 2-8 on that chunk's rows. The
+collision stream is the only one whose draw count depends on the slot (a
+transmitter draws one uniform per transmitter, the last one its decode
+draw), so each node reads it through a :class:`~ehctrl.comm.BufferedUniforms`
+refilled ``DRAW_CHUNK`` uniforms at a time: the same values as one
+``random(n)`` call per transmitter and slot. Step 9 writes the per-slot
+rows as they are formed; the certificate V = x'Wx is computed from the
+saved states after the loop (of the completed rows on an abort). The record
+keeps these raw per-slot columns only; :func:`running_mean` derives the
+running averages for :func:`summarize` and the telemetry writers. Two runs
+with equal config and seed produce identical outputs.
 
 Runtime-checked invariants, any breach aborting the run with a slot-stamped
 diagnostic: per-slot energy causality, finite plant state, the multiplier
 cap nu <= nu_bar + epsilon, and the mirror identity
 beta = epsilon * (capacity - charge) under fluid energy accounting. Each
-breach is an :class:`~ehctrl.errors.InvariantBreach` whose ``kind`` keys the
+is one test per slot over all nodes; the diagnostic naming the first
+offending node is built only when a test fails. Each breach is an
+:class:`~ehctrl.errors.InvariantBreach` whose ``kind`` keys the
 ``violations`` counters.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -135,6 +146,7 @@ class TelemetryRecord:
     count: int
     required_p: np.ndarray
     collision_prob: float
+    energy_accounting: str = "fluid"
     states: list[np.ndarray] = field(default_factory=list)  # per plant, (T, n_i)
     lyapunov: np.ndarray = None
     z: np.ndarray = None
@@ -149,6 +161,12 @@ class TelemetryRecord:
     beta: np.ndarray = None
     nu: np.ndarray = None
     violations: dict = field(default_factory=dict)
+
+    @property
+    def spend(self) -> np.ndarray:
+        """Energy each battery paid per slot: the transmit probability under
+        fluid accounting, whole transmissions under integer accounting."""
+        return self.z if self.energy_accounting == "fluid" else self.transmitted
 
 
 @dataclass(eq=False)
@@ -239,16 +257,39 @@ def per_slot_reception(z: np.ndarray, q: np.ndarray, collision_prob: float) -> n
     return q * z * others
 
 
-def _per_slot(draw, horizon: int):
-    """Yield ``horizon`` slots of draws, calling ``draw(n)`` for the next n
-    slots (first axis) at most ``DRAW_CHUNK`` at a time."""
-    for start in range(0, horizon, DRAW_CHUNK):
-        yield from draw(min(DRAW_CHUNK, horizon - start))
+def _uniforms(rngs, size: int) -> np.ndarray:
+    """(size, nodes) block of uniforms, one column per node stream."""
+    return np.stack([rng.random(size) for rng in rngs], axis=1)
 
 
-def _uniforms(rngs):
-    """Draw function for one uniform per node stream and slot."""
-    return lambda n: np.stack([rng.random(n) for rng in rngs], axis=1)
+def _draw_chunk(
+    config: SimConfig, streams, plants: PlantBank, record: TelemetryRecord, start: int
+):
+    """Draw every stream that does not depend on the feedback for the slots
+    from ``start`` on, at most ``DRAW_CHUNK`` of them. Records the h, q and
+    e columns and returns the per-slot rows of q, e, the transmission
+    uniforms, the availability uniforms (None outside random mode) and the
+    process noise."""
+    stop = min(start + DRAW_CHUNK, config.horizon)
+    size = stop - start
+    h, q = comm.draw_channels(config.channel, config.count, streams["channel"], size)
+    e = np.stack(
+        [energy.draw_harvest(cfg, rng, size)
+         for cfg, rng in zip(config.harvests, streams["harvest"])],
+        axis=1,
+    )
+    if np.count_nonzero(e < 0):
+        raise ConfigError("harvested energy cannot be negative")
+    record.h[start:stop] = h
+    record.q[start:stop] = q
+    record.harvested[start:stop] = e
+    availability = (
+        _uniforms(streams["availability"], size)
+        if config.availability.mode == "random"
+        else [None] * size
+    )
+    transmit = _uniforms(streams["transmission"], size)
+    return q, e, transmit, availability, plants.draw_noise(streams["noise"], size)
 
 
 def run(config: SimConfig) -> SimResult:
@@ -261,6 +302,9 @@ def run(config: SimConfig) -> SimResult:
     streams = make_streams(config.seed, M)
     fluid = config.energy_accounting == "fluid"
     direct = config.dual_access == "direct"
+    # Always-on and piggyback nodes are capable every slot, so the
+    # availability mask of the dual step is the identity there.
+    masked = config.availability.mode == "random"
     logger.debug(
         "run: %d nodes, %d slots, seed %d, %s/%s",
         M, T, config.seed, config.availability.mode, config.dual_access,
@@ -274,10 +318,12 @@ def run(config: SimConfig) -> SimResult:
     duals = scheduler.init_duals(charge, capacity, params)
     mailbox = DualMailbox(M)
     cap = params.nu_bar + params.epsilon + DUAL_BOUND_ATOL
+    collisions = [comm.BufferedUniforms(rng, DRAW_CHUNK) for rng in streams["collision"]]
 
     record = TelemetryRecord(
         horizon=T, count=M, required_p=params.p.copy(),
         collision_prob=config.channel.collision_prob,
+        energy_accounting=config.energy_accounting,
     )
     record.violations = {
         "causality": 0, "mirror": 0, "dual_bound": 0, "nonfinite": 0,
@@ -285,67 +331,53 @@ def run(config: SimConfig) -> SimResult:
     _allocate(record, config)
     record.states = plants.history(T)
 
-    channel = _per_slot(
-        lambda n: zip(*comm.draw_channels(config.channel, M, streams["channel"], n)), T
-    )
-    harvest = _per_slot(
-        lambda n: np.stack(
-            [energy.draw_harvest(h, rng, n) for h, rng in zip(config.harvests, streams["harvest"])],
-            axis=1,
-        ),
-        T,
-    )
-    transmit = _per_slot(_uniforms(streams["transmission"]), T)
-    availability = (
-        _per_slot(_uniforms(streams["availability"]), T)
-        if config.availability.mode == "random"
-        else itertools.repeat(None)
-    )
-    noise = _per_slot(lambda n: plants.draw_noise(streams["noise"], n), T)
-
     t = 0
     rows = 0
     try:
         for t in range(T):
-            # 1. environment draws
-            h, q = next(channel)
-            e = next(harvest)
+            # 1. environment draws, taken with every other feedback-free
+            # stream once per chunk
+            k = t % DRAW_CHUNK
+            if k == 0:
+                q_chunk, e_chunk, transmit, availability, noise = _draw_chunk(
+                    config, streams, plants, record, t
+                )
+            q = q_chunk[k]
+            e = e_chunk[k]
 
             # 2. primal computation from current duals and stale copies
             if direct:
                 stale = duals.nu.T.copy()
-                np.fill_diagonal(stale, 0.0)
+                stale.flat[:: M + 1] = 0.0
             else:
                 stale = mailbox.values
             z = scheduler.compute_z(duals, stale, q, params)
             s_own, s_cross = scheduler.compute_s(duals, params)
             y = scheduler.compute_y(duals, params)
 
-            # 3. transmission draws (integer accounting gates on whole units)
-            tx = next(transmit) < z
+            # 3. transmission draws into the record row (integer accounting
+            # gates on whole units)
+            tx = np.less(transmit[k], z, out=record.transmitted[t])
             if not fluid:
                 tx &= charge >= 1.0
 
             # 4. collision/decoding resolution
-            outcome = comm.resolve_slot(config.channel, tx, q, streams["collision"])
+            outcome = comm.resolve_slot(config.channel, tx, q, collisions)
 
-            # telemetry snapshot of start-of-slot state
+            # telemetry snapshot of start-of-slot state (h, q and e are
+            # recorded per chunk)
             plants.save(t)
             record.battery[t] = charge
             record.phi[t] = duals.phi
             record.beta[t] = duals.beta
             record.nu[t] = duals.nu
             record.z[t] = z
-            record.transmitted[t] = tx
             record.received[t] = outcome.received
             record.collided[t] = outcome.collided
-            record.h[t] = h
-            record.q[t] = q
-            record.harvested[t] = e
             rows = t + 1
 
             # 5. plant steps
-            plants.step(outcome.received, next(noise), t)
+            plants.step(outcome.received, noise[k], t)
 
             # 6. battery steps (fluid: the transmit probability is the spend)
             spend = z if fluid else tx.astype(float)
@@ -353,10 +385,12 @@ def run(config: SimConfig) -> SimResult:
 
             # 7. masked dual updates
             decision = coordination.advance_availability(
-                config.availability, t, next(availability), tx, mailbox
+                config.availability, t, availability[k], tx, mailbox
             )
             grads = scheduler.dual_subgradients(z, s_own, s_cross, y, q, e, params)
-            new_duals = scheduler.apply_dual_step(duals, grads, params, decision.available)
+            new_duals = scheduler.apply_dual_step(
+                duals, grads, params, decision.available if masked else None
+            )
 
             # 8. exchange into mailboxes (post-update values, stamped this slot)
             coordination.exchange_duals(mailbox, decision, new_duals.nu, t)
@@ -376,16 +410,19 @@ def run(config: SimConfig) -> SimResult:
 
 def _check_invariants(duals, charge, capacity, cap, params, fluid: bool, t: int) -> None:
     """Multiplier cap and (fluid accounting) battery mirror on the advanced
-    state; the first offending node is reported, cap before mirror."""
-    over = (duals.nu > cap).any(axis=1)
-    bad = over
+    state, one test each; on a breach the first offending node is reported,
+    cap before mirror."""
+    over = duals.nu > cap
     if fluid:
         mirror = params.epsilon * (capacity - charge)
-        bad = over | (np.abs(duals.beta - mirror) > MIRROR_ATOL)
-    if not bad.any():
+        drift = np.abs(duals.beta - mirror) > MIRROR_ATOL
+    if not (np.count_nonzero(over) or (fluid and np.count_nonzero(drift))):
         return
-    i = int(np.argmax(bad))
-    if over[i]:
+    bad = over.any(axis=1)
+    if fluid:
+        bad |= drift
+    i = int(bad.argmax())
+    if over[i].any():
         raise InvariantViolation(
             f"multiplier bound exceeded for node {i}: nu = {duals.nu[i]}, cap = {cap[i]}",
             kind="dual_bound",
@@ -411,7 +448,7 @@ def summarize(record: TelemetryRecord) -> Summary:
             ("p_rx_analytic", analytic),
             ("p_rx_empirical", record.received),
             ("ctrl_perf", record.lyapunov),
-            ("energy_balance", record.harvested - record.z),
+            ("energy_balance", record.harvested - record.spend),
         )
     }
     nodes = [

@@ -175,7 +175,7 @@ def write_outputs(
         **slot, **_per_node("ctrl_perf", running_mean(record.lyapunov)),
     })
     write_csv(outdir / "fig_energy_balance.csv", {
-        **slot, **_per_node("balance", running_mean(record.harvested - record.z)),
+        **slot, **_per_node("balance", running_mean(record.harvested - record.spend)),
     })
     nu_mean = running_mean(record.nu)
     write_csv(outdir / "fig_dual_means.csv", {

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ehctrl.comm import (
+    BufferedUniforms,
     ChannelConfig,
     DecodingCurve,
     draw_channels,
@@ -93,6 +96,55 @@ class TestResolveSlot:
             for i in range(3):
                 if not tx[i] or tx.sum() == 1:
                     assert not out.collided[i]
+
+
+class TestBufferedCollisionStream:
+    """Buffered collision streams give the outcomes of per-sender
+    ``rng.random(len(senders))`` calls on generators with the same seeds."""
+
+    @staticmethod
+    def reference_slot(cfg, tx, q, rngs):
+        collided = np.zeros(tx.size, dtype=bool)
+        decoded = np.zeros(tx.size, dtype=bool)
+        senders = np.flatnonzero(tx)
+        for i in senders:
+            draws = rngs[i].random(len(senders))
+            collided[i] = min(draws[:-1], default=math.inf) < cfg.collision_prob
+            decoded[i] = draws[-1] < q[i]
+        return collided, decoded
+
+    @pytest.mark.parametrize("chunk", [3, 16, 256])
+    def test_matches_per_sender_draws(self, chunk):
+        cfg = make_config(collision_prob=0.4)
+        count = 4
+        buffered = [BufferedUniforms(np.random.default_rng((21, i)), chunk) for i in range(count)]
+        reference = [np.random.default_rng((21, i)) for i in range(count)]
+        flags = np.random.default_rng(22)
+        # Uniforms each buffer holds and has handed out, to count the reads
+        # that straddle a refill (part old buffer, part fresh draws).
+        held, used = [0] * count, [0] * count
+        straddles = 0
+        for _ in range(1500):
+            tx = flags.random(count) < 0.6
+            q = flags.random(count)
+            n = int(tx.sum())
+            for i in np.flatnonzero(tx):
+                left = held[i] - used[i]
+                if left < n:
+                    straddles += left > 0
+                    held[i] += max(n, chunk)
+                used[i] += n
+            out = resolve_slot(cfg, tx, q, buffered)
+            collided, decoded = self.reference_slot(cfg, tx, q, reference)
+            assert np.array_equal(out.collided, collided)
+            assert np.array_equal(out.decoded, decoded)
+            assert np.array_equal(out.received, tx & ~collided & decoded)
+        assert straddles >= 5
+
+    def test_reads_longer_than_a_chunk(self):
+        stream = BufferedUniforms(np.random.default_rng(3), 2)
+        draws = np.concatenate([stream.random(n) for n in (1, 5, 2, 7, 1)])
+        assert np.array_equal(draws, np.random.default_rng(3).random(16))
 
 
 class TestReceptionProbability:

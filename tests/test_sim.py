@@ -138,6 +138,48 @@ class TestIntegerAccounting:
         assert (unclipped > caps).any()  # the capacity clamp fires
         assert np.array_equal(rec.battery[1:], np.clip(unclipped, 0.0, caps))
 
+    def test_energy_balance_counts_transmissions(self, run_integer):
+        _, rec = run_integer
+        paid = (rec.harvested - rec.transmitted).mean(axis=0)
+        fluid = (rec.harvested - rec.z).mean(axis=0)
+        assert np.abs(paid - fluid).max() > 1e-3  # the two balances differ here
+        for node in summarize(rec).nodes:
+            assert node.energy_balance == pytest.approx(paid[node.node], rel=1e-12, abs=1e-12)
+
+
+class TestMatrixPlants:
+    """Noiseless 2x2 and 3x3 plants next to a scalar one: each state is the
+    switched linear map of the previous one, and V is x'Wx, exactly."""
+
+    @pytest.fixture(scope="class")
+    def run_matrix(self):
+        plants = [
+            {"a_open": [[1.05, 0.1], [0.0, 1.05]], "a_closed": [[0.1, 0.0], [0.02, 0.1]],
+             "noise_cov": np.zeros((2, 2)).tolist(), "lyapunov_weight": [[2.0, 0.5], [0.5, 1.0]]},
+            {"a_open": 1.1, "a_closed": 0.15, "noise_cov": 0.0},
+            {"a_open": [[1.05, 0.2, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 0.9]],
+             "a_closed": (np.eye(3) * 0.2).tolist(), "noise_cov": np.zeros((3, 3)).tolist(),
+             "lyapunov_weight": np.diag([1.0, 2.0, 1.0]).tolist()},
+        ]
+        config = short_config(seed=4, horizon=600, plants=plants,
+                              initial_state=[[3.0, -2.0], 5.0, [1.0, -1.0, 4.0]])
+        return config, run(config).record
+
+    def test_state_follows_switched_dynamics(self, run_matrix):
+        config, rec = run_matrix
+        assert rec.received.any() and not rec.received.all()
+        for i, (plant, x) in enumerate(zip(config.plants, rec.states)):
+            assert np.abs(x[-1]).max() > 0.0  # still moving at the end
+            for t in range(rec.horizon - 1):
+                a = plant.a_closed if rec.received[t, i] else plant.a_open
+                assert np.array_equal(x[t + 1], a @ x[t])
+
+    def test_certificate_is_quadratic_form(self, run_matrix):
+        config, rec = run_matrix
+        for i, (plant, x) in enumerate(zip(config.plants, rec.states)):
+            v = np.array([xt @ plant.lyapunov_weight @ xt for xt in x])
+            assert np.array_equal(rec.lyapunov[:, i], v)
+
 
 class TestDegenerateRuns:
     def test_zero_horizon(self):
