@@ -7,7 +7,7 @@ scheduling policy over a shared collision channel, and simulates the coupled
 plant/channel/battery system with full seed determinism.
 """
 
-from .comm import ChannelConfig, DecodingCurve, SlotOutcome, draw_channels, reception_probability, resolve_slot
+from .comm import ChannelConfig, DecodingCurve, draw_channels, resolve_slot
 from .control import (
     PlantBank,
     PlantModel,
@@ -57,7 +57,6 @@ __all__ = [
     "SchedulerParams",
     "SimConfig",
     "SimulationAborted",
-    "SlotOutcome",
     "Summary",
     "TelemetryRecord",
     "apply_dual_step",
@@ -69,7 +68,6 @@ __all__ = [
     "dual_subgradients",
     "draw_harvest",
     "init_duals",
-    "reception_probability",
     "required_reception_probability",
     "resolve_slot",
     "run",

@@ -18,6 +18,8 @@ log verbosity.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import logging
 import os
 import sys
@@ -31,8 +33,8 @@ from . import config as config_mod
 from . import telemetry
 from .control import PlantModel, control_performance_bound, required_reception_probability
 from .errors import ConfigError, InfeasibleTargetError
-from .scheduler import sizing_needs
-from .sim import SimulationAborted, run, sizing_report, summarize
+from .scheduler import sizing_needs, sizing_violations
+from .sim import SimulationAborted, run, summarize
 
 logger = logging.getLogger(__name__)
 
@@ -127,15 +129,7 @@ def cmd_run(args) -> int:
 def _plant_from_args(args) -> PlantModel:
     if args.plant_file is not None:
         data = yaml.safe_load(Path(args.plant_file).read_text())
-        if not isinstance(data, dict):
-            raise ConfigError("plant file must be a mapping")
-        return PlantModel(
-            a_open=data["a_open"],
-            a_closed=data["a_closed"],
-            noise_cov=data.get("noise_cov", 1.0),
-            lyapunov_weight=data.get("lyapunov_weight", 1.0),
-            decrease_rate=data.get("decrease_rate", 0.8),
-        )
+        return config_mod.build_plant(data, "plant-file")
     if args.a_open is None or args.a_closed is None or args.rho is None:
         raise ConfigError("required-prob needs --a-open, --a-closed and --rho (or --plant-file)")
     return PlantModel(
@@ -156,11 +150,11 @@ def cmd_required_prob(args) -> int:
 
 def cmd_check_config(args) -> int:
     config = config_mod.load_config(args.config, strict=False)
-    problems = sizing_report(config)
+    caps = [b.capacity for b in config.batteries]
+    problems = sizing_violations(config.params, caps)
     needed_y, needed_b = sizing_needs(config.params)
     print(f"auxiliary caps: min y_bar = {config.params.y_bar.min():g}, "
           f"needed >= {needed_y.max():g}")
-    caps = [b.capacity for b in config.batteries]
     print(f"battery capacities: min = {min(caps):g}, needed >= {needed_b.max():g}")
     if problems:
         for problem in problems:
@@ -176,16 +170,13 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _sweep_point(raw: dict, param: str, value: float, seed: int, horizon, index: int) -> dict:
-    import copy
-
+def _sweep_point(raw: dict, param: str, seed: int, horizon, index: int, value: float) -> dict:
     raw = copy.deepcopy(raw)
-    path = SWEEP_PARAMS[param]
+    *path, leaf = SWEEP_PARAMS[param]
     target = raw
-    for key in path[:-1]:
+    for key in path:
         target = target[key]
-    leaf = path[-1]
-    target[leaf] = int(value) if param == "staleness_bound" else value
+    target[leaf] = value
     config = config_mod.build_config(raw, seed=_derived_seed(seed, index), horizon=horizon)
     result = run(config)
     row: dict = {"param": param, "value": value, "seed": config.seed}
@@ -211,30 +202,18 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one value")
     base_seed = int(raw["seed"])
 
-    points = list(enumerate(values))
+    point = functools.partial(_sweep_point, raw, args.param, base_seed, args.horizon)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(
-                pool.map(
-                    _sweep_point_star,
-                    [(raw, args.param, v, base_seed, args.horizon, idx) for idx, v in points],
-                )
-            )
+            rows = list(pool.map(point, range(len(values)), values))
     else:
-        rows = [
-            _sweep_point(raw, args.param, v, base_seed, args.horizon, idx)
-            for idx, v in points
-        ]
+        rows = list(map(point, range(len(values)), values))
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "sweep.csv"
     telemetry.write_csv(path, {key: [row[key] for row in rows] for key in rows[0]})
     print(f"wrote {path} ({len(rows)} points)")
     return EXIT_OK
-
-
-def _sweep_point_star(packed) -> dict:
-    return _sweep_point(*packed)
 
 
 def main(argv=None) -> int:

@@ -6,16 +6,18 @@ with probability z_j is
 
     q_i * z_i * prod_{j != i} (1 - q_c * z_j)
 
-with q_c the per-interfering-pair collision probability. Collision events
-are drawn independently per ordered pair; only the marginals above are
-observable in the run statistics.
+with q_c the per-interfering-pair collision probability
+(:func:`ehctrl.sim.per_slot_reception` evaluates it for every node and
+slot). Collision events are drawn independently per ordered pair; only the
+marginals above are observable in the run statistics. Every function takes
+and returns arrays over all nodes: the slot loop calls them once per slot
+(:func:`resolve_slot`) or once per block of slots (:func:`draw_channels`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,13 +44,10 @@ class DecodingCurve:
         if self.rate <= 0:
             raise ConfigError("decoding curve rate must be positive to stay increasing")
 
-    def __call__(self, h):
-        h = np.asarray(h, dtype=float)
+    def __call__(self, h: np.ndarray) -> np.ndarray:
         if self.kind == "exp":
-            q = 1.0 - np.exp(-self.rate * h)
-        else:
-            q = 1.0 / (1.0 + np.exp(-self.rate * (h - self.midpoint)))
-        return q if q.ndim else float(q)
+            return 1.0 - np.exp(-self.rate * h)
+        return 1.0 / (1.0 + np.exp(-self.rate * (h - self.midpoint)))
 
 
 #: Default decoding curve: an S-shaped ramp centered near the lower quartile
@@ -70,41 +69,13 @@ class ChannelConfig:
             raise ConfigError("collision_prob must lie in [0, 1]")
 
 
-@dataclass(eq=False)
-class SlotOutcome:
-    """Per-node reception record for one slot.
-
-    ``received[i]`` is true iff node i transmitted, suffered no collision,
-    and its packet decoded. ``collided[i]`` can only be true when some other
-    node transmitted in the same slot.
-    """
-
-    q: np.ndarray
-    transmitted: np.ndarray
-    collided: np.ndarray
-    decoded: np.ndarray
-    received: np.ndarray
-
-
-def _per_node_rngs(rngs, count: int) -> Sequence[np.random.Generator]:
-    rngs = list(rngs)
-    if len(rngs) != count:
-        raise ConfigError(f"expected {count} random streams, got {len(rngs)}")
-    return rngs
-
-
-def draw_channels(
-    config: ChannelConfig, count: int, rngs, size: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one fading state per node (i.i.d. exponential with the configured
-    mean) and its decode probability; with ``size``, a (size, count) block of
-    consecutive slots. ``rngs`` holds one generator per node; each node's
-    slots are consecutive draws of its generator."""
-    if count < 1:
-        raise ConfigError("need at least one node")
-    rngs = _per_node_rngs(rngs, count)
+def draw_channels(config: ChannelConfig, rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a (size, nodes) block of fading states (i.i.d. exponential with
+    the configured mean) and their decode probabilities. ``rngs`` holds one
+    generator per node; each node's slots are consecutive draws of its
+    generator."""
     h = np.stack([r.exponential(config.fading_mean, size) for r in rngs], axis=-1)
-    return h, np.asarray(config.decode(h))
+    return h, config.decode(h)
 
 
 class BufferedUniforms:
@@ -130,12 +101,10 @@ class BufferedUniforms:
 
 
 def resolve_slot(
-    config: ChannelConfig,
-    transmitted,
-    q,
-    rngs,
-) -> SlotOutcome:
-    """Resolve one slot's receptions given who transmitted.
+    config: ChannelConfig, transmitted: np.ndarray, q: np.ndarray, rngs
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve one slot's receptions given who transmitted; returns the
+    per-node ``(received, collided)`` flags.
 
     Each transmitting node i draws, from its own stream, one uniform per
     other transmitter (independent Bernoulli(q_c) collision events in
@@ -143,37 +112,15 @@ def resolve_slot(
     ``random(n)`` call on ``rngs[i]`` (a generator or a
     :class:`BufferedUniforms`). The decode draw happens whether or not the
     packet collided, so collision and decoding stay independent.
+    ``received[i]`` is true iff node i transmitted, suffered no collision and
+    its packet decoded; ``collided[i]`` needs another transmitter.
     """
-    transmitted = np.asarray(transmitted, dtype=bool)
-    q = np.asarray(q, dtype=float)
-    if transmitted.shape != q.shape:
-        raise ConfigError("transmitted and q must have equal length")
-    count = transmitted.size
-    rngs = _per_node_rngs(rngs, count)
-    collided = np.zeros(count, dtype=bool)
-    decoded = np.zeros(count, dtype=bool)
+    received = np.zeros(transmitted.size, dtype=bool)
+    collided = np.zeros(transmitted.size, dtype=bool)
     senders = transmitted.nonzero()[0].tolist()
     for i in senders:
         *collision, decode = rngs[i].random(len(senders)).tolist()
-        collided[i] = min(collision, default=math.inf) < config.collision_prob
-        decoded[i] = decode < q[i]
-    # Only senders draw, so decoded implies transmitted.
-    received = decoded & ~collided
-    return SlotOutcome(
-        q=q,
-        transmitted=transmitted,
-        collided=collided,
-        decoded=decoded,
-        received=received,
-    )
-
-
-def reception_probability(z, q, collision_prob: float, i: int) -> float:
-    """Analytic marginal reception probability of node i for transmit
-    probabilities ``z`` and decode probabilities ``q``."""
-    z = np.asarray(z, dtype=float)
-    q = np.asarray(q, dtype=float)
-    others = math.prod(
-        1.0 - collision_prob * z[j] for j in range(z.size) if j != i
-    )
-    return float(q[i] * z[i] * others)
+        hit = min(collision, default=math.inf) < config.collision_prob
+        collided[i] = hit
+        received[i] = not hit and decode < q[i]
+    return received, collided

@@ -22,8 +22,8 @@ from .control import PlantModel, required_reception_probability
 from .coordination import AvailabilitySchedule
 from .energy import BatteryState, HarvestConfig
 from .errors import ConfigError
-from .scheduler import SchedulerParams
-from .sim import SimConfig, sizing_report
+from .scheduler import SchedulerParams, sizing_violations
+from .sim import SimConfig
 
 logger = logging.getLogger(__name__)
 
@@ -67,20 +67,45 @@ _ENTRY_KEYS = {
     "battery": (("capacity",), {"initial": None}),
 }
 
+# Sections that may list one entry per node in place of a single mapping.
+_PER_NODE = ("harvest", "battery")
 
-def _merge(base: dict, override: dict) -> dict:
+
+def _merge(base: dict, override: dict, where: str = "") -> dict:
+    """``base`` overlaid with ``override``, recursing into every mapping of
+    ``base``; ``where`` is the dotted key prefix that names errors."""
     merged = copy.deepcopy(base)
     for key, value in override.items():
+        name = f"{where}{key}"
         if key not in merged:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(merged[key], dict) and isinstance(value, dict):
-            unknown = set(value) - set(merged[key])
-            if unknown:
-                raise ConfigError(f"unknown config key {key}.{unknown.pop()}")
-            merged[key] = {**merged[key], **value}
+            raise ConfigError(f"unknown config key {name}")
+        if isinstance(merged[key], dict) and not (name in _PER_NODE and isinstance(value, list)):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name} must be a mapping")
+            merged[key] = _merge(merged[key], value, f"{name}.")
         else:
             merged[key] = copy.deepcopy(value)
     return merged
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", _floats: "numbers"}
+
+
+def _convert(value, key: str, kind=float):
+    """``value`` as ``kind`` (float, int or :func:`_floats`), or a
+    :class:`ConfigError` naming ``key``. An integer must be integral: 5.0
+    converts, 2.7 does not."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
+    if kind is int and not isinstance(value, str) and converted != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return converted
 
 
 def read_raw(path=None) -> dict:
@@ -122,11 +147,20 @@ def _entry(entry, where: str, key: str) -> dict:
     return {**optional, **entry}
 
 
-def _node_entries(raw: dict, key: str, count: int) -> list[dict]:
-    """The checked harvest or battery entry of every node."""
+def build_plant(entry, where: str) -> PlantModel:
+    """The :class:`PlantModel` of one plant entry; ``where`` names it in
+    errors."""
+    return PlantModel(**{
+        name: _convert(value, f"{where}.{name}", float if name == "decrease_rate" else _floats)
+        for name, value in _entry(entry, where, "plants").items()
+    })
+
+
+def _node_entries(raw: dict, key: str, count: int) -> list[tuple[str, dict]]:
+    """The name and checked entry of every node's harvest or battery."""
     value = raw[key]
     names = [f"{key}[{i}]" for i in range(count)] if isinstance(value, list) else [key] * count
-    return [_entry(e, name, key) for e, name in zip(_per_node(value, count, key), names)]
+    return [(name, _entry(e, name, key)) for e, name in zip(_per_node(value, count, key), names)]
 
 
 def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
@@ -144,42 +178,41 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
     if not isinstance(plant_entries, list) or not plant_entries:
         raise ConfigError("plants must be a non-empty list")
     plants = tuple(
-        PlantModel(**_entry(entry, f"plants[{i}]", "plants"))
-        for i, entry in enumerate(plant_entries)
+        build_plant(entry, f"plants[{i}]") for i, entry in enumerate(plant_entries)
     )
     count = len(plants)
 
     chan = raw["channel"]
-    decode_entry = chan.get("decode") or {}
-    decode = DecodingCurve(
-        kind=decode_entry.get("kind", "logistic"),
-        rate=float(decode_entry.get("rate", 3.0)),
-        midpoint=float(decode_entry.get("midpoint", 1.5)),
-    )
+    decode = chan["decode"]
     channel = ChannelConfig(
-        fading_mean=float(chan["fading_mean"]),
-        decode=decode,
-        collision_prob=float(chan["collision_prob"]),
+        fading_mean=_convert(chan["fading_mean"], "channel.fading_mean"),
+        decode=DecodingCurve(
+            kind=decode["kind"],
+            rate=_convert(decode["rate"], "channel.decode.rate"),
+            midpoint=_convert(decode["midpoint"], "channel.decode.midpoint"),
+        ),
+        collision_prob=_convert(chan["collision_prob"], "channel.collision_prob"),
     )
 
     harvests = tuple(
-        HarvestConfig(mean=float(entry["mean"]), distribution=entry["distribution"])
-        for entry in _node_entries(raw, "harvest", count)
+        HarvestConfig(mean=_convert(entry["mean"], f"{where}.mean"),
+                      distribution=entry["distribution"])
+        for where, entry in _node_entries(raw, "harvest", count)
     )
 
     batteries = []
-    for entry in _node_entries(raw, "battery", count):
-        capacity = float(entry["capacity"])
+    for where, entry in _node_entries(raw, "battery", count):
+        capacity = _convert(entry["capacity"], f"{where}.capacity")
         initial = entry["initial"]
-        charge = capacity if initial is None else float(initial)
+        charge = capacity if initial is None else _convert(initial, f"{where}.initial")
         batteries.append(BatteryState(charge=charge, capacity=capacity))
 
     if raw["required_reception"] is not None:
-        p = np.asarray(raw["required_reception"], dtype=float)
+        p = _convert(raw["required_reception"], "required_reception", _floats)
         if p.size != count:
             raise ConfigError("required_reception must list one value per plant")
     else:
-        tol = float(raw["lmi_tol"])
+        tol = _convert(raw["lmi_tol"], "lmi_tol")
         p = np.array([required_reception_probability(m, tol) for m in plants])
     if np.any(p == 0.0):
         logger.warning(
@@ -189,19 +222,19 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
 
     sched = raw["scheduler"]
     params = SchedulerParams(
-        epsilon=float(sched["epsilon"]),
-        nu_bar=sched["nu_bar"],
-        y_bar=sched["y_bar"],
+        epsilon=_convert(sched["epsilon"], "scheduler.epsilon"),
+        nu_bar=_convert(sched["nu_bar"], "scheduler.nu_bar", _floats),
+        y_bar=_convert(sched["y_bar"], "scheduler.y_bar", _floats),
         p=p,
         collision_prob=channel.collision_prob,
-        s_floor=float(sched["s_floor"]),
+        s_floor=_convert(sched["s_floor"], "scheduler.s_floor"),
     )
 
     avail = raw["availability"]
     availability = AvailabilitySchedule(
         mode=avail["mode"],
-        prob=float(avail["prob"]),
-        staleness_bound=int(avail["staleness_bound"]),
+        prob=_convert(avail["prob"], "availability.prob"),
+        staleness_bound=_convert(avail["staleness_bound"], "availability.staleness_bound", int),
     )
 
     initial = raw["initial_state"]
@@ -210,9 +243,9 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
     else:
         entries = _per_node(initial, count, "initial_state")
         initial_states = tuple(
-            np.full(plants[i].dim, float(entries[i]))
+            np.full(plants[i].dim, _convert(entries[i], "initial_state"))
             if np.isscalar(entries[i])
-            else np.asarray(entries[i], dtype=float)
+            else _convert(entries[i], "initial_state", _floats)
             for i in range(count)
         )
 
@@ -227,12 +260,12 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
         batteries=tuple(batteries),
         params=params,
         availability=availability,
-        horizon=int(raw["horizon"]),
-        seed=int(raw["seed"]),
+        horizon=_convert(raw["horizon"], "horizon", int),
+        seed=_convert(raw["seed"], "seed", int),
         energy_accounting=raw["energy_accounting"],
         dual_access=raw["dual_access"],
         initial_states=initial_states,
-        schedule_window=(int(window[0]), int(window[1])),
+        schedule_window=tuple(_convert(w, "schedule_window", int) for w in window),
     )
 
 
@@ -242,7 +275,7 @@ def load_config(path=None, seed=None, horizon=None, strict: bool = False) -> Sim
     Sizing-rule violations raise in strict mode and log warnings otherwise.
     """
     config = build_config(read_raw(path), seed=seed, horizon=horizon)
-    problems = sizing_report(config)
+    problems = sizing_violations(config.params, [b.capacity for b in config.batteries])
     if problems and strict:
         raise ConfigError("sizing check failed: " + "; ".join(problems))
     for problem in problems:

@@ -143,11 +143,11 @@ class PlantBank:
             values[:, idx] = (x[:, :, None, :] @ weight @ x[..., None])[..., 0, 0]
         return values
 
-    def step(self, received: np.ndarray, noise: tuple, slot: int = 0) -> None:
-        """Advance every plant one slot: closed-loop dynamics where the
-        packet arrived, open loop otherwise, plus process noise. Raises
-        :class:`InvalidStateError` naming the first plant that went
-        non-finite."""
+    def step(self, received: np.ndarray, noise: tuple, slot: int) -> None:
+        """Advance every plant through ``slot``: closed-loop dynamics where
+        the packet arrived, open loop otherwise, plus process noise. Raises
+        :class:`InvalidStateError` naming the slot and the first plant that
+        went non-finite."""
         stepped = [
             np.where(received[idx, None, None], a_closed, a_open) @ x + w
             for idx, a_open, a_closed, x, w

@@ -60,17 +60,14 @@ class HarvestConfig:
             raise ConfigError("bernoulli harvest needs mean <= 1")
 
 
-def draw_harvest(config: HarvestConfig, rng: np.random.Generator, size: int | None = None):
-    """Sample harvested energy (non-negative, long-run mean equal to the
-    configured mean): one float, or an array of ``size`` consecutive slots
-    drawn in the same stream order."""
+def draw_harvest(config: HarvestConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sample ``size`` consecutive slots of harvested energy (non-negative,
+    long-run mean equal to the configured mean) from one node's stream."""
     if config.distribution == "bernoulli":
-        draws = np.where(rng.random(size) < config.mean, 1.0, 0.0)
-    elif config.distribution == "deterministic":
-        draws = np.full(() if size is None else size, config.mean)
-    else:
-        draws = rng.uniform(0.0, 2.0 * config.mean, size)
-    return float(draws) if size is None else draws
+        return np.where(rng.random(size) < config.mean, 1.0, 0.0)
+    if config.distribution == "deterministic":
+        return np.full(size, config.mean)
+    return rng.uniform(0.0, 2.0 * config.mean, size)
 
 
 def step_batteries(
@@ -78,11 +75,11 @@ def step_batteries(
     capacity: np.ndarray,
     spend: np.ndarray,
     harvested: np.ndarray,
-    slot: int | None = None,
+    slot: int,
 ) -> np.ndarray:
-    """Advance every battery one slot, enforcing per-slot energy causality;
-    the first node that overspends is reported. ``harvested`` must be
-    non-negative (:func:`draw_harvest` output is)."""
+    """Advance every battery through ``slot``, enforcing per-slot energy
+    causality; the first node that overspends is reported with the slot.
+    ``harvested`` must be non-negative (:func:`draw_harvest` output is)."""
     over = spend > charge + CAUSALITY_ATOL
     if np.count_nonzero(over):
         node = int(over.argmax())

@@ -21,14 +21,13 @@ class EnergyCausalityError(InvariantBreach):
 
     kind = "causality"
 
-    def __init__(self, node: int, spend: float, charge: float, slot: int | None = None):
+    def __init__(self, node: int, spend: float, charge: float, slot: int):
         self.node = node
         self.spend = spend
         self.charge = charge
         self.slot = slot
-        where = f" at slot {slot}" if slot is not None else ""
         super().__init__(
-            f"energy causality violated{where}: node {node} "
+            f"energy causality violated at slot {slot}: node {node} "
             f"spends {spend:.12g} with charge {charge:.12g}"
         )
 
@@ -43,8 +42,7 @@ class InvariantViolation(InvariantBreach):
     """A dual-side invariant broke: ``kind`` is ``"mirror"`` (battery/
     multiplier mirror identity) or ``"dual_bound"`` (multiplier cap)."""
 
-    def __init__(self, message: str, kind: str, slot: int | None = None):
+    def __init__(self, message: str, kind: str, slot: int):
         self.kind = kind
         self.slot = slot
-        where = f" at slot {slot}" if slot is not None else ""
-        super().__init__(f"invariant violated{where}: {message}")
+        super().__init__(f"invariant violated at slot {slot}: {message}")

@@ -3,7 +3,10 @@
 The state of all nodes is held as arrays: multipliers phi (M,), nu (M, M)
 and beta (M,), battery charges (M,), the mailbox (M, M) and one plant state
 stack per state dimension. Every step except collision resolution is one
-array expression over all nodes. Every slot runs, in this fixed order:
+array expression over all nodes, and every function the loop calls takes
+the loop's arrays and returns arrays (collision resolution returns the
+per-node received and collided flags). Every slot runs, in this fixed
+order:
 
   1. draw channel states and harvest arrivals
   2. every node computes its auxiliary, reception and transmit variables
@@ -128,13 +131,6 @@ class SimConfig:
     @property
     def count(self) -> int:
         return len(self.plants)
-
-
-def sizing_report(config: SimConfig) -> list[str]:
-    """Sizing-rule violations for this configuration (empty when the dual
-    bound and energy-causality preconditions hold)."""
-    capacities = [b.capacity for b in config.batteries]
-    return scheduler.sizing_violations(config.params, capacities)
 
 
 @dataclass(eq=False)
@@ -272,7 +268,7 @@ def _draw_chunk(
     process noise."""
     stop = min(start + DRAW_CHUNK, config.horizon)
     size = stop - start
-    h, q = comm.draw_channels(config.channel, config.count, streams["channel"], size)
+    h, q = comm.draw_channels(config.channel, streams["channel"], size)
     e = np.stack(
         [energy.draw_harvest(cfg, rng, size)
          for cfg, rng in zip(config.harvests, streams["harvest"])],
@@ -362,7 +358,7 @@ def run(config: SimConfig) -> SimResult:
                 tx &= charge >= 1.0
 
             # 4. collision/decoding resolution
-            outcome = comm.resolve_slot(config.channel, tx, q, collisions)
+            received, collided = comm.resolve_slot(config.channel, tx, q, collisions)
 
             # telemetry snapshot of start-of-slot state (h, q and e are
             # recorded per chunk)
@@ -372,12 +368,12 @@ def run(config: SimConfig) -> SimResult:
             record.beta[t] = duals.beta
             record.nu[t] = duals.nu
             record.z[t] = z
-            record.received[t] = outcome.received
-            record.collided[t] = outcome.collided
+            record.received[t] = received
+            record.collided[t] = collided
             rows = t + 1
 
             # 5. plant steps
-            plants.step(outcome.received, noise[k], t)
+            plants.step(received, noise[k], t)
 
             # 6. battery steps (fluid: the transmit probability is the spend)
             spend = z if fluid else tx.astype(float)

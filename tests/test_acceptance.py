@@ -28,6 +28,7 @@ from ehctrl.scheduler import (
     compute_y,
     compute_z,
     dual_subgradients,
+    sizing_violations,
 )
 from ehctrl.sim import run
 
@@ -202,9 +203,8 @@ def test_criterion_4_energy_causality(acceptance_runs):
     stress_runs = 0
     for _ in range(200):
         config = _random_sized_config(rng)
-        from ehctrl.sim import sizing_report
-
-        assert sizing_report(config) == []
+        capacities = [b.capacity for b in config.batteries]
+        assert sizing_violations(config.params, capacities) == []
         result = run(config)  # any causality breach aborts and fails here
         assert result.summary.violations["causality"] == 0
         stress_runs += 1

@@ -9,10 +9,10 @@ from ehctrl.comm import (
     ChannelConfig,
     DecodingCurve,
     draw_channels,
-    reception_probability,
     resolve_slot,
 )
 from ehctrl.errors import ConfigError
+from ehctrl.sim import per_slot_reception
 
 
 def make_config(collision_prob=0.25, **decode_kwargs) -> ChannelConfig:
@@ -23,14 +23,14 @@ def make_config(collision_prob=0.25, **decode_kwargs) -> ChannelConfig:
 class TestDrawChannels:
     def test_deterministic_given_seed(self):
         cfg = make_config()
-        a = draw_channels(cfg, 2, [np.random.default_rng(42)] * 2)
-        b = draw_channels(cfg, 2, [np.random.default_rng(42)] * 2)
+        a = draw_channels(cfg, [np.random.default_rng(42)] * 2, 5)
+        b = draw_channels(cfg, [np.random.default_rng(42)] * 2, 5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_fading_mean(self):
         cfg = make_config()
         rng = np.random.default_rng(0)
-        h = np.array([draw_channels(cfg, 1, [rng])[0][0] for _ in range(100_000)])
+        h = draw_channels(cfg, [rng], 100_000)[0][:, 0]
         assert h.mean() == pytest.approx(2.0, abs=0.05)
 
     @pytest.mark.parametrize("kind,kwargs", [
@@ -39,8 +39,9 @@ class TestDrawChannels:
     ])
     def test_decoding_curve_endpoints_and_monotonicity(self, kind, kwargs):
         curve = DecodingCurve(**kwargs)
-        assert curve(0.0) <= 0.05
-        assert curve(50.0) >= 0.999
+        at_zero, at_fifty = curve(np.array([0.0, 50.0]))
+        assert at_zero <= 0.05
+        assert at_fifty >= 0.999
         grid = np.linspace(0.0, 10.0, 200)
         q = curve(grid)
         assert np.all(np.diff(q) > 0)
@@ -55,34 +56,42 @@ class TestDrawChannels:
 
 class TestResolveSlot:
     def test_lone_perfect_link(self):
-        out = resolve_slot(make_config(), [True], [1.0], [np.random.default_rng(0)])
-        assert out.received[0] and not out.collided[0]
+        received, collided = resolve_slot(
+            make_config(), np.array([True]), np.array([1.0]), [np.random.default_rng(0)]
+        )
+        assert received[0] and not collided[0]
 
     def test_certain_collision(self):
-        out = resolve_slot(
-            make_config(collision_prob=1.0), [True, True], [1.0, 1.0],
-            [np.random.default_rng(0)] * 2,
+        rngs = [np.random.default_rng(seed) for seed in (0, 1)]
+        received, collided = resolve_slot(
+            make_config(collision_prob=1.0), np.array([True, True]), np.array([1.0, 1.0]), rngs
         )
-        assert out.collided.all()
-        assert not out.received.any()
-        # decode draws stay independent of the collision outcome
-        assert out.decoded.all()
+        assert collided.all()
+        assert not received.any()
+        # decode draws stay independent of the collision outcome: each sender
+        # drew its collision and its decode uniform
+        assert [rng.random() for rng in rngs] == [
+            np.random.default_rng(seed).random(3)[2] for seed in (0, 1)
+        ]
 
     def test_no_interferer_no_collision(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            out = resolve_slot(make_config(collision_prob=1.0), [True, False], [0.5, 0.5], [rng] * 2)
-            assert not out.collided[0]
-            assert not out.transmitted[1] and not out.received[1]
+            received, collided = resolve_slot(
+                make_config(collision_prob=1.0), np.array([True, False]),
+                np.array([0.5, 0.5]), [rng] * 2,
+            )
+            assert not collided[0]
+            assert not collided[1] and not received[1]
 
     def test_marginal_matches_product_form(self):
         cfg = make_config(collision_prob=0.25)
         rng = np.random.default_rng(3)
         hits = 0
         n = 100_000
+        tx, q = np.array([True, True]), np.array([1.0, 1.0])
         for _ in range(n):
-            out = resolve_slot(cfg, [True, True], [1.0, 1.0], [rng] * 2)
-            hits += int(out.received[0])
+            hits += int(resolve_slot(cfg, tx, q, [rng] * 2)[0][0])
         assert hits / n == pytest.approx(0.75, abs=0.01)
 
     def test_outcome_invariant(self):
@@ -91,11 +100,11 @@ class TestResolveSlot:
         for _ in range(500):
             tx = rng.random(3) < 0.5
             q = rng.random(3)
-            out = resolve_slot(cfg, tx, q, [rng] * 3)
-            assert np.array_equal(out.received, out.transmitted & ~out.collided & out.decoded)
+            received, collided = resolve_slot(cfg, tx, q, [rng] * 3)
+            assert not (received & ~(tx & ~collided)).any()
             for i in range(3):
                 if not tx[i] or tx.sum() == 1:
-                    assert not out.collided[i]
+                    assert not collided[i]
 
 
 class TestBufferedCollisionStream:
@@ -134,11 +143,10 @@ class TestBufferedCollisionStream:
                     straddles += left > 0
                     held[i] += max(n, chunk)
                 used[i] += n
-            out = resolve_slot(cfg, tx, q, buffered)
-            collided, decoded = self.reference_slot(cfg, tx, q, reference)
-            assert np.array_equal(out.collided, collided)
-            assert np.array_equal(out.decoded, decoded)
-            assert np.array_equal(out.received, tx & ~collided & decoded)
+            received, collided = resolve_slot(cfg, tx, q, buffered)
+            expected_collided, decoded = self.reference_slot(cfg, tx, q, reference)
+            assert np.array_equal(collided, expected_collided)
+            assert np.array_equal(received, tx & ~expected_collided & decoded)
         assert straddles >= 5
 
     def test_reads_longer_than_a_chunk(self):
@@ -147,12 +155,23 @@ class TestBufferedCollisionStream:
         assert np.array_equal(draws, np.random.default_rng(3).random(16))
 
 
+def reception_probability(z, q, collision_prob: float) -> float:
+    """Node 0's analytic reception probability for one slot."""
+    return per_slot_reception(np.array([z]), np.array([q]), collision_prob)[0, 0]
+
+
 class TestReceptionProbability:
     def test_direct_product(self):
-        assert reception_probability([1.0, 1.0], [1.0, 0.3], 0.25, 0) == pytest.approx(0.75)
+        assert reception_probability([1.0, 1.0], [1.0, 0.3], 0.25) == pytest.approx(0.75)
 
     def test_no_transmission(self):
-        assert reception_probability([0.0, 0.9], [1.0, 1.0], 0.25, 0) == 0.0
+        assert reception_probability([0.0, 0.9], [1.0, 1.0], 0.25) == 0.0
+
+    def test_zero_factor_recomputed_exactly(self):
+        # q_c * z_0 = 1 zeroes node 0's damping factor: node 0 keeps the
+        # product of the other factors (0.5), node 1 always collides (0).
+        got = per_slot_reception(np.array([[1.0, 0.5]]), np.array([[1.0, 1.0]]), 1.0)
+        assert np.array_equal(got, [[0.5, 0.0]])
 
     def test_against_monte_carlo(self):
         cfg = make_config(collision_prob=0.25)
@@ -160,8 +179,8 @@ class TestReceptionProbability:
         rng = np.random.default_rng(11)
         # mean decode probability under the default curve
         h = rng.exponential(2.0, 200_000)
-        q_mean = float(np.asarray(cfg.decode(h)).mean())
-        expected = reception_probability(z, [q_mean, q_mean], 0.25, 0)
+        q_mean = float(cfg.decode(h).mean())
+        expected = reception_probability(z, [q_mean, q_mean], 0.25)
         n = 200_000
         tx = rng.random((n, 2)) < z
         collide = (rng.random(n) < 0.25) & tx[:, 1]
@@ -176,9 +195,9 @@ class TestReceptionProbability:
         rng = np.random.default_rng(n)
         z = np.array([0.6, 0.4])
         q = np.array([0.8, 0.7])
-        expected = reception_probability(z, q, 0.3, 0)
+        expected = reception_probability(z, q, 0.3)
         hits = 0
         for _ in range(n):
             tx = rng.random(2) < z
-            hits += int(resolve_slot(cfg, tx, q, [rng] * 2).received[0])
+            hits += int(resolve_slot(cfg, tx, q, [rng] * 2)[0][0])
         assert abs(hits / n - expected) <= 4 / np.sqrt(n)

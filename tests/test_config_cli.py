@@ -74,8 +74,13 @@ class TestConfigLoading:
         ("harvest:\n  - {mean: 0.5}\n  - {distribution: uniform}\n",
          "harvest[1].mean is required"),
         ("battery:\n  - {capacity: 20.0}\n  - 5\n", "battery[1] must be a mapping"),
+        ("channel: 5\n", "channel must be a mapping"),
+        ("scheduler: null\n", "scheduler must be a mapping"),
+        ("availability: [1, 2]\n", "availability must be a mapping"),
+        ("channel: {decode: null}\n", "channel.decode must be a mapping"),
     ], ids=["plant-key-missing", "plant-not-mapping", "harvest-key-missing",
-            "battery-not-mapping"])
+            "battery-not-mapping", "channel-not-mapping", "scheduler-null",
+            "availability-list", "decode-null"])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, entries, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entries)
@@ -90,13 +95,29 @@ class TestConfigLoading:
          "harvest[1].distrib"),
         ("battery:\n  - {capacity: 20.0, intial: 5.0}\n  - {capacity: 20.0}\n",
          "battery[0].intial"),
-    ], ids=["plant", "harvest", "battery"])
+        ("channel: {decode: {rat: 9.0}}\n", "channel.decode.rat"),
+    ], ids=["plant", "harvest", "battery", "decode"])
     def test_unknown_entry_key_exits_2(self, tmp_path, capsys, entries, key):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(entries)
         assert main(["run", "--config", str(cfg), "--horizon", "5",
                      "--out", str(tmp_path / "out")]) == 2
         assert f"unknown config key {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries, message", [
+        ("horizon: abc\n", "horizon must be an integer, got 'abc'"),
+        ("scheduler: {epsilon: abc}\n", "scheduler.epsilon must be a number, got 'abc'"),
+        ("channel: {fading_mean: [1, 2]}\n",
+         "channel.fading_mean must be a number, got [1, 2]"),
+        ("schedule_window: [a, b]\n", "schedule_window must be an integer, got 'a'"),
+        ("availability: {staleness_bound: 2.7}\n",
+         "availability.staleness_bound must be an integer, got 2.7"),
+    ], ids=["horizon", "epsilon", "fading-mean", "schedule-window", "staleness-bound"])
+    def test_unconvertible_value_exits_2(self, tmp_path, capsys, entries, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(entries)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_defaults_unmutated_by_builds(self):
         before = json.dumps(DEFAULTS, sort_keys=True, default=str)
@@ -161,6 +182,18 @@ class TestRequiredProbCommand:
             noise_cov=np.eye(2), lyapunov_weight=np.eye(2), decrease_rate=0.8,
         )
         assert value == pytest.approx(grid_required_probability(model, 1e-4), abs=1e-3)
+
+    def test_plant_file_unknown_key(self, tmp_path, capsys):
+        plant_file = tmp_path / "plant.yaml"
+        plant_file.write_text("a_open: 1.05\na_closed: 0.1\ndecrease_rat: 0.5\n")
+        assert main(["required-prob", "--plant-file", str(plant_file)]) == 2
+        assert "unknown config key plant-file.decrease_rat" in capsys.readouterr().err
+
+    def test_plant_file_missing_key(self, tmp_path, capsys):
+        plant_file = tmp_path / "plant.yaml"
+        plant_file.write_text("a_closed: 0.1\ndecrease_rate: 0.8\n")
+        assert main(["required-prob", "--plant-file", str(plant_file)]) == 2
+        assert "plant-file.a_open is required" in capsys.readouterr().err
 
     def test_infeasible_is_config_error(self, capsys):
         assert main(["required-prob", "--a-open", "1.1", "--a-closed", "0.95",

@@ -28,7 +28,7 @@ def step_one(model, x, received, normal):
     """Step a single plant from state ``x`` with the given standard normal draw."""
     bank = PlantBank([model], [np.asarray(x, dtype=float)])
     (noise,) = bank.draw_noise([FixedNormal(normal)], 1)
-    bank.step(np.array([received]), noise)
+    bank.step(np.array([received]), noise, slot=0)
     return bank.x[0][0, :, 0]
 
 

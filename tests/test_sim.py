@@ -9,13 +9,13 @@ from ehctrl import telemetry
 from ehctrl.config import build_config, default_config, read_raw
 from ehctrl.energy import BatteryState
 from ehctrl.errors import EnergyCausalityError, InvalidStateError, InvariantViolation
+from ehctrl.scheduler import sizing_violations
 from ehctrl.sim import (
     SimulationAborted,
     TelemetryRecord,
     per_slot_reception,
     run,
     running_mean,
-    sizing_report,
     summarize,
 )
 
@@ -110,7 +110,8 @@ class TestRunInvariants:
         assert gap <= 4.0 / np.sqrt(result.record.horizon)
 
     def test_default_sizing_clean(self, result):
-        assert sizing_report(result.config) == []
+        config = result.config
+        assert sizing_violations(config.params, [b.capacity for b in config.batteries]) == []
 
 
 class TestIntegerAccounting:
@@ -238,7 +239,7 @@ class TestAborts:
     def test_mirror_divergence_aborts(self, monkeypatch):
         true_step = ehctrl.energy.step_batteries
 
-        def leaky_step(charge, capacity, spend, harvested, slot=None):
+        def leaky_step(charge, capacity, spend, harvested, slot):
             return true_step(charge, capacity, spend, np.minimum(harvested + 0.05, 1.0), slot=slot)
 
         monkeypatch.setattr(ehctrl.energy, "step_batteries", leaky_step)
