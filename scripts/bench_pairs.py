@@ -16,6 +16,14 @@ side that goes first swapping from pair to pair, all at the same
 median and quartiles, together with the number of pairs the working tree
 won in the metric's better direction.
 
+The ``m-scaling`` pseudo-workload (``--workload m-scaling``, also run by
+default) times ``sim.run`` alone in a fresh process per run: µs per slot
+over ``M_SCALING_SLOTS`` slots at each node count in ``M_SCALING_NODES``,
+always-on at M = 2 and random availability (p = 0.5, B = 10) above, scalar
+plants and collision probability 0.01. It runs paired like the workloads,
+alternating sides per pair and node count, and checks that both sides
+produce the same record digest.
+
 Results go to ``BENCH_<pr>.json`` (or ``--out``) under the key
 ``<workload>@seed<seed>``; entries already in the file for other keys are
 kept, so workloads and seeds can be run one call at a time. The file also
@@ -26,6 +34,7 @@ the standard library is used.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -37,6 +46,34 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+M_SCALING = "m-scaling"
+M_SCALING_NODES = (2, 8, 32, 128)
+M_SCALING_SLOTS = 1000
+# Run with the tree's src on sys.path: argv is nodes, slots, seed; prints
+# the µs per slot of sim.run and a digest of the run's record.
+M_SCALING_PROBE = """
+import hashlib, json, sys, time
+from ehctrl.config import build_config, read_raw
+from ehctrl.sim import run
+nodes, slots, seed = map(int, sys.argv[1:])
+raw = read_raw(None)
+raw["plants"] = [{"a_open": 1.1, "a_closed": 0.15} if i % 2 else
+                 {"a_open": 1.05, "a_closed": 0.1} for i in range(nodes)]
+raw["channel"] = {**raw["channel"], "collision_prob": 0.01}
+raw["availability"] = (
+    {"mode": "always-on", "prob": 1.0, "staleness_bound": 1} if nodes == 2
+    else {"mode": "random", "prob": 0.5, "staleness_bound": 10})
+config = build_config(raw, seed=seed, horizon=slots)
+start = time.perf_counter()
+record = run(config).record
+elapsed = time.perf_counter() - start
+digest = hashlib.sha256()
+for column in (*record.states, record.z, record.received, record.collided,
+               record.battery, record.phi, record.beta, record.nu):
+    digest.update(column.tobytes())
+print(json.dumps({"us_per_slot": elapsed / slots * 1e6, "digest": digest.hexdigest()}))
+"""
 
 
 def git(*args: str) -> str:
@@ -77,33 +114,81 @@ def bench_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     return result
 
 
+def probe_once(tree: Path, nodes: int, seed: int) -> dict:
+    """One ``M_SCALING_PROBE`` run on ``tree`` in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", M_SCALING_PROBE, str(nodes), str(M_SCALING_SLOTS), str(seed)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"m-scaling probe failed in {tree}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def summarize(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def paired(base: list[float], change: list[float], unit: str, better: str) -> dict:
+    """Per-side statistics of one metric over the pairs, and the pairs won."""
+    higher = better == "higher"
+    wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+    b_stats, c_stats = summarize(base), summarize(change)
+    delta = c_stats["median"] - b_stats["median"]
+    return {
+        "unit": unit,
+        "better": better,
+        "base": b_stats,
+        "change": c_stats,
+        "change_over_base": (
+            c_stats["median"] / b_stats["median"] if b_stats["median"] else None
+        ),
+        "pair_wins": wins,
+        "pairs": len(base),
+        "median_gap_exceeds_base_iqr": abs(delta) > b_stats["iqr"],
+    }
+
+
 def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    out = {}
-    for spec in metrics:
-        name, higher = spec["name"], spec["better"] == "higher"
-        base = [b["metrics"][name]["value"] for b, _ in pairs]
-        change = [c["metrics"][name]["value"] for _, c in pairs]
-        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-        b_stats, c_stats = summarize(base), summarize(change)
-        delta = c_stats["median"] - b_stats["median"]
-        out[name] = {
-            "unit": spec["unit"],
-            "better": spec["better"],
-            "base": b_stats,
-            "change": c_stats,
-            "change_over_base": (
-                c_stats["median"] / b_stats["median"] if b_stats["median"] else None
-            ),
-            "pair_wins": wins,
-            "pairs": len(pairs),
-            "median_gap_exceeds_base_iqr": abs(delta) > b_stats["iqr"],
-        }
-    return out
+    return {
+        spec["name"]: paired(
+            [b["metrics"][spec["name"]]["value"] for b, _ in pairs],
+            [c["metrics"][spec["name"]]["value"] for _, c in pairs],
+            spec["unit"], spec["better"],
+        )
+        for spec in metrics
+    }
+
+
+def m_scaling(sides: dict, pairs: int, seed: int) -> dict:
+    """Paired µs-per-slot rows at every node count in ``M_SCALING_NODES``."""
+    runs = {(nodes, side): [] for nodes in M_SCALING_NODES for side in sides}
+    for k, nodes in itertools.product(range(pairs), M_SCALING_NODES):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[nodes, side].append(probe_once(sides[side], nodes, seed))
+        print(f"{M_SCALING} pair {k + 1}/{pairs} M={nodes}: " + ", ".join(
+            f"{side} {runs[nodes, side][-1]['us_per_slot']:.1f} us/slot" for side in order
+        ), file=sys.stderr)
+    rows = []
+    for nodes in M_SCALING_NODES:
+        base, change = runs[nodes, "base"], runs[nodes, "change"]
+        rows.append({
+            "nodes": nodes,
+            "availability": "always-on" if nodes == 2 else "random p=0.5 B=10",
+            "same_digest": len({r["digest"] for r in base + change}) == 1,
+            "us_per_slot": paired([r["us_per_slot"] for r in base],
+                                  [r["us_per_slot"] for r in change], "us", "lower"),
+        })
+    return {
+        "workload": M_SCALING,
+        "seed": seed,
+        "slots": M_SCALING_SLOTS,
+        "all_correct": all(row["same_digest"] for row in rows),
+        "rows": rows,
+    }
 
 
 def main(argv=None) -> int:
@@ -114,14 +199,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec.get("run_seconds", 30))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append",
-                        choices=[w["name"] for w in spec["workloads"]],
+    names = [w["name"] for w in spec["workloads"]] + [M_SCALING]
+    parser.add_argument("--workload", action="append", choices=names,
                         help="workload to run (repeatable; default: all)")
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<pr>.json)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or names
     out_path = args.out or ROOT / f"BENCH_{args.pr}.json"
 
     report = json.loads(out_path.read_text()) if out_path.exists() else {}
@@ -140,6 +225,12 @@ def main(argv=None) -> int:
         extract(args.base, base_tree)
         sides = {"base": base_tree, "change": ROOT}
         for workload in workloads:
+            if workload == M_SCALING:
+                report["results"][f"{M_SCALING}@seed{args.seed}"] = m_scaling(
+                    sides, args.pairs, args.seed
+                )
+                out_path.write_text(json.dumps(report, indent=1) + "\n")
+                continue
             pairs = []
             for k in range(args.pairs):
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")

@@ -7,7 +7,7 @@ scheduling policy over a shared collision channel, and simulates the coupled
 plant/channel/battery system with full seed determinism.
 """
 
-from .comm import ChannelConfig, DecodingCurve, draw_channels, resolve_slot
+from .comm import ChannelConfig, DecodingCurve, draw_channels, resolve_chunk
 from .control import (
     PlantBank,
     PlantModel,
@@ -69,7 +69,7 @@ __all__ = [
     "draw_harvest",
     "init_duals",
     "required_reception_probability",
-    "resolve_slot",
+    "resolve_chunk",
     "run",
     "step_batteries",
     "summarize",

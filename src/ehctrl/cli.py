@@ -23,11 +23,9 @@ import functools
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import config as config_mod
 from . import telemetry
@@ -128,7 +126,7 @@ def cmd_run(args) -> int:
 
 def _plant_from_args(args) -> PlantModel:
     if args.plant_file is not None:
-        data = yaml.safe_load(Path(args.plant_file).read_text())
+        data = config_mod.read_yaml(args.plant_file, "plant-file")
         return config_mod.build_plant(data, "plant-file")
     if args.a_open is None or args.a_closed is None or args.rho is None:
         raise ConfigError("required-prob needs --a-open, --a-closed and --rho (or --plant-file)")
@@ -200,10 +198,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"cannot parse sweep values: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    base_seed = int(raw["seed"])
+    base_seed = config_mod._convert(raw["seed"], "seed", int)
 
     point = functools.partial(_sweep_point, raw, args.param, base_seed, args.horizon)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(point, range(len(values)), values))
     else:

@@ -9,9 +9,10 @@ with probability z_j is
 with q_c the per-interfering-pair collision probability
 (:func:`ehctrl.sim.per_slot_reception` evaluates it for every node and
 slot). Collision events are drawn independently per ordered pair; only the
-marginals above are observable in the run statistics. Every function takes
-and returns arrays over all nodes: the slot loop calls them once per slot
-(:func:`resolve_slot`) or once per block of slots (:func:`draw_channels`).
+marginals above are observable in the run statistics. Nothing a node
+decides depends on which packets were decoded, so both functions work on a
+block of slots at once: :func:`draw_channels` before the block runs and
+:func:`resolve_chunk` after it, on the block's recorded transmissions.
 """
 
 from __future__ import annotations
@@ -78,49 +79,38 @@ def draw_channels(config: ChannelConfig, rngs, size: int) -> tuple[np.ndarray, n
     return h, config.decode(h)
 
 
-class BufferedUniforms:
-    """One generator's uniform stream, drawn ``chunk`` values at a time into
-    a float64 buffer. ``random(n)`` returns the next n values: the same
-    sequence as calling ``rng.random(n)`` directly, because for PCG64
-    ``random(a)`` followed by ``random(b)`` equals ``random(a + b)``."""
-
-    def __init__(self, rng: np.random.Generator, chunk: int):
-        self._rng = rng
-        self._chunk = chunk
-        self._buffer = np.empty(0)
-        self._next = 0
-
-    def random(self, n: int) -> np.ndarray:
-        start, stop = self._next, self._next + n
-        if stop > self._buffer.size:
-            fresh = self._rng.random(max(n, self._chunk))
-            self._buffer = np.concatenate((self._buffer[start:], fresh))
-            start, stop = 0, n
-        self._next = stop
-        return self._buffer[start:stop]
-
-
-def resolve_slot(
+def resolve_chunk(
     config: ChannelConfig, transmitted: np.ndarray, q: np.ndarray, rngs
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve one slot's receptions given who transmitted; returns the
-    per-node ``(received, collided)`` flags.
+    """Resolve the receptions of a block of slots given who transmitted in
+    each; ``transmitted`` and ``q`` are (slots, nodes) rows, and so are the
+    returned ``(received, collided)`` flags.
 
-    Each transmitting node i draws, from its own stream, one uniform per
-    other transmitter (independent Bernoulli(q_c) collision events in
-    ascending order) and then one decode uniform, all in a single
-    ``random(n)`` call on ``rngs[i]`` (a generator or a
-    :class:`BufferedUniforms`). The decode draw happens whether or not the
-    packet collided, so collision and decoding stay independent.
-    ``received[i]`` is true iff node i transmitted, suffered no collision and
-    its packet decoded; ``collided[i]`` needs another transmitter.
+    In a slot with n transmitters, each transmitting node i takes n uniforms
+    from its own stream ``rngs[i]``: one per other transmitter (independent
+    Bernoulli(q_c) collision events in ascending order), then its decode
+    uniform, drawn whether or not the packet collided so that collision and
+    decoding stay independent. A node draws the uniforms of all its transmit
+    slots in one ``random`` call: for PCG64 ``random(a)`` followed by
+    ``random(b)`` equals ``random(a + b)``, so these are the values of one
+    ``random(n)`` call per transmit slot. ``received`` is true iff the node
+    transmitted, suffered no collision and its packet decoded; ``collided``
+    needs another transmitter.
     """
-    received = np.zeros(transmitted.size, dtype=bool)
-    collided = np.zeros(transmitted.size, dtype=bool)
-    senders = transmitted.nonzero()[0].tolist()
-    for i in senders:
-        *collision, decode = rngs[i].random(len(senders)).tolist()
-        hit = min(collision, default=math.inf) < config.collision_prob
-        collided[i] = hit
-        received[i] = not hit and decode < q[i]
+    received = np.zeros(transmitted.shape, dtype=bool)
+    collided = np.zeros(transmitted.shape, dtype=bool)
+    senders = transmitted.T  # node-major, so each node's draws are contiguous
+    count = np.count_nonzero(transmitted, axis=1)
+    totals = np.where(senders, count, 0).sum(axis=1).tolist()
+    if not any(totals):
+        return received, collided
+    draws = np.concatenate([rng.random(n) for rng, n in zip(rngs, totals) if n])
+    # One window of draws per (node, transmit slot); its last is the decode.
+    sizes = np.broadcast_to(count, senders.shape)[senders]
+    last = np.cumsum(sizes) - 1
+    decode = draws[last]
+    draws[last] = math.inf
+    hit = np.minimum.reduceat(draws, last + 1 - sizes) < config.collision_prob
+    collided.T[senders] = hit
+    received.T[senders] = ~hit & (decode < q.T[senders])
     return received, collided

@@ -27,6 +27,8 @@ from .sim import SimConfig
 
 logger = logging.getLogger(__name__)
 
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 DEFAULT_SEED = 1
 
 DEFAULTS: dict = {
@@ -108,15 +110,21 @@ def _convert(value, key: str, kind=float):
     return converted
 
 
+def read_yaml(path, what: str):
+    """The YAML document in ``path``, parsed safely (with libyaml when pyyaml
+    has it); a syntax error is a :class:`ConfigError` naming ``what``."""
+    text = Path(path).read_text()
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
+
+
 def read_raw(path=None) -> dict:
     """Raw config dict: shipped defaults overlaid with the file, if given."""
     if path is None:
         return copy.deepcopy(DEFAULTS)
-    text = Path(path).read_text()
-    try:
-        data = yaml.safe_load(text) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    data = read_yaml(path, "config") or {}
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a mapping")
     return _merge(DEFAULTS, data)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleTargetError, InvalidStateError
+from .errors import ConfigError, InfeasibleTargetError
 
 SYMMETRY_RTOL = 1e-9
 DEFAULT_LMI_TOL = 1e-6
@@ -90,10 +90,13 @@ class PlantModel:
 
 class PlantBank:
     """The plants of one run and their states, stacked per state dimension d
-    (scalar plants are d = 1): ``index[g]`` lists the k plants of stack g,
-    ``x[g]`` is their (k, d, 1) state stack, and a slot is the stacked matmul
-    ``where(received, A_c, A_o) @ x + noise``. Stacks are never padded to a
-    common d: a padded matmul runs another kernel and changes the last bits."""
+    (scalar plants are d = 1): ``index[g]`` lists the k plants of stack g and
+    ``x[g]`` is their (k, d, 1) state stack. Nothing a node decides reads a
+    plant state, so plants advance a block of slots at a time
+    (:meth:`replay`) once the block's receptions are known; a slot is the
+    stacked matmul ``where(received, A_c, A_o) @ x + noise``. Stacks are
+    never padded to a common d: a padded matmul runs another kernel and
+    changes the last bits."""
 
     def __init__(self, models: Sequence[PlantModel], states: Sequence[np.ndarray]):
         self.models = tuple(models)
@@ -110,29 +113,50 @@ class PlantBank:
         self.x = [x[:, :, None] for x in stack(states)]
         self._history: list[np.ndarray] = []
 
-    def draw_noise(self, rngs: Sequence[np.random.Generator], size: int) -> list[tuple]:
+    def draw_noise(self, rngs: Sequence[np.random.Generator], size: int) -> list[np.ndarray]:
         """``size`` consecutive slots of process noise ``noise_factor @ normal``
-        from each plant's own stream, one tuple of (k, d, 1) stacks per slot."""
-        noise = [
+        from each plant's own stream, one (size, k, d, 1) array per stack."""
+        return [
             factor @ np.stack(
                 [rngs[i].standard_normal((size, x.shape[1])) for i in idx], axis=1
             )[..., None]
             for idx, factor, x in zip(self.index, self._factor, self.x)
         ]
-        return list(zip(*noise))
 
     def history(self, horizon: int) -> list[np.ndarray]:
-        """Per-plant (horizon, dim) state buffers filled by :meth:`save`:
+        """Per-plant (horizon, dim) state buffers filled by :meth:`replay`:
         views of one (horizon, k, d) buffer per stack."""
         self._history = [np.zeros((horizon, *x.shape[:2])) for x in self.x]
         views = {i: buffer[:, k] for idx, buffer in zip(self.index, self._history)
                  for k, i in enumerate(idx)}
         return [views[i] for i in range(len(self.models))]
 
-    def save(self, t: int) -> None:
-        """Store the current states in row ``t`` of the history buffers."""
-        for buffer, x in zip(self._history, self.x):
-            buffer[t] = x[..., 0]
+    def replay(self, received: np.ndarray, noise: list[np.ndarray], start: int) -> None:
+        """Advance every plant through the slots from ``start`` on, one per
+        row of ``received`` (slots, plants): closed-loop dynamics where the
+        packet arrived, open loop otherwise, plus that slot's row of
+        ``noise`` (:meth:`draw_noise`). Each slot's starting state goes into
+        its history row; the state after the last slot is carried in ``x``."""
+        for g, (idx, a_open, a_closed, buffer, w) in enumerate(
+            zip(self.index, self._a_open, self._a_closed, self._history, noise)
+        ):
+            a = np.where(received[:, idx, None, None], a_closed, a_open)
+            rows = buffer[start:start + len(a)]
+            x = self.x[g]
+            for k in range(len(a)):
+                rows[k] = x[..., 0]
+                x = a[k] @ x + w[k]
+            self.x[g] = x
+
+    def nonfinite(self, start: int, stop: int) -> np.ndarray:
+        """(stop - start, plants) flags of the states that :meth:`replay`
+        left non-finite after each slot from ``start`` on: the next history
+        row, or the carried state after the last slot."""
+        bad = np.empty((stop - start, len(self.models)), dtype=bool)
+        for idx, buffer, x in zip(self.index, self._history, self.x):
+            bad[:-1, idx] = ~np.isfinite(buffer[start + 1:stop]).all(axis=2)
+            bad[-1, idx] = ~np.isfinite(x[..., 0]).all(axis=1)
+        return bad
 
     def certificates(self, rows: int) -> np.ndarray:
         """Quadratic certificate values x' W x (>= 0) of the first ``rows``
@@ -142,23 +166,6 @@ class PlantBank:
             x = buffer[:rows]
             values[:, idx] = (x[:, :, None, :] @ weight @ x[..., None])[..., 0, 0]
         return values
-
-    def step(self, received: np.ndarray, noise: tuple, slot: int) -> None:
-        """Advance every plant through ``slot``: closed-loop dynamics where
-        the packet arrived, open loop otherwise, plus process noise. Raises
-        :class:`InvalidStateError` naming the slot and the first plant that
-        went non-finite."""
-        stepped = [
-            np.where(received[idx, None, None], a_closed, a_open) @ x + w
-            for idx, a_open, a_closed, x, w
-            in zip(self.index, self._a_open, self._a_closed, self.x, noise)
-        ]
-        if any(np.count_nonzero(np.isfinite(x)) != x.size for x in stepped):
-            bad = np.concatenate(
-                [idx[~np.isfinite(x).all(axis=(1, 2))] for idx, x in zip(self.index, stepped)]
-            )
-            raise InvalidStateError(f"plant {bad.min()} state went non-finite at slot {slot}")
-        self.x = stepped
 
 
 def control_performance_bound(model: PlantModel) -> float:

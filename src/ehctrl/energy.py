@@ -4,7 +4,8 @@ The battery update is b' = clamp(b - spend + harvested, 0, capacity), applied
 to every node's battery at once. Spending more than the current charge is a
 hard error, never a clamp: under a properly sized configuration the scheduler
 provably never requests it, so a violation means the sizing rule was broken
-somewhere.
+somewhere. The run raises :class:`~ehctrl.errors.EnergyCausalityError` for
+it (see :mod:`ehctrl.sim`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EnergyCausalityError
+from .errors import ConfigError
 
 HARVEST_DISTRIBUTIONS = ("bernoulli", "deterministic", "uniform")
 
@@ -75,15 +76,9 @@ def step_batteries(
     capacity: np.ndarray,
     spend: np.ndarray,
     harvested: np.ndarray,
-    slot: int,
 ) -> np.ndarray:
-    """Advance every battery through ``slot``, enforcing per-slot energy
-    causality; the first node that overspends is reported with the slot.
-    ``harvested`` must be non-negative (:func:`draw_harvest` output is)."""
-    over = spend > charge + CAUSALITY_ATOL
-    if np.count_nonzero(over):
-        node = int(over.argmax())
-        raise EnergyCausalityError(
-            node=node, spend=float(spend[node]), charge=float(charge[node]), slot=slot
-        )
+    """Advance every battery by one slot. ``harvested`` must be
+    non-negative (:func:`draw_harvest` output is); per-slot energy causality
+    (``spend`` at most the charge, within ``CAUSALITY_ATOL``) is checked on
+    the recorded rows by :func:`ehctrl.sim.run`."""
     return np.minimum(np.maximum(charge - spend + harvested, 0.0), capacity)

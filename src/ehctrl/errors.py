@@ -10,10 +10,11 @@ class InfeasibleTargetError(ValueError):
 
 
 class InvariantBreach(RuntimeError):
-    """A runtime invariant of the simulation broke; ``kind`` names which one
-    and keys the run's ``violations`` counters."""
+    """A runtime invariant of the simulation broke in ``slot``; ``kind`` names
+    which one and keys the run's ``violations`` counters."""
 
     kind: str
+    slot: int
 
 
 class EnergyCausalityError(InvariantBreach):
@@ -33,9 +34,14 @@ class EnergyCausalityError(InvariantBreach):
 
 
 class InvalidStateError(InvariantBreach):
-    """Simulation state went non-finite; the run is corrupted."""
+    """A plant state went non-finite; the run is corrupted."""
 
     kind = "nonfinite"
+
+    def __init__(self, plant: int, slot: int):
+        self.plant = plant
+        self.slot = slot
+        super().__init__(f"plant {plant} state went non-finite at slot {slot}")
 
 
 class InvariantViolation(InvariantBreach):

@@ -2,11 +2,8 @@
 
 The state of all nodes is held as arrays: multipliers phi (M,), nu (M, M)
 and beta (M,), battery charges (M,), the mailbox (M, M) and one plant state
-stack per state dimension. Every step except collision resolution is one
-array expression over all nodes, and every function the loop calls takes
-the loop's arrays and returns arrays (collision resolution returns the
-per-node received and collided flags). Every slot runs, in this fixed
-order:
+stack per state dimension. Every function the loop calls takes the loop's
+arrays and returns arrays. Every slot runs, in this fixed order:
 
   1. draw channel states and harvest arrivals
   2. every node computes its auxiliary, reception and transmit variables
@@ -19,36 +16,48 @@ order:
      fluid accounting, the transmission under integer accounting)
   7. dual subgradient updates, masked by availability
   8. multiplier exchange into the mailboxes
-  9. telemetry append (rows carry start-of-slot state)
+  9. telemetry rows (rows carry start-of-slot state)
 
 Reordering steps 2 and 7 changes results and is forbidden. Randomness comes
 from named per-node streams (channel, harvest, transmission, collision,
 availability, noise) expanded from the root seed, so disabling one source
 never shifts another.
 
-Work that does not depend on the feedback runs once per ``DRAW_CHUNK``
-slots: the channel, harvest, transmission, availability and noise streams
-are drawn for the whole chunk (which reproduces the slot-by-slot draw
-sequence exactly), process noise is factored, harvests are checked to be
-non-negative, and the h, q and e columns are written to the record as one
-slice each. Each slot then runs steps 2-8 on that chunk's rows. The
-collision stream is the only one whose draw count depends on the slot (a
-transmitter draws one uniform per transmitter, the last one its decode
-draw), so each node reads it through a :class:`~ehctrl.comm.BufferedUniforms`
-refilled ``DRAW_CHUNK`` uniforms at a time: the same values as one
-``random(n)`` call per transmitter and slot. Step 9 writes the per-slot
-rows as they are formed; the certificate V = x'Wx is computed from the
-saved states after the loop (of the completed rows on an abort). The record
-keeps these raw per-slot columns only; :func:`running_mean` derives the
-running averages for :func:`summarize` and the telemetry writers. Two runs
-with equal config and seed produce identical outputs.
+Only the dual/mailbox/battery recursion feeds back: a transmit
+probability depends on the node's channel, multipliers and (through beta)
+battery, never on a plant state or on which packets were decoded. So the
+slot loop runs the feedback core only, and the rest runs once per
+``DRAW_CHUNK`` slots:
 
-Runtime-checked invariants, any breach aborting the run with a slot-stamped
-diagnostic: per-slot energy causality, finite plant state, the multiplier
-cap nu <= nu_bar + epsilon, and the mirror identity
-beta = epsilon * (capacity - charge) under fluid energy accounting. Each
-is one test per slot over all nodes; the diagnostic naming the first
-offending node is built only when a test fails. Each breach is an
+  * before the chunk, the channel, harvest, transmission, availability and
+    noise streams are drawn for all of it (the same values as slot by
+    slot), harvests are checked to be non-negative, and the h, q and e
+    columns are recorded;
+  * per slot, the core runs steps 2, 3, 6, 7 and 8 and writes the z,
+    transmitted, battery, phi, beta and nu rows. Batteries and transmission
+    draws stay in it because integer accounting gates transmission on
+    charge, and piggyback exchanges ride on transmissions;
+  * after the chunk, its recorded rows are replayed: collisions (step 4,
+    :func:`~ehctrl.comm.resolve_chunk`), plant steps (step 5,
+    :meth:`~ehctrl.control.PlantBank.replay`, writing the state rows) and
+    the invariant checks.
+
+The certificate V = x'Wx is computed from the saved states after the loop
+(of the completed rows on an abort). The record keeps these raw per-slot
+columns only; :func:`running_mean` derives the running averages for
+:func:`summarize` and the telemetry writers. Two runs with equal config and
+seed produce identical outputs.
+
+Runtime-checked invariants: finite plant state, per-slot energy causality,
+the multiplier cap nu <= nu_bar + epsilon, and the mirror identity
+beta = epsilon * (capacity - charge) under fluid energy accounting. The
+state after slot t is record row t + 1, or the carried state after a
+chunk's last slot. The earliest breach aborts the run: the earliest slot,
+then the order of the steps that break them (non-finite state, causality,
+then the first node breaking the cap or the mirror, the cap first), and
+the record is cut after that slot as if the run had stopped there. A
+diverging plant is stepped to the end of its chunk first, so numpy may
+warn about values past the breach. Each breach is an
 :class:`~ehctrl.errors.InvariantBreach` whose ``kind`` keys the
 ``violations`` counters.
 """
@@ -65,7 +74,13 @@ from .comm import ChannelConfig
 from .control import PlantBank, PlantModel
 from .coordination import AvailabilitySchedule, DualMailbox
 from .energy import BatteryState, HarvestConfig
-from .errors import ConfigError, InvariantBreach, InvariantViolation
+from .errors import (
+    ConfigError,
+    EnergyCausalityError,
+    InvalidStateError,
+    InvariantBreach,
+    InvariantViolation,
+)
 from .scheduler import SchedulerParams
 
 logger = logging.getLogger(__name__)
@@ -259,14 +274,12 @@ def _uniforms(rngs, size: int) -> np.ndarray:
 
 
 def _draw_chunk(
-    config: SimConfig, streams, plants: PlantBank, record: TelemetryRecord, start: int
+    config: SimConfig, streams, plants: PlantBank, record: TelemetryRecord, start: int, stop: int
 ):
     """Draw every stream that does not depend on the feedback for the slots
-    from ``start`` on, at most ``DRAW_CHUNK`` of them. Records the h, q and
-    e columns and returns the per-slot rows of q, e, the transmission
-    uniforms, the availability uniforms (None outside random mode) and the
-    process noise."""
-    stop = min(start + DRAW_CHUNK, config.horizon)
+    ``start`` to ``stop``. Records the h, q and e columns and returns the
+    per-slot rows of q, e, the transmission uniforms, the availability
+    uniforms (None outside random mode) and the process noise stacks."""
     size = stop - start
     h, q = comm.draw_channels(config.channel, streams["channel"], size)
     e = np.stack(
@@ -314,7 +327,6 @@ def run(config: SimConfig) -> SimResult:
     duals = scheduler.init_duals(charge, capacity, params)
     mailbox = DualMailbox(M)
     cap = params.nu_bar + params.epsilon + DUAL_BOUND_ATOL
-    collisions = [comm.BufferedUniforms(rng, DRAW_CHUNK) for rng in streams["collision"]]
 
     record = TelemetryRecord(
         horizon=T, count=M, required_p=params.p.copy(),
@@ -327,109 +339,136 @@ def run(config: SimConfig) -> SimResult:
     _allocate(record, config)
     record.states = plants.history(T)
 
-    t = 0
-    rows = 0
     try:
-        for t in range(T):
-            # 1. environment draws, taken with every other feedback-free
-            # stream once per chunk
-            k = t % DRAW_CHUNK
-            if k == 0:
-                q_chunk, e_chunk, transmit, availability, noise = _draw_chunk(
-                    config, streams, plants, record, t
+        for start in range(0, T, DRAW_CHUNK):
+            stop = min(start + DRAW_CHUNK, T)
+            # 1. environment draws, with every other feedback-free stream
+            q_chunk, e_chunk, transmit, availability, noise = _draw_chunk(
+                config, streams, plants, record, start, stop
+            )
+            for t in range(start, stop):
+                k = t - start
+                q = q_chunk[k]
+
+                # 2. primal computation from current duals and stale copies
+                if direct:
+                    stale = duals.nu.T.copy()
+                    stale.flat[:: M + 1] = 0.0
+                else:
+                    stale = mailbox.values
+                z = scheduler.compute_z(duals, stale, q, params)
+                s_own, s_cross = scheduler.compute_s(duals, params)
+                y = scheduler.compute_y(duals, params)
+
+                # 3. transmission draws into the record row (integer
+                # accounting gates on whole units)
+                tx = np.less(transmit[k], z, out=record.transmitted[t])
+                if not fluid:
+                    tx &= charge >= 1.0
+
+                # 9. start-of-slot state (h, q and e are recorded per chunk)
+                record.battery[t] = charge
+                record.phi[t] = duals.phi
+                record.beta[t] = duals.beta
+                record.nu[t] = duals.nu
+                record.z[t] = z
+
+                # 6. battery steps (fluid: the transmit probability is the spend)
+                spend = z if fluid else tx.astype(float)
+                charge = energy.step_batteries(charge, capacity, spend, e_chunk[k])
+
+                # 7. masked dual updates
+                decision = coordination.advance_availability(
+                    config.availability, t, availability[k], tx, mailbox
                 )
-            q = q_chunk[k]
-            e = e_chunk[k]
+                grads = scheduler.dual_subgradients(
+                    z, s_own, s_cross, y, q, e_chunk[k], params
+                )
+                duals = scheduler.apply_dual_step(
+                    duals, grads, params, decision.available if masked else None
+                )
 
-            # 2. primal computation from current duals and stale copies
-            if direct:
-                stale = duals.nu.T.copy()
-                stale.flat[:: M + 1] = 0.0
-            else:
-                stale = mailbox.values
-            z = scheduler.compute_z(duals, stale, q, params)
-            s_own, s_cross = scheduler.compute_s(duals, params)
-            y = scheduler.compute_y(duals, params)
+                # 8. exchange into mailboxes (post-update values, stamped this slot)
+                coordination.exchange_duals(mailbox, decision, duals.nu, t)
 
-            # 3. transmission draws into the record row (integer accounting
-            # gates on whole units)
-            tx = np.less(transmit[k], z, out=record.transmitted[t])
-            if not fluid:
-                tx &= charge >= 1.0
-
-            # 4. collision/decoding resolution
-            received, collided = comm.resolve_slot(config.channel, tx, q, collisions)
-
-            # telemetry snapshot of start-of-slot state (h, q and e are
-            # recorded per chunk)
-            plants.save(t)
-            record.battery[t] = charge
-            record.phi[t] = duals.phi
-            record.beta[t] = duals.beta
-            record.nu[t] = duals.nu
-            record.z[t] = z
-            record.received[t] = received
-            record.collided[t] = collided
-            rows = t + 1
-
-            # 5. plant steps
-            plants.step(received, noise[k], t)
-
-            # 6. battery steps (fluid: the transmit probability is the spend)
-            spend = z if fluid else tx.astype(float)
-            new_charge = energy.step_batteries(charge, capacity, spend, e, slot=t)
-
-            # 7. masked dual updates
-            decision = coordination.advance_availability(
-                config.availability, t, availability[k], tx, mailbox
+            # 4. and 5. replayed over the chunk's rows, then the checks
+            received, collided = comm.resolve_chunk(
+                config.channel, record.transmitted[start:stop], q_chunk, streams["collision"]
             )
-            grads = scheduler.dual_subgradients(z, s_own, s_cross, y, q, e, params)
-            new_duals = scheduler.apply_dual_step(
-                duals, grads, params, decision.available if masked else None
-            )
-
-            # 8. exchange into mailboxes (post-update values, stamped this slot)
-            coordination.exchange_duals(mailbox, decision, new_duals.nu, t)
-
-            _check_invariants(new_duals, new_charge, capacity, cap, params, fluid, t)
-            charge, duals = new_charge, new_duals
+            record.received[start:stop] = received
+            record.collided[start:stop] = collided
+            plants.replay(received, noise, start)
+            _check_chunk(record, plants, start, stop, duals, charge, capacity, cap, params)
     except InvariantBreach as exc:
+        rows = exc.slot + 1
         record.lyapunov = plants.certificates(rows)
         _finalize(record, rows)
         record.violations[exc.kind] += 1
-        raise SimulationAborted(exc, record, t) from exc
+        raise SimulationAborted(exc, record, exc.slot) from exc
 
     record.lyapunov = plants.certificates(T)
     _finalize(record, T)
     return SimResult(config=config, record=record, summary=summarize(record))
 
 
-def _check_invariants(duals, charge, capacity, cap, params, fluid: bool, t: int) -> None:
-    """Multiplier cap and (fluid accounting) battery mirror on the advanced
-    state, one test each; on a breach the first offending node is reported,
-    cap before mirror."""
-    over = duals.nu > cap
-    if fluid:
-        mirror = params.epsilon * (capacity - charge)
-        drift = np.abs(duals.beta - mirror) > MIRROR_ATOL
-    if not (np.count_nonzero(over) or (fluid and np.count_nonzero(drift))):
+def _check_chunk(
+    record: TelemetryRecord, plants: PlantBank, start: int, stop: int,
+    duals, charge, capacity, cap, params,
+) -> None:
+    """Raise the earliest invariant breach of the slots ``start`` to
+    ``stop``: the earliest slot, then the step order (see the module
+    docstring). ``duals`` and ``charge`` are the state after the last slot;
+    the state after any other slot is the next record row."""
+    fluid = record.energy_accounting == "fluid"
+    rows, after = slice(start, stop), slice(start + 1, stop)
+    nonfinite = plants.nonfinite(start, stop)
+    overspent = record.spend[rows] > record.battery[rows] + energy.CAUSALITY_ATOL
+    over, dual = (np.concatenate(parts) for parts in zip(
+        _dual_breaches(record.nu[after], record.beta[after], record.battery[after],
+                       capacity, cap, params, fluid),
+        _dual_breaches(duals.nu[None], duals.beta[None], charge[None],
+                       capacity, cap, params, fluid),
+    ))
+    breached = (nonfinite | overspent | dual).any(axis=1)
+    if not breached.any():
         return
-    bad = over.any(axis=1)
-    if fluid:
-        bad |= drift
-    i = int(bad.argmax())
-    if over[i].any():
+    k = int(breached.argmax())
+    t = start + k
+    if nonfinite[k].any():
+        raise InvalidStateError(plant=int(nonfinite[k].argmax()), slot=t)
+    if overspent[k].any():
+        node = int(overspent[k].argmax())
+        raise EnergyCausalityError(
+            node=node, spend=float(record.spend[t, node]),
+            charge=float(record.battery[t, node]), slot=t,
+        )
+    nu, beta = duals.nu, duals.beta
+    if t + 1 < stop:
+        nu, beta, charge = record.nu[t + 1], record.beta[t + 1], record.battery[t + 1]
+    i = int(dual[k].argmax())
+    if over[k, i]:
         raise InvariantViolation(
-            f"multiplier bound exceeded for node {i}: nu = {duals.nu[i]}, cap = {cap[i]}",
+            f"multiplier bound exceeded for node {i}: nu = {nu[i]}, cap = {cap[i]}",
             kind="dual_bound",
             slot=t,
         )
+    mirror = params.epsilon * (capacity[i] - charge[i])
     raise InvariantViolation(
         f"battery mirror diverged for node {i}: "
-        f"beta = {float(duals.beta[i])!r}, expected {float(mirror[i])!r}",
+        f"beta = {float(beta[i])!r}, expected {float(mirror)!r}",
         kind="mirror",
         slot=t,
     )
+
+
+def _dual_breaches(nu, beta, charge, capacity, cap, params, fluid: bool):
+    """Per slot row and node of the advanced state: whether the node's nu
+    row breaks the cap, and whether it breaks the cap or (fluid accounting)
+    the mirror beta = epsilon * (capacity - charge)."""
+    over = (nu > cap).any(axis=-1)
+    if not fluid:
+        return over, over
+    return over, over | (np.abs(beta - params.epsilon * (capacity - charge)) > MIRROR_ATOL)
 
 
 def summarize(record: TelemetryRecord) -> Summary:

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ehctrl.comm import (
-    BufferedUniforms,
-    ChannelConfig,
-    DecodingCurve,
-    draw_channels,
-    resolve_slot,
-)
+from ehctrl.comm import ChannelConfig, DecodingCurve, draw_channels, resolve_chunk
 from ehctrl.errors import ConfigError
 from ehctrl.sim import per_slot_reception
 
@@ -54,6 +48,12 @@ class TestDrawChannels:
             DecodingCurve(kind="nope")
 
 
+def resolve_slot(cfg, tx, q, rngs):
+    """One slot's ``(received, collided)`` flags through :func:`resolve_chunk`."""
+    received, collided = resolve_chunk(cfg, np.array([tx]), np.array([q]), rngs)
+    return received[0], collided[0]
+
+
 class TestResolveSlot:
     def test_lone_perfect_link(self):
         received, collided = resolve_slot(
@@ -76,40 +76,36 @@ class TestResolveSlot:
 
     def test_no_interferer_no_collision(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            received, collided = resolve_slot(
-                make_config(collision_prob=1.0), np.array([True, False]),
-                np.array([0.5, 0.5]), [rng] * 2,
-            )
-            assert not collided[0]
-            assert not collided[1] and not received[1]
+        tx = np.tile([True, False], (200, 1))
+        received, collided = resolve_chunk(
+            make_config(collision_prob=1.0), tx, np.full((200, 2), 0.5), [rng] * 2,
+        )
+        assert not collided[:, 0].any()
+        assert not collided[:, 1].any() and not received[:, 1].any()
 
     def test_marginal_matches_product_form(self):
         cfg = make_config(collision_prob=0.25)
         rng = np.random.default_rng(3)
-        hits = 0
         n = 100_000
-        tx, q = np.array([True, True]), np.array([1.0, 1.0])
-        for _ in range(n):
-            hits += int(resolve_slot(cfg, tx, q, [rng] * 2)[0][0])
+        tx, q = np.ones((n, 2), dtype=bool), np.ones((n, 2))
+        hits = int(resolve_chunk(cfg, tx, q, [rng] * 2)[0][:, 0].sum())
         assert hits / n == pytest.approx(0.75, abs=0.01)
 
     def test_outcome_invariant(self):
         rng = np.random.default_rng(9)
         cfg = make_config(collision_prob=0.4)
-        for _ in range(500):
-            tx = rng.random(3) < 0.5
-            q = rng.random(3)
-            received, collided = resolve_slot(cfg, tx, q, [rng] * 3)
-            assert not (received & ~(tx & ~collided)).any()
-            for i in range(3):
-                if not tx[i] or tx.sum() == 1:
-                    assert not collided[i]
+        tx = rng.random((500, 3)) < 0.5
+        q = rng.random((500, 3))
+        received, collided = resolve_chunk(cfg, tx, q, [rng] * 3)
+        assert not (received & ~(tx & ~collided)).any()
+        lone = tx.sum(axis=1, keepdims=True) == 1
+        assert not (collided & (~tx | lone)).any()
 
 
 class TestBufferedCollisionStream:
-    """Buffered collision streams give the outcomes of per-sender
-    ``rng.random(len(senders))`` calls on generators with the same seeds."""
+    """Collision streams drawn once per chunk give the outcomes of
+    per-sender ``rng.random(len(senders))`` calls per slot on generators
+    with the same seeds."""
 
     @staticmethod
     def reference_slot(cfg, tx, q, rngs):
@@ -122,37 +118,39 @@ class TestBufferedCollisionStream:
             decoded[i] = draws[-1] < q[i]
         return collided, decoded
 
-    @pytest.mark.parametrize("chunk", [3, 16, 256])
-    def test_matches_per_sender_draws(self, chunk):
+    def check_chunks(self, tx, q, chunk, seed=21):
+        """Resolve ``tx`` ``chunk`` slots at a time against the oracle."""
         cfg = make_config(collision_prob=0.4)
-        count = 4
-        buffered = [BufferedUniforms(np.random.default_rng((21, i)), chunk) for i in range(count)]
-        reference = [np.random.default_rng((21, i)) for i in range(count)]
+        count = tx.shape[1]
+        chunked = [np.random.default_rng((seed, i)) for i in range(count)]
+        reference = [np.random.default_rng((seed, i)) for i in range(count)]
+        for start in range(0, len(tx), chunk):
+            rows = slice(start, start + chunk)
+            received, collided = resolve_chunk(cfg, tx[rows], q[rows], chunked)
+            for t in range(*rows.indices(len(tx))):
+                expected_collided, decoded = self.reference_slot(cfg, tx[t], q[t], reference)
+                assert np.array_equal(collided[t - start], expected_collided)
+                assert np.array_equal(
+                    received[t - start], tx[t] & ~expected_collided & decoded
+                )
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16, 256])
+    def test_matches_per_sender_draws(self, chunk):
         flags = np.random.default_rng(22)
-        # Uniforms each buffer holds and has handed out, to count the reads
-        # that straddle a refill (part old buffer, part fresh draws).
-        held, used = [0] * count, [0] * count
-        straddles = 0
-        for _ in range(1500):
-            tx = flags.random(count) < 0.6
-            q = flags.random(count)
-            n = int(tx.sum())
-            for i in np.flatnonzero(tx):
-                left = held[i] - used[i]
-                if left < n:
-                    straddles += left > 0
-                    held[i] += max(n, chunk)
-                used[i] += n
-            received, collided = resolve_slot(cfg, tx, q, buffered)
-            expected_collided, decoded = self.reference_slot(cfg, tx, q, reference)
-            assert np.array_equal(collided, expected_collided)
-            assert np.array_equal(received, tx & ~expected_collided & decoded)
-        assert straddles >= 5
+        tx = flags.random((1500, 4)) < 0.6
+        q = flags.random((1500, 4))
+        senders = set(tx.sum(axis=1).tolist())
+        assert {0, 1, 4} <= senders  # silent, lone and all-sender slots
+        self.check_chunks(tx, q, chunk)
 
     def test_reads_longer_than_a_chunk(self):
-        stream = BufferedUniforms(np.random.default_rng(3), 2)
-        draws = np.concatenate([stream.random(n) for n in (1, 5, 2, 7, 1)])
-        assert np.array_equal(draws, np.random.default_rng(3).random(16))
+        # Node 0 sends in all 5 slots, next to 0, 4, 1, 6 and 0 others: one
+        # read of 16 uniforms covers its chunk.
+        tx = np.zeros((5, 8), dtype=bool)
+        for t, others in enumerate((0, 4, 1, 6, 0)):
+            tx[t, : others + 1] = True
+        q = np.random.default_rng(23).random((5, 8))
+        self.check_chunks(tx, q, chunk=5, seed=3)
 
 
 def reception_probability(z, q, collision_prob: float) -> float:
@@ -196,8 +194,6 @@ class TestReceptionProbability:
         z = np.array([0.6, 0.4])
         q = np.array([0.8, 0.7])
         expected = reception_probability(z, q, 0.3)
-        hits = 0
-        for _ in range(n):
-            tx = rng.random(2) < z
-            hits += int(resolve_slot(cfg, tx, q, [rng] * 2)[0][0])
+        tx = rng.random((n, 2)) < z
+        hits = int(resolve_chunk(cfg, tx, np.tile(q, (n, 1)), [rng] * 2)[0][:, 0].sum())
         assert abs(hits / n - expected) <= 4 / np.sqrt(n)

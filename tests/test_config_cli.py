@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +192,12 @@ class TestRequiredProbCommand:
         assert main(["required-prob", "--plant-file", str(plant_file)]) == 2
         assert "unknown config key plant-file.decrease_rat" in capsys.readouterr().err
 
+    def test_plant_file_syntax_error(self, tmp_path, capsys):
+        plant_file = tmp_path / "plant.yaml"
+        plant_file.write_text("a_open: [1\n")
+        assert main(["required-prob", "--plant-file", str(plant_file)]) == 2
+        assert f"cannot parse plant-file {plant_file}" in capsys.readouterr().err
+
     def test_plant_file_missing_key(self, tmp_path, capsys):
         plant_file = tmp_path / "plant.yaml"
         plant_file.write_text("a_closed: 0.1\ndecrease_rate: 0.8\n")
@@ -281,6 +290,23 @@ class TestSweepCommand:
                      "--config", str(cfg), "--horizon", "150", "--out", str(out)]) == 0
         assert len((out / "sweep.csv").read_text().splitlines()) == 3
 
+    def test_unconvertible_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed: abc\n")
+        assert main(["sweep", "--param", "harvest_mean", "--values", "0.3",
+                     "--config", str(cfg), "--horizon", "10", "--out", str(tmp_path)]) == 2
+        assert "seed must be an integer, got 'abc'" in capsys.readouterr().err
+
     def test_bad_values_rejected(self, tmp_path):
         assert main(["sweep", "--param", "harvest_mean", "--values", "a,b",
                      "--out", str(tmp_path)]) == 2
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    """``--jobs 1`` and every other command run without the process-pool
+    machinery, so importing the CLI must not load it."""
+    probe = "import sys, ehctrl.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"

@@ -11,7 +11,7 @@ from ehctrl.control import (
     control_performance_bound,
     required_reception_probability,
 )
-from ehctrl.errors import ConfigError, InfeasibleTargetError, InvalidStateError
+from ehctrl.errors import ConfigError, InfeasibleTargetError
 
 
 class FixedNormal:
@@ -24,19 +24,21 @@ class FixedNormal:
         return self.normal.reshape(size)
 
 
-def step_one(model, x, received, normal):
-    """Step a single plant from state ``x`` with the given standard normal draw."""
+def one_slot(model, x, received, normal) -> PlantBank:
+    """A bank of a single plant stepped through one slot from state ``x``
+    with the given standard normal draw."""
     bank = PlantBank([model], [np.asarray(x, dtype=float)])
-    (noise,) = bank.draw_noise([FixedNormal(normal)], 1)
-    bank.step(np.array([received]), noise, slot=0)
-    return bank.x[0][0, :, 0]
+    bank.history(1)
+    bank.replay(np.array([[received]]), bank.draw_noise([FixedNormal(normal)], 1), 0)
+    return bank
+
+
+def step_one(model, x, received, normal):
+    return one_slot(model, x, received, normal).x[0][0, :, 0]
 
 
 def certificate(model, x):
-    bank = PlantBank([model], [np.asarray(x, dtype=float)])
-    bank.history(1)
-    bank.save(0)
-    return bank.certificates(1)[0, 0]
+    return one_slot(model, x, False, np.zeros(model.dim)).certificates(1)[0, 0]
 
 
 def scalar_plant(a_open, a_closed, rho=0.8, weight=1.0, cov=1.0) -> PlantModel:
@@ -67,10 +69,11 @@ class TestStepPlant:
         assert x == pytest.approx([0.6, -0.4])
 
     def test_nonfinite_state_rejected(self):
-        with pytest.raises(InvalidStateError):
-            step_one(scalar_plant(1.1, 0.15), [math.nan], True, [0.0])
-        with pytest.raises(InvalidStateError):
-            step_one(scalar_plant(1.1, 0.15), [1.0], True, [math.inf])
+        # flagged for the run to abort on
+        plant = scalar_plant(1.1, 0.15)
+        for x, normal, bad in (([math.nan], [0.0], True), ([1.0], [math.inf], True),
+                               ([1.0], [0.0], False)):
+            assert one_slot(plant, x, True, normal).nonfinite(0, 1).tolist() == [[bad]]
 
 
 class TestLyapunovValue:

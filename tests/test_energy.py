@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ehctrl.scheduler
+from ehctrl.config import build_config, read_raw
 from ehctrl.energy import BatteryState, HarvestConfig, draw_harvest, step_batteries
 from ehctrl.errors import ConfigError, EnergyCausalityError
+from ehctrl.sim import SimulationAborted, run
 
 
 class TestHarvest:
@@ -37,7 +42,7 @@ def step_battery(state, spend, harvested):
     """One battery through the all-node battery step."""
     charge = step_batteries(
         np.array([state.charge]), np.array([state.capacity]),
-        np.array([float(spend)]), np.array([float(harvested)]), slot=0,
+        np.array([float(spend)]), np.array([float(harvested)]),
     )
     return BatteryState(charge=float(charge[0]), capacity=state.capacity)
 
@@ -55,12 +60,26 @@ class TestStepBattery:
         state = step_battery(BatteryState(19.8, 20.0), 0.0, 1.0)
         assert state.charge == 20.0
 
-    def test_causality_violation_raises(self):
-        with pytest.raises(EnergyCausalityError) as err:
-            # node 0 stays causal; node 1 overspends
-            step_batteries(np.array([5.0, 0.2]), np.full(2, 20.0), np.array([0.5, 0.5]),
-                           np.ones(2), slot=7)
-        assert err.value.slot == 7 and err.value.node == 1
+    def test_causality_violation_raises(self, monkeypatch):
+        # The run checks causality on the recorded rows: in slot 7 both nodes
+        # spend 0.5; node 0 stays causal, node 1 overspends.
+        true_z = ehctrl.scheduler.compute_z
+        calls = itertools.count()
+
+        def compute_z(*args):
+            z = true_z(*args)
+            return np.array([0.5, 0.5]) if next(calls) == 7 else z
+
+        monkeypatch.setattr(ehctrl.scheduler, "compute_z", compute_z)
+        raw = read_raw(None)
+        raw["harvest"] = {"mean": 1e-12, "distribution": "deterministic"}
+        raw["battery"] = [{"capacity": 20.0, "initial": 5.0}, {"capacity": 20.0, "initial": 0.2}]
+        with pytest.raises(SimulationAborted) as err:
+            run(build_config(raw, seed=1, horizon=20))
+        cause = err.value.cause
+        assert isinstance(cause, EnergyCausalityError)
+        assert cause.slot == 7 and cause.node == 1
+        assert cause.spend == 0.5 and cause.charge == pytest.approx(0.2)
 
     def test_charge_range_enforced(self):
         with pytest.raises(ConfigError):

@@ -13,6 +13,7 @@ current tree with
 
 import dataclasses
 import hashlib
+import itertools
 import sys
 import tempfile
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ehctrl.scheduler
 from ehctrl import telemetry
 from ehctrl.cli import main
 from ehctrl.config import build_config, read_raw
@@ -104,6 +106,34 @@ MIXED_DIMS_SLOTS = "4e9566c7b4f9b50289e4c7b54ab53b9a49e84d813ed78cc633519f6af675
 SWEEP_CSV = "296760cc2d621e94cf199049531ec324be5923f86e226252b298539eeb5fa08c"
 
 ABORTED_SLOTS = "36bf7e491de6eba749b27cf3326d607293bdc6fd4e30f8bc798661da20b041f6 aborted InvalidStateError@648"
+
+# Aborts of every breach kind at the last slot of the first draw chunk (255)
+# and the first slot of the second (256), then chunks that breach two ways.
+ABORT_SLOTS = (255, 256)
+ABORT_CASES = (
+    *(f"{kind}@{slot}" for kind in ("nonfinite", "causality", "dual_bound", "mirror")
+      for slot in ABORT_SLOTS),
+    "dual_bound@290+nonfinite@300",
+    "nonfinite@300+causality@300",
+    "nonfinite@300+dual_bound@300",
+    "dual_bound@300+mirror@300",
+)
+ABORTS = {
+    "nonfinite@255": "b810a8d2915fd8f5b22d8ce2c169155bc3185010f94d9710feeb5841aa8310fd InvalidStateError/nonfinite@255 rows=256 msg=e5ccb1847cbf973d nonfinite=1",
+    "nonfinite@256": "bb0222b6c678fbe294d0ac2d662245b4edd82053a78b8aedfa5fed0b5bea4840 InvalidStateError/nonfinite@256 rows=257 msg=3ccbf727b395efc5 nonfinite=1",
+    "causality@255": "b023eafc5654fc698d825f0e9c92937c7b059bdf11b6734c57bc879bc59b3f64 EnergyCausalityError/causality@255 rows=256 msg=e6206ff79337981b causality=1",
+    "causality@256": "004d0395301f453ceba191065146a0f5acdb0066a7d3cec8719eef58d17431be EnergyCausalityError/causality@256 rows=257 msg=79e67bb04330c3a7 causality=1",
+    "dual_bound@255": "e29c56f92fe5b39efe33ec30d99067b3e54c453a7a08488376a6a29691845fa0 InvariantViolation/dual_bound@255 rows=256 msg=18c8757840424728 dual_bound=1",
+    "dual_bound@256": "a0c8a52f3bb998de27c510a083c8962841131c05d15d385830402f9057d545be InvariantViolation/dual_bound@256 rows=257 msg=fccefa652fee6fd9 dual_bound=1",
+    "mirror@255": "e29c56f92fe5b39efe33ec30d99067b3e54c453a7a08488376a6a29691845fa0 InvariantViolation/mirror@255 rows=256 msg=d23e7e4c3f7ce118 mirror=1",
+    "mirror@256": "a0c8a52f3bb998de27c510a083c8962841131c05d15d385830402f9057d545be InvariantViolation/mirror@256 rows=257 msg=ab3012258206d0f5 mirror=1",
+    "dual_bound@290+nonfinite@300": "384757535c8cede79a22ee340a2d4a53592cc469903095767e321c9a27dc4155 InvariantViolation/dual_bound@290 rows=291 msg=16fbf0250c57fdff dual_bound=1",
+    "nonfinite@300+causality@300": "34079a1ccedc3d56a43687c4d478f3f13443926110c0a958fe64100b4a447f41 InvalidStateError/nonfinite@300 rows=301 msg=0156e0cd7653f154 nonfinite=1",
+    "nonfinite@300+dual_bound@300": "cb083e58ac32a106083dec4e6d82fae52b35b5f728eea87b04ad8aec80f855db InvalidStateError/nonfinite@300 rows=301 msg=0156e0cd7653f154 nonfinite=1",
+    "dual_bound@300+mirror@300": "36708e52edc99d6844fdb1580a0b81868d219f23cef8765de7afc1a6cd591334 InvariantViolation/mirror@300 rows=301 msg=b8c2c7d6575550df mirror=1",
+}
+
+INTEGER_PIGGYBACK_SLOTS = "3c324f9bdac3e5d01f9f028b535c50adf6bf104004dc09915e78939bf182c0f4"
 
 
 def _sha256(path: Path) -> str:
@@ -205,6 +235,103 @@ def diverging_config():
     return build_config(raw, seed=1, horizon=3000)
 
 
+def overflow_config(slot: int):
+    """A starved, noiseless plant that doubles every slot, received or not,
+    from 2**(1023 - slot): its state is exact until the step of ``slot``
+    overflows it."""
+    raw = read_raw(None)
+    raw["plants"] = [{"a_open": 2.0, "a_closed": 2.0, "noise_cov": 0.0}]
+    raw["required_reception"] = [0.5]
+    raw["harvest"] = {"mean": 1e-12, "distribution": "deterministic"}
+    raw["battery"] = {"capacity": 20.0, "initial": 0.0}
+    raw["initial_state"] = 2.0 ** (1023 - slot)
+    return build_config(raw, seed=1, horizon=slot + 300)
+
+
+def _at_call(name: str, slot: int, edit):
+    """Wrapper of the current ``ehctrl.scheduler.<name>``, called once per
+    slot, that passes its result in ``slot`` through ``edit``."""
+    inner = getattr(ehctrl.scheduler, name)
+    calls = itertools.count()
+
+    def wrapper(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        return edit(result, *args) if next(calls) == slot else result
+
+    return wrapper
+
+
+def _overspend(z, *args):
+    return np.full(z.shape, 50.0)
+
+
+def _over_cap(duals, old, grads, params, *args):
+    node = duals.nu.shape[0] - 1
+    duals.nu[node, 0] = params.nu_bar[node, 0] + params.epsilon + 1.0
+    return duals
+
+
+def _off_mirror(duals, *args):
+    duals.beta[0] += 0.5
+    return duals
+
+
+_BREACHES = {
+    "causality": ("compute_z", _overspend),
+    "dual_bound": ("apply_dual_step", _over_cap),
+    "mirror": ("apply_dual_step", _off_mirror),
+}
+
+
+def abort_case(case: str):
+    """Config and scheduler edits ``(name, edit, slot)`` of ``case``, breaches
+    ``kind@slot`` joined by ``+``: ``nonfinite`` overflows the plant of
+    :func:`overflow_config`, the other kinds edit the default config's
+    scheduler in that slot."""
+    breaches = {kind: int(slot) for kind, slot in
+                (part.split("@") for part in case.split("+"))}
+    if "nonfinite" in breaches:
+        config = overflow_config(breaches["nonfinite"])
+    else:
+        config = build_config(read_raw(None), seed=1, horizon=max(breaches.values()) + 300)
+    return config, [(*_BREACHES[kind], slot) for kind, slot in breaches.items()
+                    if kind != "nonfinite"]
+
+
+def abort_digest(case: str, workdir: Path) -> str:
+    """Digest of the partial ``slots.csv`` of a run that must abort, tagged
+    with the cause's type, kind and slot, a digest of its message and the
+    nonzero violation counters."""
+    config, edits = abort_case(case)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, edit, slot in edits:  # edits of one function nest
+            mp.setattr(ehctrl.scheduler, name, _at_call(name, slot, edit))
+        try:
+            run(config)
+        except SimulationAborted as exc:
+            aborted = exc
+        else:
+            raise AssertionError(f"{case} did not abort")
+    cause = aborted.cause
+    path = workdir / "slots.csv"
+    telemetry.write_slots_csv(aborted.record, path)
+    message = hashlib.sha256(str(aborted).encode()).hexdigest()[:16]
+    counts = ",".join(f"{k}={v}" for k, v in sorted(aborted.record.violations.items()) if v)
+    return (f"{_sha256(path)} {type(cause).__name__}/{cause.kind}@{aborted.slot}"
+            f" rows={aborted.record.horizon} msg={message} {counts}")
+
+
+def integer_piggyback_config():
+    """Integer accounting under piggyback: exchanges ride on transmissions
+    that the battery gates on whole units."""
+    raw = read_raw(None)
+    raw["energy_accounting"] = "integer"
+    raw["availability"] = {"mode": "piggyback", "prob": 1.0, "staleness_bound": 5}
+    raw["harvest"] = {"mean": 0.25, "distribution": "uniform"}
+    raw["battery"] = {"capacity": 20.0, "initial": 0.0}
+    return build_config(raw, seed=3, horizon=DEFAULT_HORIZON)
+
+
 def slots_digest(config, workdir: Path) -> str:
     """Digest of ``slots.csv``; an aborted run is digested from its partial
     telemetry and tagged with the cause and slot."""
@@ -246,6 +373,16 @@ def test_aborted_run_slots(tmp_path):
     assert slots_digest(diverging_config(), tmp_path) == ABORTED_SLOTS
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("case", ABORT_CASES)
+def test_abort_slots(case, tmp_path):
+    assert abort_digest(case, tmp_path) == ABORTS[case]
+
+
+def test_integer_piggyback_slots(tmp_path):
+    assert slots_digest(integer_piggyback_config(), tmp_path) == INTEGER_PIGGYBACK_SLOTS
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -255,3 +392,6 @@ if __name__ == "__main__":
         print("MANY_NODES_SLOTS =", repr(slots_digest(many_nodes_config(), work)))
         print("MIXED_DIMS_SLOTS =", repr(slots_digest(mixed_dims_config(), work)))
         print("ABORTED_SLOTS =", repr(slots_digest(diverging_config(), work)))
+        print("ABORTS =", {case: abort_digest(case, work) for case in ABORT_CASES})
+        print("INTEGER_PIGGYBACK_SLOTS =",
+              repr(slots_digest(integer_piggyback_config(), work)))

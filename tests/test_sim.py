@@ -239,8 +239,8 @@ class TestAborts:
     def test_mirror_divergence_aborts(self, monkeypatch):
         true_step = ehctrl.energy.step_batteries
 
-        def leaky_step(charge, capacity, spend, harvested, slot):
-            return true_step(charge, capacity, spend, np.minimum(harvested + 0.05, 1.0), slot=slot)
+        def leaky_step(charge, capacity, spend, harvested):
+            return true_step(charge, capacity, spend, np.minimum(harvested + 0.05, 1.0))
 
         monkeypatch.setattr(ehctrl.energy, "step_batteries", leaky_step)
         with pytest.raises(SimulationAborted) as err:
