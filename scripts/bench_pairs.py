@@ -20,9 +20,11 @@ The ``m-scaling`` pseudo-workload (``--workload m-scaling``, also run by
 default) times ``sim.run`` alone in a fresh process per run: µs per slot
 over ``M_SCALING_SLOTS`` slots at each node count in ``M_SCALING_NODES``,
 always-on at M = 2 and random availability (p = 0.5, B = 10) above, scalar
-plants and collision probability 0.01. It runs paired like the workloads,
-alternating sides per pair and node count, and checks that both sides
-produce the same record digest.
+plants and collision probability 0.01. Each probe then runs ``sim.run``
+once more, untimed, under ``tracemalloc`` and reports that run's peak
+traced memory, so the µs per slot are taken without tracing. It runs
+paired like the workloads, alternating sides per pair and node count, and
+checks that both sides produce the same record digest.
 
 Results go to ``BENCH_<pr>.json`` (or ``--out``) under the key
 ``<workload>@seed<seed>``; entries already in the file for other keys are
@@ -51,9 +53,10 @@ M_SCALING = "m-scaling"
 M_SCALING_NODES = (2, 8, 32, 128)
 M_SCALING_SLOTS = 1000
 # Run with the tree's src on sys.path: argv is nodes, slots, seed; prints
-# the µs per slot of sim.run and a digest of the run's record.
+# the µs per slot of sim.run, a digest of the run's record and the
+# tracemalloc peak of a second, untimed run.
 M_SCALING_PROBE = """
-import hashlib, json, sys, time
+import hashlib, json, sys, time, tracemalloc
 from ehctrl.config import build_config, read_raw
 from ehctrl.sim import run
 nodes, slots, seed = map(int, sys.argv[1:])
@@ -72,7 +75,13 @@ digest = hashlib.sha256()
 for column in (*record.states, record.z, record.received, record.collided,
                record.battery, record.phi, record.beta, record.nu):
     digest.update(column.tobytes())
-print(json.dumps({"us_per_slot": elapsed / slots * 1e6, "digest": digest.hexdigest()}))
+del record
+tracemalloc.start()
+run(config)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"us_per_slot": elapsed / slots * 1e6, "digest": digest.hexdigest(),
+                  "tracemalloc_peak_mb": peak / 1e6}))
 """
 
 
@@ -163,7 +172,8 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
 
 
 def m_scaling(sides: dict, pairs: int, seed: int) -> dict:
-    """Paired µs-per-slot rows at every node count in ``M_SCALING_NODES``."""
+    """Paired µs-per-slot and tracemalloc-peak rows at every node count in
+    ``M_SCALING_NODES``."""
     runs = {(nodes, side): [] for nodes in M_SCALING_NODES for side in sides}
     for k, nodes in itertools.product(range(pairs), M_SCALING_NODES):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
@@ -179,8 +189,8 @@ def m_scaling(sides: dict, pairs: int, seed: int) -> dict:
             "nodes": nodes,
             "availability": "always-on" if nodes == 2 else "random p=0.5 B=10",
             "same_digest": len({r["digest"] for r in base + change}) == 1,
-            "us_per_slot": paired([r["us_per_slot"] for r in base],
-                                  [r["us_per_slot"] for r in change], "us", "lower"),
+            **{name: paired([r[name] for r in base], [r[name] for r in change], unit, "lower")
+               for name, unit in (("us_per_slot", "us"), ("tracemalloc_peak_mb", "MB"))},
         })
     return {
         "workload": M_SCALING,

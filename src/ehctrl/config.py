@@ -100,13 +100,15 @@ _KIND_NAMES = {float: "a number", int: "an integer", _floats: "numbers"}
 def _convert(value, key: str, kind=float):
     """``value`` as ``kind`` (float, int or :func:`_floats`), or a
     :class:`ConfigError` naming ``key``. An integer must be integral: 5.0
-    converts, 2.7 does not."""
+    converts, 2.7 does not; numbers must be finite."""
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
     if kind is int and not isinstance(value, str) and converted != value:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if kind is not int and not np.isfinite(converted).all():
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return converted
 
 

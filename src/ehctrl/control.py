@@ -89,12 +89,12 @@ class PlantModel:
 
 
 class PlantBank:
-    """The plants of one run and their states, stacked per state dimension d
-    (scalar plants are d = 1): ``index[g]`` lists the k plants of stack g and
-    ``x[g]`` is their (k, d, 1) state stack. Nothing a node decides reads a
-    plant state, so plants advance a block of slots at a time
-    (:meth:`replay`) once the block's receptions are known; a slot is the
-    stacked matmul ``where(received, A_c, A_o) @ x + noise``. Stacks are
+    """The plants of one run, stacked per state dimension d (scalar plants
+    are d = 1): ``index[g]`` lists the k plants of stack g, whose states are
+    the rows of one (T + 1, k, d) buffer (:meth:`history`). Nothing a node
+    decides reads a plant state, so plants advance a block of slots at a
+    time (:meth:`replay`) once the block's receptions are known; a slot is
+    the stacked matmul ``where(received, A_c, A_o) @ x + noise``. Stacks are
     never padded to a common d: a padded matmul runs another kernel and
     changes the last bits."""
 
@@ -110,7 +110,7 @@ class PlantBank:
         self._a_closed = stack([m.a_closed for m in self.models])
         self._weight = stack([m.lyapunov_weight for m in self.models])
         self._factor = stack([m.noise_factor for m in self.models])
-        self.x = [x[:, :, None] for x in stack(states)]
+        self._initial = stack(states)
         self._history: list[np.ndarray] = []
 
     def draw_noise(self, rngs: Sequence[np.random.Generator], size: int) -> list[np.ndarray]:
@@ -118,44 +118,44 @@ class PlantBank:
         from each plant's own stream, one (size, k, d, 1) array per stack."""
         return [
             factor @ np.stack(
-                [rngs[i].standard_normal((size, x.shape[1])) for i in idx], axis=1
+                [rngs[i].standard_normal((size, factor.shape[1])) for i in idx], axis=1
             )[..., None]
-            for idx, factor, x in zip(self.index, self._factor, self.x)
+            for idx, factor in zip(self.index, self._factor)
         ]
 
     def history(self, horizon: int) -> list[np.ndarray]:
-        """Per-plant (horizon, dim) state buffers filled by :meth:`replay`:
-        views of one (horizon, k, d) buffer per stack."""
-        self._history = [np.zeros((horizon, *x.shape[:2])) for x in self.x]
+        """Per-plant (horizon + 1, dim) state buffers, views of one
+        (horizon + 1, k, d) buffer per stack: row 0 the initial state, row
+        t + 1 the state after slot t (:meth:`replay`)."""
+        self._history = [np.zeros((horizon + 1, *x.shape)) for x in self._initial]
+        for buffer, x in zip(self._history, self._initial):
+            buffer[0] = x
         views = {i: buffer[:, k] for idx, buffer in zip(self.index, self._history)
                  for k, i in enumerate(idx)}
         return [views[i] for i in range(len(self.models))]
 
     def replay(self, received: np.ndarray, noise: list[np.ndarray], start: int) -> None:
-        """Advance every plant through the slots from ``start`` on, one per
-        row of ``received`` (slots, plants): closed-loop dynamics where the
-        packet arrived, open loop otherwise, plus that slot's row of
-        ``noise`` (:meth:`draw_noise`). Each slot's starting state goes into
-        its history row; the state after the last slot is carried in ``x``."""
-        for g, (idx, a_open, a_closed, buffer, w) in enumerate(
-            zip(self.index, self._a_open, self._a_closed, self._history, noise)
+        """Advance every plant from its history row ``start`` through one
+        slot per row of ``received`` (slots, plants): closed-loop dynamics
+        where the packet arrived, open loop otherwise, plus that slot's row
+        of ``noise`` (:meth:`draw_noise`). The state after slot t goes into
+        history row t + 1."""
+        for idx, a_open, a_closed, buffer, w in zip(
+            self.index, self._a_open, self._a_closed, self._history, noise
         ):
             a = np.where(received[:, idx, None, None], a_closed, a_open)
-            rows = buffer[start:start + len(a)]
-            x = self.x[g]
+            x = buffer[start][..., None]
             for k in range(len(a)):
-                rows[k] = x[..., 0]
                 x = a[k] @ x + w[k]
-            self.x[g] = x
+                buffer[start + 1 + k] = x[..., 0]
 
     def nonfinite(self, start: int, stop: int) -> np.ndarray:
         """(stop - start, plants) flags of the states that :meth:`replay`
-        left non-finite after each slot from ``start`` on: the next history
-        row, or the carried state after the last slot."""
+        left non-finite after each slot from ``start`` on: history rows
+        ``start + 1`` to ``stop``."""
         bad = np.empty((stop - start, len(self.models)), dtype=bool)
-        for idx, buffer, x in zip(self.index, self._history, self.x):
-            bad[:-1, idx] = ~np.isfinite(buffer[start + 1:stop]).all(axis=2)
-            bad[-1, idx] = ~np.isfinite(x[..., 0]).all(axis=1)
+        for idx, buffer in zip(self.index, self._history):
+            bad[:, idx] = ~np.isfinite(buffer[start + 1:stop + 1]).all(axis=2)
         return bad
 
     def certificates(self, rows: int) -> np.ndarray:

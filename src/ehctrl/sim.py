@@ -16,7 +16,7 @@ arrays and returns arrays. Every slot runs, in this fixed order:
      fluid accounting, the transmission under integer accounting)
   7. dual subgradient updates, masked by availability
   8. multiplier exchange into the mailboxes
-  9. telemetry rows (rows carry start-of-slot state)
+  9. telemetry rows: the state after the slot goes into row t + 1
 
 Reordering steps 2 and 7 changes results and is forbidden. Randomness comes
 from named per-node streams (channel, harvest, transmission, collision,
@@ -42,17 +42,19 @@ slot loop runs the feedback core only, and the rest runs once per
     :meth:`~ehctrl.control.PlantBank.replay`, writing the state rows) and
     the invariant checks.
 
-The certificate V = x'Wx is computed from the saved states after the loop
-(of the completed rows on an abort). The record keeps these raw per-slot
-columns only; :func:`running_mean` derives the running averages for
-:func:`summarize` and the telemetry writers. Two runs with equal config and
-seed produce identical outputs.
+The record keeps raw per-slot columns only. Its state columns (plant
+states, battery, phi, beta, nu) hold T + 1 rows while the run lasts, row
+t + 1 the state after slot t; at the end every column is trimmed to the
+completed slots. The certificate V = x'Wx is computed from the saved states
+after the loop (of the completed rows on an abort); :func:`running_mean`
+derives the running averages for :func:`summarize` and the telemetry
+writers. Two runs with equal config and seed produce identical outputs.
 
-Runtime-checked invariants: finite plant state, per-slot energy causality,
-the multiplier cap nu <= nu_bar + epsilon, and the mirror identity
-beta = epsilon * (capacity - charge) under fluid energy accounting. The
-state after slot t is record row t + 1, or the carried state after a
-chunk's last slot. The earliest breach aborts the run: the earliest slot,
+Runtime-checked invariants, on the state after slot t (record row t + 1):
+finite plant state, the multiplier cap nu <= nu_bar + epsilon and the
+mirror identity beta = epsilon * (capacity - charge) under fluid energy
+accounting; and per-slot energy causality, the spend of slot t against the
+charge of row t. The earliest breach aborts the run: the earliest slot,
 then the order of the steps that break them (non-finite state, causality,
 then the first node breaking the cap or the mirror, the cap first), and
 the record is cut after that slot as if the run had stopped there. A
@@ -230,11 +232,13 @@ def make_streams(seed: int, count: int) -> dict[str, list[np.random.Generator]]:
 
 def _allocate(record: TelemetryRecord, config: SimConfig) -> None:
     T, M = config.horizon, config.count
-    for name in ("z", "h", "q", "battery", "harvested", "phi", "beta"):
+    for name in ("z", "h", "q", "harvested"):
         setattr(record, name, np.zeros((T, M)))
+    for name in ("battery", "phi", "beta"):
+        setattr(record, name, np.zeros((T + 1, M)))
     for name in ("transmitted", "received", "collided"):
         setattr(record, name, np.zeros((T, M), dtype=bool))
-    record.nu = np.zeros((T, M, M))
+    record.nu = np.zeros((T + 1, M, M))
 
 
 def _finalize(record: TelemetryRecord, upto: int) -> None:
@@ -338,6 +342,10 @@ def run(config: SimConfig) -> SimResult:
     }
     _allocate(record, config)
     record.states = plants.history(T)
+    record.battery[0] = charge
+    record.phi[0] = duals.phi
+    record.beta[0] = duals.beta
+    record.nu[0] = duals.nu
 
     try:
         for start in range(0, T, DRAW_CHUNK):
@@ -366,11 +374,6 @@ def run(config: SimConfig) -> SimResult:
                 if not fluid:
                     tx &= charge >= 1.0
 
-                # 9. start-of-slot state (h, q and e are recorded per chunk)
-                record.battery[t] = charge
-                record.phi[t] = duals.phi
-                record.beta[t] = duals.beta
-                record.nu[t] = duals.nu
                 record.z[t] = z
 
                 # 6. battery steps (fluid: the transmit probability is the spend)
@@ -391,6 +394,12 @@ def run(config: SimConfig) -> SimResult:
                 # 8. exchange into mailboxes (post-update values, stamped this slot)
                 coordination.exchange_duals(mailbox, decision, duals.nu, t)
 
+                # 9. the state after the slot (h, q and e are recorded per chunk)
+                record.battery[t + 1] = charge
+                record.phi[t + 1] = duals.phi
+                record.beta[t + 1] = duals.beta
+                record.nu[t + 1] = duals.nu
+
             # 4. and 5. replayed over the chunk's rows, then the checks
             received, collided = comm.resolve_chunk(
                 config.channel, record.transmitted[start:stop], q_chunk, streams["collision"]
@@ -398,7 +407,7 @@ def run(config: SimConfig) -> SimResult:
             record.received[start:stop] = received
             record.collided[start:stop] = collided
             plants.replay(received, noise, start)
-            _check_chunk(record, plants, start, stop, duals, charge, capacity, cap, params)
+            _check_chunk(record, plants, start, stop, capacity, cap, params)
     except InvariantBreach as exc:
         rows = exc.slot + 1
         record.lyapunov = plants.certificates(rows)
@@ -411,24 +420,18 @@ def run(config: SimConfig) -> SimResult:
     return SimResult(config=config, record=record, summary=summarize(record))
 
 
-def _check_chunk(
-    record: TelemetryRecord, plants: PlantBank, start: int, stop: int,
-    duals, charge, capacity, cap, params,
-) -> None:
+def _check_chunk(record: TelemetryRecord, plants: PlantBank, start: int, stop: int,
+                 capacity, cap, params) -> None:
     """Raise the earliest invariant breach of the slots ``start`` to
     ``stop``: the earliest slot, then the step order (see the module
-    docstring). ``duals`` and ``charge`` are the state after the last slot;
-    the state after any other slot is the next record row."""
-    fluid = record.energy_accounting == "fluid"
-    rows, after = slice(start, stop), slice(start + 1, stop)
+    docstring). The state after slot t is record row t + 1."""
+    rows, after = slice(start, stop), slice(start + 1, stop + 1)
     nonfinite = plants.nonfinite(start, stop)
     overspent = record.spend[rows] > record.battery[rows] + energy.CAUSALITY_ATOL
-    over, dual = (np.concatenate(parts) for parts in zip(
-        _dual_breaches(record.nu[after], record.beta[after], record.battery[after],
-                       capacity, cap, params, fluid),
-        _dual_breaches(duals.nu[None], duals.beta[None], charge[None],
-                       capacity, cap, params, fluid),
-    ))
+    nu, beta, charge = record.nu[after], record.beta[after], record.battery[after]
+    over = (nu > cap).any(axis=-1)
+    off = np.abs(beta - params.epsilon * (capacity - charge)) > MIRROR_ATOL
+    dual = over | off if record.energy_accounting == "fluid" else over
     breached = (nonfinite | overspent | dual).any(axis=1)
     if not breached.any():
         return
@@ -442,33 +445,20 @@ def _check_chunk(
             node=node, spend=float(record.spend[t, node]),
             charge=float(record.battery[t, node]), slot=t,
         )
-    nu, beta = duals.nu, duals.beta
-    if t + 1 < stop:
-        nu, beta, charge = record.nu[t + 1], record.beta[t + 1], record.battery[t + 1]
     i = int(dual[k].argmax())
     if over[k, i]:
         raise InvariantViolation(
-            f"multiplier bound exceeded for node {i}: nu = {nu[i]}, cap = {cap[i]}",
+            f"multiplier bound exceeded for node {i}: nu = {nu[k, i]}, cap = {cap[i]}",
             kind="dual_bound",
             slot=t,
         )
-    mirror = params.epsilon * (capacity[i] - charge[i])
+    mirror = params.epsilon * (capacity[i] - charge[k, i])
     raise InvariantViolation(
         f"battery mirror diverged for node {i}: "
-        f"beta = {float(beta[i])!r}, expected {float(mirror)!r}",
+        f"beta = {float(beta[k, i])!r}, expected {float(mirror)!r}",
         kind="mirror",
         slot=t,
     )
-
-
-def _dual_breaches(nu, beta, charge, capacity, cap, params, fluid: bool):
-    """Per slot row and node of the advanced state: whether the node's nu
-    row breaks the cap, and whether it breaks the cap or (fluid accounting)
-    the mirror beta = epsilon * (capacity - charge)."""
-    over = (nu > cap).any(axis=-1)
-    if not fluid:
-        return over, over
-    return over, over | (np.abs(beta - params.epsilon * (capacity - charge)) > MIRROR_ATOL)
 
 
 def summarize(record: TelemetryRecord) -> Summary:

@@ -115,7 +115,17 @@ class TestConfigLoading:
         ("schedule_window: [a, b]\n", "schedule_window must be an integer, got 'a'"),
         ("availability: {staleness_bound: 2.7}\n",
          "availability.staleness_bound must be an integer, got 2.7"),
-    ], ids=["horizon", "epsilon", "fading-mean", "schedule-window", "staleness-bound"])
+        ("scheduler: {epsilon: .nan}\n", "scheduler.epsilon must be finite, got nan"),
+        ("channel: {decode: {rate: .nan}}\n", "channel.decode.rate must be finite, got nan"),
+        ("scheduler: {nu_bar: .nan}\n", "scheduler.nu_bar must be finite, got nan"),
+        ("harvest: {mean: .nan}\n", "harvest.mean must be finite, got nan"),
+        ("channel: {fading_mean: .inf}\n", "channel.fading_mean must be finite, got inf"),
+        ("required_reception: [.nan, 0.5]\n",
+         "required_reception must be finite, got [nan, 0.5]"),
+        ("initial_state: .nan\n", "initial_state must be finite, got nan"),
+    ], ids=["horizon", "epsilon", "fading-mean", "schedule-window", "staleness-bound",
+            "nan-epsilon", "nan-decode-rate", "nan-nu-bar", "nan-harvest-mean",
+            "inf-fading-mean", "nan-required-reception", "nan-initial-state"])
     def test_unconvertible_value_exits_2(self, tmp_path, capsys, entries, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entries)
@@ -296,6 +306,11 @@ class TestSweepCommand:
         assert main(["sweep", "--param", "harvest_mean", "--values", "0.3",
                      "--config", str(cfg), "--horizon", "10", "--out", str(tmp_path)]) == 2
         assert "seed must be an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_nonfinite_value_exits_2(self, tmp_path, capsys):
+        assert main(["sweep", "--param", "harvest_mean", "--values", "0.3,nan",
+                     "--horizon", "10", "--out", str(tmp_path)]) == 2
+        assert "harvest.mean must be finite, got nan" in capsys.readouterr().err
 
     def test_bad_values_rejected(self, tmp_path):
         assert main(["sweep", "--param", "harvest_mean", "--values", "a,b",

@@ -24,21 +24,22 @@ class FixedNormal:
         return self.normal.reshape(size)
 
 
-def one_slot(model, x, received, normal) -> PlantBank:
+def one_slot(model, x, received, normal) -> tuple[PlantBank, np.ndarray]:
     """A bank of a single plant stepped through one slot from state ``x``
-    with the given standard normal draw."""
+    with the given standard normal draw, and the plant's (2, dim) history:
+    the state before and after the slot."""
     bank = PlantBank([model], [np.asarray(x, dtype=float)])
-    bank.history(1)
+    states = bank.history(1)
     bank.replay(np.array([[received]]), bank.draw_noise([FixedNormal(normal)], 1), 0)
-    return bank
+    return bank, states[0]
 
 
 def step_one(model, x, received, normal):
-    return one_slot(model, x, received, normal).x[0][0, :, 0]
+    return one_slot(model, x, received, normal)[1][1]
 
 
 def certificate(model, x):
-    return one_slot(model, x, False, np.zeros(model.dim)).certificates(1)[0, 0]
+    return one_slot(model, x, False, np.zeros(model.dim))[0].certificates(1)[0, 0]
 
 
 def scalar_plant(a_open, a_closed, rho=0.8, weight=1.0, cov=1.0) -> PlantModel:
@@ -73,7 +74,7 @@ class TestStepPlant:
         plant = scalar_plant(1.1, 0.15)
         for x, normal, bad in (([math.nan], [0.0], True), ([1.0], [math.inf], True),
                                ([1.0], [0.0], False)):
-            assert one_slot(plant, x, True, normal).nonfinite(0, 1).tolist() == [[bad]]
+            assert one_slot(plant, x, True, normal)[0].nonfinite(0, 1).tolist() == [[bad]]
 
 
 class TestLyapunovValue:

@@ -108,15 +108,21 @@ SWEEP_CSV = "296760cc2d621e94cf199049531ec324be5923f86e226252b298539eeb5fa08c"
 ABORTED_SLOTS = "36bf7e491de6eba749b27cf3326d607293bdc6fd4e30f8bc798661da20b041f6 aborted InvalidStateError@648"
 
 # Aborts of every breach kind at the last slot of the first draw chunk (255)
-# and the first slot of the second (256), then chunks that breach two ways.
+# and the first slot of the second (256), then chunks that breach two ways,
+# then breaches in the last slot of the horizon (``of`` names the horizon):
+# of a short last chunk, and of a horizon that is a multiple of the chunk.
+# The last-slot pins were taken from the engine that still carried the state
+# after a chunk's last slot outside the record.
 ABORT_SLOTS = (255, 256)
+BREACH_KINDS = ("nonfinite", "causality", "dual_bound", "mirror")
 ABORT_CASES = (
-    *(f"{kind}@{slot}" for kind in ("nonfinite", "causality", "dual_bound", "mirror")
-      for slot in ABORT_SLOTS),
+    *(f"{kind}@{slot}" for kind in BREACH_KINDS for slot in ABORT_SLOTS),
     "dual_bound@290+nonfinite@300",
     "nonfinite@300+causality@300",
     "nonfinite@300+dual_bound@300",
     "dual_bound@300+mirror@300",
+    *(f"{kind}@299 of 300" for kind in BREACH_KINDS),
+    *(f"{kind}@511 of 512" for kind in ("dual_bound", "mirror", "nonfinite")),
 )
 ABORTS = {
     "nonfinite@255": "b810a8d2915fd8f5b22d8ce2c169155bc3185010f94d9710feeb5841aa8310fd InvalidStateError/nonfinite@255 rows=256 msg=e5ccb1847cbf973d nonfinite=1",
@@ -131,6 +137,13 @@ ABORTS = {
     "nonfinite@300+causality@300": "34079a1ccedc3d56a43687c4d478f3f13443926110c0a958fe64100b4a447f41 InvalidStateError/nonfinite@300 rows=301 msg=0156e0cd7653f154 nonfinite=1",
     "nonfinite@300+dual_bound@300": "cb083e58ac32a106083dec4e6d82fae52b35b5f728eea87b04ad8aec80f855db InvalidStateError/nonfinite@300 rows=301 msg=0156e0cd7653f154 nonfinite=1",
     "dual_bound@300+mirror@300": "36708e52edc99d6844fdb1580a0b81868d219f23cef8765de7afc1a6cd591334 InvariantViolation/mirror@300 rows=301 msg=b8c2c7d6575550df mirror=1",
+    "nonfinite@299 of 300": "c3968086500684452935fb607514d7d5015377cf2513cfef74eade503e0752f8 InvalidStateError/nonfinite@299 rows=300 msg=bc69b5579306c3fe nonfinite=1",
+    "causality@299 of 300": "fdf209cd96232253f69f55f8e3403d060a65b50a772d4e229114cab2f278d299 EnergyCausalityError/causality@299 rows=300 msg=4339105f6a0a04a8 causality=1",
+    "dual_bound@299 of 300": "a4d2eec350194bcf7f930c786f945d07560c4da91c83e05d88688337f8493795 InvariantViolation/dual_bound@299 rows=300 msg=99d849327362d6e3 dual_bound=1",
+    "mirror@299 of 300": "a4d2eec350194bcf7f930c786f945d07560c4da91c83e05d88688337f8493795 InvariantViolation/mirror@299 rows=300 msg=4238fb0aaeed2474 mirror=1",
+    "dual_bound@511 of 512": "f497adab0fcab98d1416cf42551ed1b0a8a1f5485a3f240118b31ffc7078af90 InvariantViolation/dual_bound@511 rows=512 msg=801f2a5720129ecc dual_bound=1",
+    "mirror@511 of 512": "f497adab0fcab98d1416cf42551ed1b0a8a1f5485a3f240118b31ffc7078af90 InvariantViolation/mirror@511 rows=512 msg=8d9c9fccb7bf526a mirror=1",
+    "nonfinite@511 of 512": "03e23b94f62d3512e7320e60ae22dc97090c0eb85bbce10b56dd5fb1146d8883 InvalidStateError/nonfinite@511 rows=512 msg=b4333f2f4ae02ab7 nonfinite=1",
 }
 
 INTEGER_PIGGYBACK_SLOTS = "3c324f9bdac3e5d01f9f028b535c50adf6bf104004dc09915e78939bf182c0f4"
@@ -235,7 +248,7 @@ def diverging_config():
     return build_config(raw, seed=1, horizon=3000)
 
 
-def overflow_config(slot: int):
+def overflow_config(slot: int, horizon: int):
     """A starved, noiseless plant that doubles every slot, received or not,
     from 2**(1023 - slot): its state is exact until the step of ``slot``
     overflows it."""
@@ -245,7 +258,7 @@ def overflow_config(slot: int):
     raw["harvest"] = {"mean": 1e-12, "distribution": "deterministic"}
     raw["battery"] = {"capacity": 20.0, "initial": 0.0}
     raw["initial_state"] = 2.0 ** (1023 - slot)
-    return build_config(raw, seed=1, horizon=slot + 300)
+    return build_config(raw, seed=1, horizon=horizon)
 
 
 def _at_call(name: str, slot: int, edit):
@@ -285,15 +298,18 @@ _BREACHES = {
 
 def abort_case(case: str):
     """Config and scheduler edits ``(name, edit, slot)`` of ``case``, breaches
-    ``kind@slot`` joined by ``+``: ``nonfinite`` overflows the plant of
-    :func:`overflow_config`, the other kinds edit the default config's
+    ``kind@slot`` joined by ``+``, then optionally `` of <horizon>`` (300
+    slots past the last breach otherwise): ``nonfinite`` overflows the plant
+    of :func:`overflow_config`, the other kinds edit the default config's
     scheduler in that slot."""
+    case, _, horizon = case.partition(" of ")
     breaches = {kind: int(slot) for kind, slot in
                 (part.split("@") for part in case.split("+"))}
+    horizon = int(horizon) if horizon else max(breaches.values()) + 300
     if "nonfinite" in breaches:
-        config = overflow_config(breaches["nonfinite"])
+        config = overflow_config(breaches["nonfinite"], horizon)
     else:
-        config = build_config(read_raw(None), seed=1, horizon=max(breaches.values()) + 300)
+        config = build_config(read_raw(None), seed=1, horizon=horizon)
     return config, [(*_BREACHES[kind], slot) for kind, slot in breaches.items()
                     if kind != "nonfinite"]
 

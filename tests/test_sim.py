@@ -182,6 +182,39 @@ class TestMatrixPlants:
             assert np.array_equal(rec.lyapunov[:, i], v)
 
 
+class TestRecordTrace:
+    """Row t + 1 of every state column is the recursion applied to row t.
+    Random mode is left out: its availability mask is not recorded."""
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"energy_accounting": "integer",
+         "availability": {"mode": "piggyback", "prob": 1.0, "staleness_bound": 5},
+         "harvest": {"mean": 0.25, "distribution": "uniform"},
+         "battery": {"capacity": 20.0, "initial": 0.0}},
+    ], ids=["always-on-fluid", "piggyback-integer"])
+    def test_rows_follow_recursion(self, overrides):
+        config = short_config(seed=4, horizon=600, **overrides)
+        params = config.params
+        capacity = np.array([b.capacity for b in config.batteries])
+        rec = run(config).record
+        for t in range(rec.horizon - 1):
+            duals = ehctrl.scheduler.DualState(phi=rec.phi[t], nu=rec.nu[t], beta=rec.beta[t])
+            grads = ehctrl.scheduler.dual_subgradients(
+                rec.z[t], *ehctrl.scheduler.compute_s(duals, params),
+                ehctrl.scheduler.compute_y(duals, params), rec.q[t], rec.harvested[t], params,
+            )
+            after = ehctrl.scheduler.apply_dual_step(duals, grads, params)
+            assert np.array_equal(rec.phi[t + 1], after.phi)
+            assert np.array_equal(rec.nu[t + 1], after.nu)
+            assert np.array_equal(rec.beta[t + 1], after.beta)
+            spend = rec.spend[t].astype(float)
+            assert np.array_equal(
+                rec.battery[t + 1],
+                ehctrl.energy.step_batteries(rec.battery[t], capacity, spend, rec.harvested[t]),
+            )
+
+
 class TestDegenerateRuns:
     def test_zero_horizon(self):
         result = run(short_config(horizon=0))
