@@ -24,10 +24,22 @@ plants and collision probability 0.01. Each probe then runs ``sim.run``
 once more, untimed, under ``tracemalloc`` and reports that run's peak
 traced memory, so the µs per slot are taken without tracing. It runs
 paired like the workloads, alternating sides per pair and node count, and
-checks that both sides produce the same record digest.
+checks that both sides produce the same record digest. The rows at M = 3
+to 6 sit on both sides of ``ehctrl.sim.SCALAR_MAX_NODES``, the node count
+up to which ``sim.run`` takes its scalar slot core.
+
+Two more pseudo-workloads time whole commands, paired the same way, in a
+fresh process per run with the tree's ``src`` on ``PYTHONPATH``:
+
+  tier1   the Tier-1 suite, ``python -m pytest -q -p no:cacheprovider``;
+          reports the wall time and pytest's last line (tests passed)
+  sweep   ``python -m ehctrl sweep`` over ``SWEEP_VALUES`` of
+          ``harvest_mean`` at ``--seed`` (shipped config, 10k slots per
+          point); reports the wall time and checks that both sides write
+          the same ``sweep.csv``
 
 Results go to ``BENCH_<pr>.json`` (or ``--out``) under the key
-``<workload>@seed<seed>``; entries already in the file for other keys are
+``<workload>@seed<seed>`` (``tier1`` for the suite); entries already in the file for other keys are
 kept, so workloads and seeds can be run one call at a time. The file also
 records both SHAs, the Python and numpy versions and the core count. Only
 the standard library is used.
@@ -36,6 +48,7 @@ the standard library is used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -45,12 +58,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 M_SCALING = "m-scaling"
-M_SCALING_NODES = (2, 8, 32, 128)
+M_SCALING_NODES = (2, 3, 4, 5, 6, 8, 32, 128)
 M_SCALING_SLOTS = 1000
 # Run with the tree's src on sys.path: argv is nodes, slots, seed; prints
 # the µs per slot of sim.run, a digest of the run's record and the
@@ -83,6 +97,11 @@ tracemalloc.stop()
 print(json.dumps({"us_per_slot": elapsed / slots * 1e6, "digest": digest.hexdigest(),
                   "tracemalloc_peak_mb": peak / 1e6}))
 """
+
+
+TIER1 = "tier1"
+SWEEP = "sweep"
+SWEEP_VALUES = "0.2,0.3,0.4,0.5,0.6"
 
 
 def git(*args: str) -> str:
@@ -133,6 +152,58 @@ def probe_once(tree: Path, nodes: int, seed: int) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"m-scaling probe failed in {tree}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def command_once(tree: Path, argv: list[str]) -> dict:
+    """Wall time of ``python <argv>`` run in ``tree`` with its ``src``, and
+    the last line it printed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n{proc.stdout[-2000:]}"
+                         f"{proc.stderr[-2000:]}")
+    return {"wall_s": wall, "last_line": proc.stdout.strip().splitlines()[-1]}
+
+
+def tier1_once(tree: Path, seed: int) -> dict:
+    return command_once(tree, ["-m", "pytest", "-q", "-p", "no:cacheprovider"])
+
+
+def sweep_once(tree: Path, seed: int) -> dict:
+    """One 5-point ``ehctrl sweep``, with the digest of its ``sweep.csv``."""
+    with tempfile.TemporaryDirectory(prefix="bench-sweep-") as out:
+        result = command_once(tree, [
+            "-m", "ehctrl", "sweep", "--param", "harvest_mean", "--values", SWEEP_VALUES,
+            "--seed", str(seed), "--out", out,
+        ])
+        result["digest"] = hashlib.sha256((Path(out) / "sweep.csv").read_bytes()).hexdigest()
+    result["last_line"] = f"sweep.csv sha256 {result['digest']}"
+    return result
+
+
+def timed_command(name: str, once, sides: dict, pairs: int, seed: int) -> dict:
+    """Paired wall times of one whole command (``tier1_once`` or
+    ``sweep_once``)."""
+    runs = {side: [] for side in sides}
+    for k in range(pairs):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(once(sides[side], seed))
+        print(f"{name} pair {k + 1}/{pairs}: " + ", ".join(
+            f"{side} {runs[side][-1]['wall_s']:.2f} s" for side in order
+        ), file=sys.stderr)
+    digests = {r.get("digest") for side in sides for r in runs[side]}
+    return {
+        "workload": name,
+        "seed": seed,
+        "all_correct": len(digests) == 1,
+        "last_line": {side: runs[side][-1]["last_line"] for side in sides},
+        "metrics": {"wall_s": paired([r["wall_s"] for r in runs["base"]],
+                                     [r["wall_s"] for r in runs["change"]], "s", "lower")},
+    }
 
 
 def summarize(values: list[float]) -> dict:
@@ -209,7 +280,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec.get("run_seconds", 30))
     parser.add_argument("--seed", type=int, default=1)
-    names = [w["name"] for w in spec["workloads"]] + [M_SCALING]
+    names = [w["name"] for w in spec["workloads"]] + [M_SCALING, SWEEP, TIER1]
     parser.add_argument("--workload", action="append", choices=names,
                         help="workload to run (repeatable; default: all)")
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<pr>.json)")
@@ -238,6 +309,14 @@ def main(argv=None) -> int:
             if workload == M_SCALING:
                 report["results"][f"{M_SCALING}@seed{args.seed}"] = m_scaling(
                     sides, args.pairs, args.seed
+                )
+                out_path.write_text(json.dumps(report, indent=1) + "\n")
+                continue
+            if workload in (SWEEP, TIER1):
+                once = sweep_once if workload == SWEEP else tier1_once
+                key = TIER1 if workload == TIER1 else f"{SWEEP}@seed{args.seed}"
+                report["results"][key] = timed_command(
+                    workload, once, sides, args.pairs, args.seed
                 )
                 out_path.write_text(json.dumps(report, indent=1) + "\n")
                 continue

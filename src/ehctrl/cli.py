@@ -168,14 +168,17 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _sweep_point(raw: dict, param: str, seed: int, horizon, index: int, value: float) -> dict:
+def _sweep_config(raw: dict, param: str, seed: int, horizon, index: int, value: float):
     raw = copy.deepcopy(raw)
     *path, leaf = SWEEP_PARAMS[param]
     target = raw
     for key in path:
         target = target[key]
     target[leaf] = value
-    config = config_mod.build_config(raw, seed=_derived_seed(seed, index), horizon=horizon)
+    return config_mod.build_config(raw, seed=_derived_seed(seed, index), horizon=horizon)
+
+
+def _sweep_row(param: str, value: float, config) -> dict:
     result = run(config)
     row: dict = {"param": param, "value": value, "seed": config.seed}
     for entry in result.summary.nodes:
@@ -199,15 +202,24 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     base_seed = config_mod._convert(raw["seed"], "seed", int)
+    # Every point is built and validated before the first one runs.
+    configs = [
+        _sweep_config(raw, args.param, base_seed, args.horizon, index, value)
+        for index, value in enumerate(values)
+    ]
 
-    point = functools.partial(_sweep_point, raw, args.param, base_seed, args.horizon)
+    point = functools.partial(_sweep_row, args.param)
     if args.jobs > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(point, range(len(values)), values))
+        # Spawned workers: forking a process whose numpy may run BLAS
+        # threads is unsafe.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(values)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            rows = list(pool.map(point, values, configs))
     else:
-        rows = list(map(point, range(len(values)), values))
+        rows = list(map(point, values, configs))
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "sweep.csv"

@@ -3,7 +3,8 @@
 The state of all nodes is held as arrays: multipliers phi (M,), nu (M, M)
 and beta (M,), battery charges (M,), the mailbox (M, M) and one plant state
 stack per state dimension. Every function the loop calls takes the loop's
-arrays and returns arrays. Every slot runs, in this fixed order:
+arrays and returns arrays; only the small-M form of the per-slot core (see
+below) works on Python floats. Every slot runs, in this fixed order:
 
   1. draw channel states and harvest arrivals
   2. every node computes its auxiliary, reception and transmit variables
@@ -42,6 +43,23 @@ slot loop runs the feedback core only, and the rest runs once per
     :meth:`~ehctrl.control.PlantBank.replay`, writing the state rows) and
     the invariant checks.
 
+The per-slot core comes in two forms with one signature, chosen by the node
+count alone. :func:`_array_chunk` evaluates every node at once through the
+scheduler, energy and coordination functions; its cost is ~60 numpy calls
+per slot whatever M is. :func:`_scalar_chunk` does the same operations in
+the same order on Python floats, node by node, so its cost grows with M^2
+but starts far lower; it runs up to ``SCALAR_MAX_NODES`` nodes, the measured
+crossover. Both give the same bytes because every operation is one IEEE
+operation or the same libm call on each side, with three orders kept:
+``max(x, 0.0)`` and ``min(x, 1.0)`` take their arguments as numpy's clips
+do (they differ from numpy only on -0.0, which no state reaches); the
+interference is summed left to right from column 0; the cross-log sum
+starts from int 0 in ascending column order. numpy's ``add.reduce`` sums a
+row left to right only when it has fewer than 8 entries (it sums longer
+rows pairwise in blocks of 8), so the threshold must stay below 8. The
+fault-injection tests patch module functions that only the array core
+calls; they set ``SCALAR_MAX_NODES`` to 0.
+
 The record keeps raw per-slot columns only. Its state columns (plant
 states, battery, phi, beta, nu) hold T + 1 rows while the run lasts, row
 t + 1 the state after slot t; at the end every column is trimmed to the
@@ -67,7 +85,10 @@ warn about values past the breach. Each breach is an
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -96,6 +117,11 @@ DUAL_ACCESS_MODES = ("mailbox", "direct")
 # Slots of each random stream drawn per call; bounds the draw buffers to
 # O(DRAW_CHUNK * M) whatever the horizon.
 DRAW_CHUNK = 256
+
+# Node counts up to this run the slot core on Python floats
+# (:func:`_scalar_chunk`), larger ones on arrays (:func:`_array_chunk`): the
+# measured crossover (see the module docstring). Must stay below 8.
+SCALAR_MAX_NODES = 5
 
 _STREAM_NAMES = ("channel", "harvest", "transmission", "collision", "availability", "noise")
 
@@ -305,6 +331,173 @@ def _draw_chunk(
     return q, e, transmit, availability, plants.draw_noise(streams["noise"], size)
 
 
+def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbox,
+                 capacity: np.ndarray, start: int, q_chunk, e_chunk, transmit,
+                 availability) -> None:
+    """Steps 2, 3, 6, 7 and 8 of the slots from ``start`` on, one per row of
+    the chunk's draws, as array expressions through the scheduler, energy
+    and coordination functions. Starts from the state in record row
+    ``start``, writes each slot's z, transmitted, battery, phi, beta and nu
+    rows and updates ``mailbox`` in place."""
+    M = config.count
+    params = config.params
+    fluid = config.energy_accounting == "fluid"
+    direct = config.dual_access == "direct"
+    # Always-on and piggyback nodes are capable every slot, so the
+    # availability mask of the dual step is the identity there.
+    masked = config.availability.mode == "random"
+    charge = record.battery[start]
+    duals = scheduler.DualState(
+        phi=record.phi[start], nu=record.nu[start], beta=record.beta[start]
+    )
+    for k in range(len(q_chunk)):
+        t = start + k
+        q = q_chunk[k]
+
+        # 2. primal computation from current duals and stale copies
+        if direct:
+            stale = duals.nu.T.copy()
+            stale.flat[:: M + 1] = 0.0
+        else:
+            stale = mailbox.values
+        z = scheduler.compute_z(duals, stale, q, params)
+        s_own, s_cross = scheduler.compute_s(duals, params)
+        y = scheduler.compute_y(duals, params)
+
+        # 3. transmission draws into the record row (integer accounting
+        # gates on whole units)
+        tx = np.less(transmit[k], z, out=record.transmitted[t])
+        if not fluid:
+            tx &= charge >= 1.0
+
+        record.z[t] = z
+
+        # 6. battery steps (fluid: the transmit probability is the spend)
+        spend = z if fluid else tx.astype(float)
+        charge = energy.step_batteries(charge, capacity, spend, e_chunk[k])
+
+        # 7. masked dual updates
+        decision = coordination.advance_availability(
+            config.availability, t, availability[k], tx, mailbox
+        )
+        grads = scheduler.dual_subgradients(z, s_own, s_cross, y, q, e_chunk[k], params)
+        duals = scheduler.apply_dual_step(
+            duals, grads, params, decision.available if masked else None
+        )
+
+        # 8. exchange into mailboxes (post-update values, stamped this slot)
+        coordination.exchange_duals(mailbox, decision, duals.nu, t)
+
+        # 9. the state after the slot (h, q and e are recorded per chunk)
+        record.battery[t + 1] = charge
+        record.phi[t + 1] = duals.phi
+        record.beta[t + 1] = duals.beta
+        record.nu[t + 1] = duals.nu
+
+
+def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbox,
+                  capacity: np.ndarray, start: int, q_chunk, e_chunk, transmit,
+                  availability) -> None:
+    """:func:`_array_chunk` on Python floats and lists: per node the same
+    operations in the same order, so the same bytes (see the module
+    docstring). Reads the chunk's draws and the start state with one
+    ``tolist`` each, and writes the chunk's record rows and the mailbox
+    back once."""
+    params = config.params
+    nodes = range(config.count)
+    pairs = [(i, j) for i in nodes for j in nodes if i != j]
+    eps, qc = float(params.epsilon), float(params.collision_prob)
+    floor = float(params.s_floor)
+    ceil = 1.0 - floor
+    log_p, nu_bar, y_bar = params.log_p.tolist(), params.nu_bar.tolist(), params.y_bar.tolist()
+    caps = capacity.tolist()
+    fluid = config.energy_accounting == "fluid"
+    direct = config.dual_access == "direct"
+    mode, prob, bound = (config.availability.mode, config.availability.prob,
+                         config.availability.staleness_bound)
+    charge = record.battery[start].tolist()
+    phi, beta = record.phi[start].tolist(), record.beta[start].tolist()
+    nu = record.nu[start].tolist()
+    values, stamps = mailbox.values.tolist(), mailbox.slots.tolist()
+    if mode == "random":
+        availability = availability.tolist()
+    rows = ([], [], [], [], [], [])  # z, transmitted, battery, phi, beta, nu
+    stop = start + len(q_chunk)
+    for t, q, e, u, up in zip(range(start, stop), q_chunk.tolist(), e_chunk.tolist(),
+                              transmit.tolist(), availability):
+        if direct:
+            stale = [[0.0 if j == i else nu[j][i] for j in nodes] for i in nodes]
+        else:
+            stale = values
+        # 7. availability of this slot (random mode keeps the diagonal of
+        # the forced matrix in the column reduction, as the array core does)
+        available = None
+        if mode != "always-on":
+            forced = [[t + 1 - s > bound for s in row] for row in stamps]
+            if mode == "random":
+                capable = [v < prob for v in up]
+                available = [capable[j] or any(row[j] for row in forced) for j in nodes]
+        z, tx, battery, new_phi, new_beta, new_nu = [], [], [], [], [], []
+        for i in nodes:
+            nu_i, phi_i = nu[i], phi[i]
+            # 2. interference summed left to right from column 0, as numpy's
+            # add.reduce does on rows of fewer than 8 entries
+            z_i = min(max(0.5 * (nu_i[i] * q[i] - qc * reduce(add, stale[i]) - beta[i]), 0.0),
+                      1.0)
+            # 3. (integer accounting gates on whole units)
+            tx_i = u[i] < z_i and (fluid or charge[i] >= 1.0)
+            # 6.
+            spend = z_i if fluid else (1.0 if tx_i else 0.0)
+            battery.append(min(max(charge[i] - spend + e[i], 0.0), caps[i]))
+            # 7. node i's row of the dual step; phi / 0 reads as +inf,
+            # which the clips send to the limits
+            s_own = min(max(phi_i / nu_i[i] if nu_i[i] != 0.0 else math.inf, floor), 1.0)
+            zq = qc * z_i
+            cross = 0
+            row = []
+            for j in nodes:
+                v = nu_i[j]
+                if j == i:
+                    g = s_own - z_i * q[i]
+                else:
+                    s = min(max(1.0 - (phi_i / v if v != 0.0 else math.inf), 0.0), ceil)
+                    if s:  # s = 0 adds -0.0 to the log sum: skipped exactly
+                        cross += math.log1p(-s)
+                    g = zq - s
+                if v > nu_bar[i][j]:  # a fired relaxation y (x - 0.0 is x elsewhere)
+                    g -= y_bar[i][j]
+                if available is not None and not available[j]:
+                    g = 0.0
+                row.append(max(v + eps * g, 0.0))
+            new_phi.append(max(phi_i + eps * (log_p[i] - (math.log(s_own) + cross)), 0.0))
+            new_beta.append(max(beta[i] + eps * (z_i - e[i]), 0.0))
+            new_nu.append(row)
+            z.append(z_i)
+            tx.append(tx_i)
+        charge, phi, beta, nu = battery, new_phi, new_beta, new_nu
+
+        # 8. exchange the post-update values
+        if mode == "always-on":
+            exchange = pairs
+        elif mode == "random":
+            exchange = [(i, j) for i, j in pairs if capable[i] and capable[j] or forced[i][j]]
+        else:
+            exchange = [(i, j) for i, j in pairs if tx[j] or forced[i][j]]
+        for i, j in exchange:
+            values[i][j] = nu[j][i]
+            stamps[i][j] = t
+
+        for column, row in zip(rows, (z, tx, charge, phi, beta, nu)):
+            column.append(row)
+
+    # 9.
+    record.z[start:stop], record.transmitted[start:stop] = rows[:2]
+    span = slice(start + 1, stop + 1)
+    record.battery[span], record.phi[span], record.beta[span], record.nu[span] = rows[2:]
+    mailbox.values[...] = values
+    mailbox.slots[...] = stamps
+
+
 def run(config: SimConfig) -> SimResult:
     """Run the full slot loop; returns telemetry and summary, raising
     :class:`SimulationAborted` (partial telemetry attached) on any invariant
@@ -313,11 +506,6 @@ def run(config: SimConfig) -> SimResult:
     T = config.horizon
     params = config.params
     streams = make_streams(config.seed, M)
-    fluid = config.energy_accounting == "fluid"
-    direct = config.dual_access == "direct"
-    # Always-on and piggyback nodes are capable every slot, so the
-    # availability mask of the dual step is the identity there.
-    masked = config.availability.mode == "random"
     logger.debug(
         "run: %d nodes, %d slots, seed %d, %s/%s",
         M, T, config.seed, config.availability.mode, config.dual_access,
@@ -347,6 +535,7 @@ def run(config: SimConfig) -> SimResult:
     record.beta[0] = duals.beta
     record.nu[0] = duals.nu
 
+    core = _scalar_chunk if M <= SCALAR_MAX_NODES else _array_chunk
     try:
         for start in range(0, T, DRAW_CHUNK):
             stop = min(start + DRAW_CHUNK, T)
@@ -354,51 +543,9 @@ def run(config: SimConfig) -> SimResult:
             q_chunk, e_chunk, transmit, availability, noise = _draw_chunk(
                 config, streams, plants, record, start, stop
             )
-            for t in range(start, stop):
-                k = t - start
-                q = q_chunk[k]
-
-                # 2. primal computation from current duals and stale copies
-                if direct:
-                    stale = duals.nu.T.copy()
-                    stale.flat[:: M + 1] = 0.0
-                else:
-                    stale = mailbox.values
-                z = scheduler.compute_z(duals, stale, q, params)
-                s_own, s_cross = scheduler.compute_s(duals, params)
-                y = scheduler.compute_y(duals, params)
-
-                # 3. transmission draws into the record row (integer
-                # accounting gates on whole units)
-                tx = np.less(transmit[k], z, out=record.transmitted[t])
-                if not fluid:
-                    tx &= charge >= 1.0
-
-                record.z[t] = z
-
-                # 6. battery steps (fluid: the transmit probability is the spend)
-                spend = z if fluid else tx.astype(float)
-                charge = energy.step_batteries(charge, capacity, spend, e_chunk[k])
-
-                # 7. masked dual updates
-                decision = coordination.advance_availability(
-                    config.availability, t, availability[k], tx, mailbox
-                )
-                grads = scheduler.dual_subgradients(
-                    z, s_own, s_cross, y, q, e_chunk[k], params
-                )
-                duals = scheduler.apply_dual_step(
-                    duals, grads, params, decision.available if masked else None
-                )
-
-                # 8. exchange into mailboxes (post-update values, stamped this slot)
-                coordination.exchange_duals(mailbox, decision, duals.nu, t)
-
-                # 9. the state after the slot (h, q and e are recorded per chunk)
-                record.battery[t + 1] = charge
-                record.phi[t + 1] = duals.phi
-                record.beta[t + 1] = duals.beta
-                record.nu[t + 1] = duals.nu
+            # 2., 3., 6., 7. and 8. slot by slot, 9. into record rows
+            core(config, record, mailbox, capacity, start, q_chunk, e_chunk, transmit,
+                 availability)
 
             # 4. and 5. replayed over the chunk's rows, then the checks
             received, collided = comm.resolve_chunk(

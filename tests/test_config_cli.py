@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ehctrl.cli
 import ehctrl.scheduler
+import ehctrl.sim
 from conftest import grid_required_probability
 from ehctrl.cli import main
 from ehctrl.config import DEFAULTS, build_config, default_config, load_config, read_raw
@@ -265,6 +267,7 @@ class TestRunCommand:
                      "--out", str(out), "--strict"]) == 2
 
     def test_invariant_breach_exits_3_with_partial_telemetry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         monkeypatch.setattr(
             ehctrl.scheduler, "compute_z", lambda duals, stale, q, params: np.full(q.shape, 0.6)
         )
@@ -307,10 +310,21 @@ class TestSweepCommand:
                      "--config", str(cfg), "--horizon", "10", "--out", str(tmp_path)]) == 2
         assert "seed must be an integer, got 'abc'" in capsys.readouterr().err
 
-    def test_nonfinite_value_exits_2(self, tmp_path, capsys):
+    def test_nonfinite_value_exits_2(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(ehctrl.cli, "run", runs.append)
         assert main(["sweep", "--param", "harvest_mean", "--values", "0.3,nan",
                      "--horizon", "10", "--out", str(tmp_path)]) == 2
         assert "harvest.mean must be finite, got nan" in capsys.readouterr().err
+        assert runs == []  # every point is checked before the first one runs
+
+    def test_parallel_sweep_writes_same_bytes(self, tmp_path):
+        argv = ["sweep", "--param", "harvest_mean", "--values", "0.3,0.45,0.6",
+                "--horizon", "200", "--seed", "5"]
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert (tmp_path / "1" / "sweep.csv").read_bytes() == (
+            tmp_path / "2" / "sweep.csv").read_bytes()
 
     def test_bad_values_rejected(self, tmp_path):
         assert main(["sweep", "--param", "harvest_mean", "--values", "a,b",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ehctrl.scheduler
+import ehctrl.sim
 from ehctrl.config import build_config, read_raw
 from ehctrl.energy import BatteryState, HarvestConfig, draw_harvest, step_batteries
 from ehctrl.errors import ConfigError, EnergyCausalityError
@@ -70,6 +71,7 @@ class TestStepBattery:
             z = true_z(*args)
             return np.array([0.5, 0.5]) if next(calls) == 7 else z
 
+        monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         monkeypatch.setattr(ehctrl.scheduler, "compute_z", compute_z)
         raw = read_raw(None)
         raw["harvest"] = {"mean": 1e-12, "distribution": "deterministic"}

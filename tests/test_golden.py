@@ -2,13 +2,19 @@
 
 The digests below were taken from the per-node reference engine, except
 ``MIXED_DIMS_SLOTS``, taken from the array engine that still stepped each
-matrix plant with its own matmul, and ``SWEEP_CSV``, taken while ``sweep``
-still formatted its rows by hand. Any engine that claims to be the same
-engine must reproduce them byte for byte; a digest may only change together
-with an explanation of why the output changed. Print the digests of the
-current tree with
+matrix plant with its own matmul, ``SWEEP_CSV``, taken while ``sweep``
+still formatted its rows by hand, and ``SMALL_BATTERY_SLOTS``, taken from
+the engine that had the array form of the slot core only. Any engine that
+claims to be the same engine must reproduce them byte for byte; a digest
+may only change together with an explanation of why the output changed.
+Print the digests of the current tree with
 
     PYTHONPATH=src python tests/test_golden.py
+
+Runs of up to ``ehctrl.sim.SCALAR_MAX_NODES`` nodes take the scalar form of
+the slot core. The abort pins that edit scheduler results set that
+threshold to 0, because the functions they patch are called by the array
+form only.
 """
 
 import dataclasses
@@ -22,6 +28,7 @@ import numpy as np
 import pytest
 
 import ehctrl.scheduler
+import ehctrl.sim
 from ehctrl import telemetry
 from ehctrl.cli import main
 from ehctrl.config import build_config, read_raw
@@ -147,6 +154,10 @@ ABORTS = {
 }
 
 INTEGER_PIGGYBACK_SLOTS = "3c324f9bdac3e5d01f9f028b535c50adf6bf104004dc09915e78939bf182c0f4"
+
+# An undersized battery breaks causality with no patch, in either form of
+# the slot core.
+SMALL_BATTERY_SLOTS = "1315c34fbc69a1e14dbf5945ee67669f5c7c8ae6c14cc24c5bc85ea75aed5dba aborted EnergyCausalityError@23"
 
 
 def _sha256(path: Path) -> str:
@@ -320,6 +331,8 @@ def abort_digest(case: str, workdir: Path) -> str:
     nonzero violation counters."""
     config, edits = abort_case(case)
     with pytest.MonkeyPatch.context() as mp:
+        if edits:  # the scheduler seams exist in the array core only
+            mp.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         for name, edit, slot in edits:  # edits of one function nest
             mp.setattr(ehctrl.scheduler, name, _at_call(name, slot, edit))
         try:
@@ -346,6 +359,14 @@ def integer_piggyback_config():
     raw["harvest"] = {"mean": 0.25, "distribution": "uniform"}
     raw["battery"] = {"capacity": 20.0, "initial": 0.0}
     return build_config(raw, seed=3, horizon=DEFAULT_HORIZON)
+
+
+def small_battery_config():
+    """The shipped config with 3-unit batteries, far below the sizing rule:
+    the run aborts on causality at slot 23."""
+    raw = read_raw(None)
+    raw["battery"] = {"capacity": 3.0}
+    return build_config(raw, seed=DEFAULT_SEED, horizon=DEFAULT_HORIZON)
 
 
 def slots_digest(config, workdir: Path) -> str:
@@ -399,6 +420,13 @@ def test_integer_piggyback_slots(tmp_path):
     assert slots_digest(integer_piggyback_config(), tmp_path) == INTEGER_PIGGYBACK_SLOTS
 
 
+@pytest.mark.parametrize("scalar_max_nodes", [ehctrl.sim.SCALAR_MAX_NODES, 0],
+                         ids=["scalar-core", "array-core"])
+def test_small_battery_abort_slots(scalar_max_nodes, tmp_path, monkeypatch):
+    monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", scalar_max_nodes)
+    assert slots_digest(small_battery_config(), tmp_path) == SMALL_BATTERY_SLOTS
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -411,3 +439,4 @@ if __name__ == "__main__":
         print("ABORTS =", {case: abort_digest(case, work) for case in ABORT_CASES})
         print("INTEGER_PIGGYBACK_SLOTS =",
               repr(slots_digest(integer_piggyback_config(), work)))
+        print("SMALL_BATTERY_SLOTS =", repr(slots_digest(small_battery_config(), work)))

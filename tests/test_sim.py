@@ -1,18 +1,29 @@
+import copy
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import ehctrl.energy
 import ehctrl.scheduler
+import ehctrl.sim
 from ehctrl import telemetry
+from ehctrl.comm import ChannelConfig
 from ehctrl.config import build_config, default_config, read_raw
-from ehctrl.energy import BatteryState
+from ehctrl.control import PlantModel
+from ehctrl.coordination import AvailabilitySchedule, DualMailbox
+from ehctrl.energy import BatteryState, HarvestConfig
 from ehctrl.errors import EnergyCausalityError, InvalidStateError, InvariantViolation
-from ehctrl.scheduler import sizing_violations
+from ehctrl.scheduler import SchedulerParams, sizing_violations
 from ehctrl.sim import (
+    SCALAR_MAX_NODES,
+    SimConfig,
     SimulationAborted,
     TelemetryRecord,
+    _allocate,
+    _array_chunk,
+    _scalar_chunk,
     per_slot_reception,
     run,
     running_mean,
@@ -257,6 +268,7 @@ class TestDegenerateRuns:
 
 class TestAborts:
     def test_causality_breach_aborts(self, monkeypatch):
+        monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         monkeypatch.setattr(
             ehctrl.scheduler, "compute_z", lambda duals, stale, q, params: np.full(q.shape, 0.6)
         )
@@ -270,6 +282,7 @@ class TestAborts:
         assert err.value.record.horizon == 1  # partial telemetry kept
 
     def test_mirror_divergence_aborts(self, monkeypatch):
+        monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         true_step = ehctrl.energy.step_batteries
 
         def leaky_step(charge, capacity, spend, harvested):
@@ -284,6 +297,7 @@ class TestAborts:
         assert err.value.record.violations["mirror"] == 1
 
     def test_dual_cap_breach_aborts(self, monkeypatch):
+        monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         true_step = ehctrl.scheduler.apply_dual_step
 
         def overshooting_step(duals, grads, params, available=None):
@@ -318,6 +332,129 @@ class TestAborts:
         assert isinstance(err.value.cause, InvalidStateError)
         assert err.value.cause.kind == "nonfinite"
         assert err.value.record.violations["nonfinite"] == 1
+
+
+CORE_SLOTS = 40
+CORE_CASES = list(itertools.product(
+    range(1, SCALAR_MAX_NODES + 2),
+    ("always-on", "random", "piggyback"),
+    ("fluid", "integer"),
+    ("mailbox", "direct"),
+    ("sized", "faults", "nan"),
+))
+
+
+def core_inputs(nodes, mode, accounting, access, state, seed):
+    """Config, record, mailbox, capacities, start slot and draws of one
+    chunk. Row ``start`` of the record holds the start state: ``sized``
+    keeps the mirror and the caps, ``faults`` adds the states the
+    fault-injection tests create (z above the charge, nu above its cap,
+    beta off the mirror) and the nu = 0, phi = 0 and p = 0 corners, ``nan``
+    puts NaN into one multiplier of each kind on top."""
+    rng = np.random.default_rng(seed)
+    eps = float(rng.uniform(0.2, 2.0))
+    nu_bar = rng.uniform(1.0, 20.0, (nodes, nodes))
+    p = rng.uniform(0.05, 0.6, nodes)
+    if state != "sized":
+        p[-1] = 0.0  # log_p = -inf
+    params = SchedulerParams(
+        epsilon=eps, nu_bar=nu_bar, y_bar=(nu_bar + 2.0 * eps) / eps + 1.0, p=p,
+        collision_prob=float(rng.uniform(0.0, 0.5)), s_floor=float(rng.choice([1e-6, 1e-2])),
+    )
+    capacity = rng.uniform(2.0, 30.0, nodes)
+    start = int(rng.choice([0, 3, 300]))
+    plant = PlantModel(a_open=1.1, a_closed=0.1, noise_cov=1.0, lyapunov_weight=1.0,
+                       decrease_rate=0.8)
+    config = SimConfig(
+        plants=(plant,) * nodes,
+        channel=ChannelConfig(collision_prob=params.collision_prob),
+        harvests=(HarvestConfig(0.5),) * nodes,
+        batteries=tuple(BatteryState(c, c) for c in capacity),
+        params=params,
+        availability=AvailabilitySchedule(mode, 0.5, int(rng.integers(1, 12))),
+        horizon=start + CORE_SLOTS,
+        seed=seed,
+        energy_accounting=accounting,
+        dual_access=access,
+    )
+    record = TelemetryRecord(horizon=config.horizon, count=nodes, required_p=p,
+                             collision_prob=params.collision_prob,
+                             energy_accounting=accounting)
+    _allocate(record, config)
+    # A wide spread of magnitudes makes the order of every sum show.
+    nu = rng.uniform(0.0, 1.0, (nodes, nodes)) * nu_bar * 10.0 ** rng.uniform(-3, 0, (nodes, nodes))
+    nu[rng.random((nodes, nodes)) < 0.2] = 0.0
+    phi = rng.uniform(0.0, 5.0, nodes)
+    charge = rng.uniform(0.0, capacity)
+    beta = eps * (capacity - charge)
+    if state != "sized":
+        nu[-1] = 0.0
+        nu[0, 0] = nu_bar[0, 0] + eps + 5.0  # above the cap, y fires, z = 1
+        phi[0] = 0.0
+        charge[0] = 0.3
+        beta = rng.uniform(0.0, 3.0, nodes)
+        beta[0] = 0.0
+    if state == "nan":
+        nu[-1, 0] = phi[-1] = beta[-1] = np.nan
+    record.battery[start], record.phi[start], record.beta[start], record.nu[start] = (
+        charge, phi, beta, nu)
+    mailbox = DualMailbox(nodes)
+    mailbox.values[:] = rng.uniform(0.0, 20.0, (nodes, nodes)) * 10.0 ** rng.uniform(
+        -3, 0, (nodes, nodes))
+    mailbox.slots[:] = rng.integers(max(start - 14, 0), start + 1, (nodes, nodes))
+    np.fill_diagonal(mailbox.values, 0.0)
+    np.fill_diagonal(mailbox.slots, 0)
+    shape = (CORE_SLOTS, nodes)
+    q = rng.uniform(0.2, 1.0, shape)
+    e = np.where(rng.random(shape) < 0.3, 1.0, rng.uniform(0.0, 1.0, shape))
+    transmit = rng.random(shape)
+    availability = rng.random(shape) if mode == "random" else [None] * CORE_SLOTS
+    return config, record, mailbox, capacity, start, q, e, transmit, availability
+
+
+def canonical_nan(values: np.ndarray) -> np.ndarray:
+    """``values`` with every NaN as ``np.nan``: numpy's SIMD clips may flip a
+    NaN's sign bit, which no output shows (a NaN is written as ``nan``)."""
+    if values.dtype.kind != "f":
+        return values
+    return np.where(np.isnan(values), np.nan, values)
+
+
+class TestScalarCore:
+    """The two forms of the per-slot core write the same bytes from the same
+    draws and start state (see the ``ehctrl.sim`` docstring)."""
+
+    @pytest.mark.parametrize("case", CORE_CASES, ids=["-".join(map(str, c)) for c in CORE_CASES])
+    def test_scalar_chunk_matches_array_chunk(self, case):
+        seed = CORE_CASES.index(case)
+        config, record, mailbox, capacity, start, *draws = core_inputs(*case, seed)
+        written = {}
+        for core in (_array_chunk, _scalar_chunk):
+            rec, box = copy.deepcopy(record), copy.deepcopy(mailbox)
+            with np.errstate(invalid="ignore"):
+                core(config, rec, box, capacity, start, *draws)
+            columns = [getattr(rec, name) for name in (
+                "z", "transmitted", "battery", "phi", "beta", "nu")]
+            written[core] = [canonical_nan(a).tobytes()
+                             for a in (*columns, box.values, box.slots)]
+            rows = slice(start, start + CORE_SLOTS)
+            if case[-1] == "faults":  # the corners were reached
+                assert (rec.z[rows] > rec.battery[rows]).any()
+                assert rec.z[start, 0] == 1.0
+        assert written[_scalar_chunk] == written[_array_chunk]
+
+    def test_chosen_by_node_count(self, monkeypatch):
+        chosen = []
+        for name in ("_array_chunk", "_scalar_chunk"):
+            def spy(*args, core=getattr(ehctrl.sim, name), name=name):
+                chosen.append(name)
+                core(*args)
+
+            monkeypatch.setattr(ehctrl.sim, name, spy)
+        for nodes in (SCALAR_MAX_NODES, SCALAR_MAX_NODES + 1):
+            run(short_config(horizon=10, plants=[{"a_open": 1.05, "a_closed": 0.1}] * nodes))
+        assert chosen == ["_scalar_chunk", "_array_chunk"]
+        assert SCALAR_MAX_NODES < 8  # numpy sums rows of 8 or more pairwise
 
 
 class TestConfigSurface:
