@@ -22,11 +22,13 @@ over ``M_SCALING_SLOTS`` slots at each node count in ``M_SCALING_NODES``,
 always-on at M = 2 and random availability (p = 0.5, B = 10) above, scalar
 plants and collision probability 0.01. Each probe then runs ``sim.run``
 once more, untimed, under ``tracemalloc`` and reports that run's peak
-traced memory, so the µs per slot are taken without tracing. It runs
+traced memory, so the µs per slot are taken without tracing. Each row
+also gives, per side, the median number of cyclic-collector passes per
+generation during the timed run, counted through ``gc.callbacks``. It runs
 paired like the workloads, alternating sides per pair and node count, and
 checks that both sides produce the same record digest. The rows at M = 3
-to 6 sit on both sides of ``ehctrl.sim.SCALAR_MAX_NODES``, the node count
-up to which ``sim.run`` takes its scalar slot core.
+to 8 sit on both sides of ``ehctrl.sim.SCALAR_MAX_NODES``, the node count
+up to which ``sim.run`` takes its scalar slot core (at most 7).
 
 Two more pseudo-workloads time whole commands, paired the same way, in a
 fresh process per run with the tree's ``src`` on ``PYTHONPATH``:
@@ -64,13 +66,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 M_SCALING = "m-scaling"
-M_SCALING_NODES = (2, 3, 4, 5, 6, 8, 32, 128)
+M_SCALING_NODES = (2, 3, 4, 5, 6, 7, 8, 32, 128)
 M_SCALING_SLOTS = 1000
 # Run with the tree's src on sys.path: argv is nodes, slots, seed; prints
-# the µs per slot of sim.run, a digest of the run's record and the
-# tracemalloc peak of a second, untimed run.
+# the µs per slot of sim.run and the collections per generation of that
+# run, a digest of the run's record and the tracemalloc peak of a second,
+# untimed run.
 M_SCALING_PROBE = """
-import hashlib, json, sys, time, tracemalloc
+import gc, hashlib, json, sys, time, tracemalloc
 from ehctrl.config import build_config, read_raw
 from ehctrl.sim import run
 nodes, slots, seed = map(int, sys.argv[1:])
@@ -82,9 +85,15 @@ raw["availability"] = (
     {"mode": "always-on", "prob": 1.0, "staleness_bound": 1} if nodes == 2
     else {"mode": "random", "prob": 0.5, "staleness_bound": 10})
 config = build_config(raw, seed=seed, horizon=slots)
+collections = [0, 0, 0]
+def count(phase, info):
+    if phase == "start":
+        collections[info["generation"]] += 1
+gc.callbacks.append(count)
 start = time.perf_counter()
 record = run(config).record
 elapsed = time.perf_counter() - start
+gc.callbacks.remove(count)
 digest = hashlib.sha256()
 for column in (*record.states, record.z, record.received, record.collided,
                record.battery, record.phi, record.beta, record.nu):
@@ -95,7 +104,7 @@ run(config)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 print(json.dumps({"us_per_slot": elapsed / slots * 1e6, "digest": digest.hexdigest(),
-                  "tracemalloc_peak_mb": peak / 1e6}))
+                  "tracemalloc_peak_mb": peak / 1e6, "gc_collections": collections}))
 """
 
 
@@ -262,6 +271,11 @@ def m_scaling(sides: dict, pairs: int, seed: int) -> dict:
             "same_digest": len({r["digest"] for r in base + change}) == 1,
             **{name: paired([r[name] for r in base], [r[name] for r in change], unit, "lower")
                for name, unit in (("us_per_slot", "us"), ("tracemalloc_peak_mb", "MB"))},
+            "gc_collections": {
+                side: [statistics.median(r["gc_collections"][g] for r in side_runs)
+                       for g in range(3)]
+                for side, side_runs in (("base", base), ("change", change))
+            },
         })
     return {
         "workload": M_SCALING,

@@ -11,13 +11,15 @@ Subcommands:
                  one summary row per point
 
 Exit codes: 0 success, 2 configuration error, 3 runtime invariant violation
-(partial telemetry is still flushed). Set EHCTRL_LOG=DEBUG|INFO|WARNING for
+(``run`` still flushes the partial telemetry; ``sweep`` names the aborted
+point and writes no ``sweep.csv``). Set EHCTRL_LOG=DEBUG|INFO|WARNING for
 log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import logging
@@ -192,6 +194,12 @@ def _sweep_row(param: str, value: float, config) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    """One summary row per point of the grid, in grid order, into
+    ``sweep.csv``. Every point is built and validated before the first one
+    runs. A point whose run breaks a runtime invariant ends the sweep with
+    exit 3 and ``aborted: point <index> (<param> = <value>): <cause>`` on
+    stderr; no ``sweep.csv`` is written, and with ``--jobs`` > 1 the points
+    not yet started are cancelled."""
     raw = config_mod.read_raw(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -202,24 +210,35 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     base_seed = config_mod._convert(raw["seed"], "seed", int)
-    # Every point is built and validated before the first one runs.
     configs = [
         _sweep_config(raw, args.param, base_seed, args.horizon, index, value)
         for index, value in enumerate(values)
     ]
 
     point = functools.partial(_sweep_row, args.param)
-    if args.jobs > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    rows = []
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        # Spawned workers: forking a process whose numpy may run BLAS
-        # threads is unsafe.
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(values)),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            rows = list(pool.map(point, values, configs))
-    else:
-        rows = list(map(point, values, configs))
+            # Spawned workers: forking a process whose numpy may run BLAS
+            # threads is unsafe.
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(values)),
+                mp_context=multiprocessing.get_context("spawn"),
+            ))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            results = pool.map(point, values, configs)
+        else:
+            results = map(point, values, configs)
+        try:
+            for row in results:
+                rows.append(row)
+        except SimulationAborted as exc:
+            print(f"aborted: point {len(rows)} ({args.param} = {values[len(rows)]:g}): {exc}",
+                  file=sys.stderr)
+            return EXIT_INVARIANT
 
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "sweep.csv"

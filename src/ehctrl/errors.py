@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class ConfigError(ValueError):
     """A configuration failed to parse or violates a hard invariant."""
@@ -15,6 +17,12 @@ class InvariantBreach(RuntimeError):
 
     kind: str
     slot: int
+
+    def __reduce__(self):
+        # Rebuilt from ``args`` and the attributes without calling
+        # ``__init__``, whose parameters differ from ``args``, so that a
+        # breach survives the pickling between sweep worker processes.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EnergyCausalityError(InvariantBreach):

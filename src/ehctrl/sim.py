@@ -49,16 +49,25 @@ scheduler, energy and coordination functions; its cost is ~60 numpy calls
 per slot whatever M is. :func:`_scalar_chunk` does the same operations in
 the same order on Python floats, node by node, so its cost grows with M^2
 but starts far lower; it runs up to ``SCALAR_MAX_NODES`` nodes, the measured
-crossover. Both give the same bytes because every operation is one IEEE
+crossover. At those node counts the scalar plants are replayed on floats too
+(``on_floats`` of :meth:`~ehctrl.control.PlantBank.replay`), so the whole
+chunk stays on Python floats; it keeps each slot's values in flat per-chunk
+lists, so no list outlives its slot to keep the cyclic collector busy.
+
+Both forms give the same bytes because every operation is one IEEE
 operation or the same libm call on each side, with three orders kept:
-``max(x, 0.0)`` and ``min(x, 1.0)`` take their arguments as numpy's clips
-do (they differ from numpy only on -0.0, which no state reaches); the
-interference is summed left to right from column 0; the cross-log sum
-starts from int 0 in ascending column order. numpy's ``add.reduce`` sums a
-row left to right only when it has fewer than 8 entries (it sums longer
-rows pairwise in blocks of 8), so the threshold must stay below 8. The
-fault-injection tests patch module functions that only the array core
-calls; they set ``SCALAR_MAX_NODES`` to 0.
+  * every clip is a conditional expression that takes its arguments as
+    numpy's clips do. Python's ``max(x, lo)`` is exactly ``lo if lo > x
+    else x`` and ``min(x, hi)`` is exactly ``hi if hi < x else x``, NaN and
+    -0.0 included, so for lo <= hi ``min(max(x, lo), hi)`` is ``lo if lo >
+    x else hi if hi < x else x``. They differ from numpy only on -0.0,
+    which no state reaches;
+  * the interference is summed left to right from column 0;
+  * the cross-log sum starts from int 0 in ascending column order.
+numpy's ``add.reduce`` sums a row left to right only when it has fewer than
+8 entries (it sums longer rows pairwise in blocks of 8), so the threshold
+must stay below 8. The fault-injection tests patch module functions that
+only the array core calls; they set ``SCALAR_MAX_NODES`` to 0.
 
 The record keeps raw per-slot columns only. Its state columns (plant
 states, battery, phi, beta, nu) hold T + 1 rows while the run lasts, row
@@ -186,7 +195,8 @@ class TelemetryRecord:
     required_p: np.ndarray
     collision_prob: float
     energy_accounting: str = "fluid"
-    states: list[np.ndarray] = field(default_factory=list)  # per plant, (T, n_i)
+    # per plant, (T + 1, n_i) while the run lasts, (T, n_i) at its end
+    states: list[np.ndarray] = field(default_factory=list)
     lyapunov: np.ndarray = None
     z: np.ndarray = None
     transmitted: np.ndarray = None
@@ -243,6 +253,9 @@ class SimulationAborted(RuntimeError):
         self.record = record
         self.slot = slot
         super().__init__(f"run aborted at slot {slot}: {cause}")
+
+    def __reduce__(self):
+        return type(self), (self.cause, self.record, self.slot)
 
 
 def make_streams(seed: int, count: int) -> dict[str, list[np.random.Generator]]:
@@ -421,7 +434,9 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
     values, stamps = mailbox.values.tolist(), mailbox.slots.tolist()
     if mode == "random":
         availability = availability.tolist()
-    rows = ([], [], [], [], [], [])  # z, transmitted, battery, phi, beta, nu
+    # Flat per-chunk columns, slot-major: a slot's own lists die with it, so
+    # the cyclic collector is not kept busy by rows awaiting the record.
+    zs, txs, batteries, phis, betas, nus = [], [], [], [], [], []
     stop = start + len(q_chunk)
     for t, q, e, u, up in zip(range(start, stop), q_chunk.tolist(), e_chunk.tolist(),
                               transmit.tolist(), availability):
@@ -442,16 +457,17 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
             nu_i, phi_i = nu[i], phi[i]
             # 2. interference summed left to right from column 0, as numpy's
             # add.reduce does on rows of fewer than 8 entries
-            z_i = min(max(0.5 * (nu_i[i] * q[i] - qc * reduce(add, stale[i]) - beta[i]), 0.0),
-                      1.0)
+            z_i = 0.5 * (nu_i[i] * q[i] - qc * reduce(add, stale[i]) - beta[i])
+            z_i = 0.0 if 0.0 > z_i else 1.0 if 1.0 < z_i else z_i
             # 3. (integer accounting gates on whole units)
             tx_i = u[i] < z_i and (fluid or charge[i] >= 1.0)
             # 6.
-            spend = z_i if fluid else (1.0 if tx_i else 0.0)
-            battery.append(min(max(charge[i] - spend + e[i], 0.0), caps[i]))
+            b = charge[i] - (z_i if fluid else (1.0 if tx_i else 0.0)) + e[i]
+            battery.append(0.0 if 0.0 > b else caps[i] if caps[i] < b else b)
             # 7. node i's row of the dual step; phi / 0 reads as +inf,
             # which the clips send to the limits
-            s_own = min(max(phi_i / nu_i[i] if nu_i[i] != 0.0 else math.inf, floor), 1.0)
+            s_own = phi_i / nu_i[i] if nu_i[i] != 0.0 else math.inf
+            s_own = floor if floor > s_own else 1.0 if 1.0 < s_own else s_own
             zq = qc * z_i
             cross = 0
             row = []
@@ -460,7 +476,8 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
                 if j == i:
                     g = s_own - z_i * q[i]
                 else:
-                    s = min(max(1.0 - (phi_i / v if v != 0.0 else math.inf), 0.0), ceil)
+                    s = 1.0 - (phi_i / v if v != 0.0 else math.inf)
+                    s = 0.0 if 0.0 > s else ceil if ceil < s else s
                     if s:  # s = 0 adds -0.0 to the log sum: skipped exactly
                         cross += math.log1p(-s)
                     g = zq - s
@@ -468,9 +485,12 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
                     g -= y_bar[i][j]
                 if available is not None and not available[j]:
                     g = 0.0
-                row.append(max(v + eps * g, 0.0))
-            new_phi.append(max(phi_i + eps * (log_p[i] - (math.log(s_own) + cross)), 0.0))
-            new_beta.append(max(beta[i] + eps * (z_i - e[i]), 0.0))
+                v += eps * g
+                row.append(0.0 if 0.0 > v else v)
+            f = phi_i + eps * (log_p[i] - (math.log(s_own) + cross))
+            new_phi.append(0.0 if 0.0 > f else f)
+            f = beta[i] + eps * (z_i - e[i])
+            new_beta.append(0.0 if 0.0 > f else f)
             new_nu.append(row)
             z.append(z_i)
             tx.append(tx_i)
@@ -487,13 +507,24 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
             values[i][j] = nu[j][i]
             stamps[i][j] = t
 
-        for column, row in zip(rows, (z, tx, charge, phi, beta, nu)):
-            column.append(row)
+        zs += z
+        txs += tx
+        batteries += charge
+        phis += phi
+        betas += beta
+        for row in nu:
+            nus += row
 
-    # 9.
-    record.z[start:stop], record.transmitted[start:stop] = rows[:2]
+    # 9. one reshape per column
+    M = config.count
+    shape = (stop - start, M)
+    record.z[start:stop] = np.reshape(zs, shape)
+    record.transmitted[start:stop] = np.reshape(txs, shape)
     span = slice(start + 1, stop + 1)
-    record.battery[span], record.phi[span], record.beta[span], record.nu[span] = rows[2:]
+    record.battery[span] = np.reshape(batteries, shape)
+    record.phi[span] = np.reshape(phis, shape)
+    record.beta[span] = np.reshape(betas, shape)
+    record.nu[span] = np.reshape(nus, (*shape, M))
     mailbox.values[...] = values
     mailbox.slots[...] = stamps
 
@@ -535,7 +566,8 @@ def run(config: SimConfig) -> SimResult:
     record.beta[0] = duals.beta
     record.nu[0] = duals.nu
 
-    core = _scalar_chunk if M <= SCALAR_MAX_NODES else _array_chunk
+    small = M <= SCALAR_MAX_NODES
+    core = _scalar_chunk if small else _array_chunk
     try:
         for start in range(0, T, DRAW_CHUNK):
             stop = min(start + DRAW_CHUNK, T)
@@ -553,7 +585,7 @@ def run(config: SimConfig) -> SimResult:
             )
             record.received[start:stop] = received
             record.collided[start:stop] = collided
-            plants.replay(received, noise, start)
+            plants.replay(received, noise, start, on_floats=small)
             _check_chunk(record, plants, start, stop, capacity, cap, params)
     except InvariantBreach as exc:
         rows = exc.slot + 1

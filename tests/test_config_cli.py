@@ -326,6 +326,19 @@ class TestSweepCommand:
         assert (tmp_path / "1" / "sweep.csv").read_bytes() == (
             tmp_path / "2" / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_aborting_point_exits_3(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "small-battery.cfg"
+        cfg.write_text("battery: {capacity: 3.0}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--param", "harvest_mean", "--values", "0.8,0.4,0.3",
+                     "--config", str(cfg), "--horizon", "100", "--jobs", jobs,
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("aborted: point 1 (harvest_mean = 0.4): run aborted at slot 12: "
+                "energy causality violated at slot 12: node 1") in err
+        assert not (out / "sweep.csv").exists()
+
     def test_bad_values_rejected(self, tmp_path):
         assert main(["sweep", "--param", "harvest_mean", "--values", "a,b",
                      "--out", str(tmp_path)]) == 2

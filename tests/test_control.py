@@ -77,6 +77,58 @@ class TestStepPlant:
             assert one_slot(plant, x, True, normal)[0].nonfinite(0, 1).tolist() == [[bad]]
 
 
+REPLAY_PLANTS = [
+    # noisy, from a -0.0 start
+    (scalar_plant(1.05, 0.1), -0.0),
+    # noiseless, negative gains: decays through the subnormals to zero
+    (scalar_plant(-0.5, -0.25, cov=0.0), 1e-307),
+    (PlantModel(a_open=[[1.05, 0.1], [0.0, 1.05]], a_closed=[[0.1, 0.0], [0.02, 0.1]],
+                noise_cov=[[1.0, 0.2], [0.2, 0.5]], lyapunov_weight=np.eye(2),
+                decrease_rate=0.8), [3.0, -0.0]),
+    # overflows to inf open loop, then 0 * inf = NaN on the next reception
+    (scalar_plant(1e5, 0.0), 1e305),
+    (PlantModel(a_open=[[1.05, 0.2, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 0.9]],
+                a_closed=np.eye(3) * 0.2, noise_cov=np.eye(3), lyapunov_weight=np.eye(3),
+                decrease_rate=0.8), [1.0, -1.0, 4.0]),
+    (scalar_plant(0.5, 0.25, cov=0.0), -0.0),
+]
+# Positions of the noiseless plants (1 and 5) in the scalar stack, whose noise
+# rows the test sets to -0.0: only then does the 0.0 the matmul adds show.
+NOISELESS = [1, 3]
+
+
+class TestFloatReplay:
+    """Stepping the scalar stack on floats writes the bytes of the stacked
+    matmul, over two consecutive chunks."""
+
+    @pytest.mark.parametrize("received", ["random", "all", "none"])
+    @pytest.mark.parametrize("slots", [1, 255, 256, 257])
+    def test_float_replay_matches_matmul(self, slots, received):
+        models, starts = zip(*REPLAY_PLANTS)
+        rng = np.random.default_rng(slots)
+        pattern = {"random": rng.random((slots + 3, len(models))) < 0.5,
+                   "all": np.ones((slots + 3, len(models)), dtype=bool),
+                   "none": np.zeros((slots + 3, len(models)), dtype=bool)}[received]
+        if received == "random":
+            pattern[:2, 3] = False, True  # inf after slot 0, NaN after slot 1
+        written = []
+        for on_floats in (False, True):
+            bank = PlantBank(models, [np.atleast_1d(np.asarray(x, dtype=float)) for x in starts])
+            states = bank.history(slots + 3)
+            rngs = [np.random.default_rng(i) for i in range(len(models))]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start, stop in ((0, slots), (slots, slots + 3)):
+                    noise = bank.draw_noise(rngs, stop - start)
+                    noise[0][:, NOISELESS] = -0.0
+                    bank.replay(pattern[start:stop], noise, start, on_floats=on_floats)
+            written.append([x.tobytes() for x in states])
+        assert written[0] == written[1]
+        if received == "random":  # the corners were reached
+            assert np.isinf(states[3]).any() and np.isnan(states[3]).any()
+            tiny = np.abs(states[1])
+            assert ((tiny > 0) & (tiny < np.finfo(float).tiny)).any()
+
+
 class TestLyapunovValue:
     def test_scalar_square(self):
         assert certificate(scalar_plant(1.1, 0.15), [2.0]) == pytest.approx(4.0)

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -333,6 +335,18 @@ class TestAborts:
         assert err.value.cause.kind == "nonfinite"
         assert err.value.record.violations["nonfinite"] == 1
 
+    def test_aborts_survive_pickling(self):
+        record = TelemetryRecord(horizon=0, count=1, required_p=np.zeros(1),
+                                 collision_prob=0.0)
+        for cause in (EnergyCausalityError(node=1, spend=0.5, charge=0.25, slot=7),
+                      InvalidStateError(plant=2, slot=3),
+                      InvariantViolation("nu too large", kind="dual_bound", slot=4)):
+            aborted = pickle.loads(pickle.dumps(SimulationAborted(cause, record, cause.slot)))
+            assert type(aborted.cause) is type(cause)
+            assert str(aborted) == f"run aborted at slot {cause.slot}: {cause}"
+            assert vars(aborted.cause) == vars(cause)
+            assert aborted.slot == cause.slot and aborted.record.count == 1
+
 
 CORE_SLOTS = 40
 CORE_CASES = list(itertools.product(
@@ -455,6 +469,21 @@ class TestScalarCore:
             run(short_config(horizon=10, plants=[{"a_open": 1.05, "a_closed": 0.1}] * nodes))
         assert chosen == ["_scalar_chunk", "_array_chunk"]
         assert SCALAR_MAX_NODES < 8  # numpy sums rows of 8 or more pairwise
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_collector_settings(enabled):
+    """A library call leaves the process's cyclic-collector settings as it
+    found them."""
+    before = gc.isenabled(), gc.get_threshold()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        gc.set_threshold(500, 7, 9)
+        run(short_config(horizon=300))
+        assert (gc.isenabled(), gc.get_threshold()) == (enabled, (500, 7, 9))
+    finally:
+        (gc.enable if before[0] else gc.disable)()
+        gc.set_threshold(*before[1])
 
 
 class TestConfigSurface:
