@@ -7,8 +7,8 @@ Subcommands:
   required-prob  print the reception probability a plant needs for its
                  decrease-rate target
   check-config   verify the dual-bound and battery sizing rules
-  sweep          rerun the simulation over a grid of one scalar parameter,
-                 one summary row per point
+  sweep          rerun the simulation over a grid of one scalar parameter or
+                 of root seeds, one summary row per point
 
 Exit codes: 0 success, 2 configuration error, 3 runtime invariant violation
 (``run`` still flushes the partial telemetry; ``sweep`` names the aborted
@@ -49,6 +49,7 @@ SWEEP_PARAMS = {
     "decode_rate": ("channel", "decode", "rate"),
     "epsilon": ("scheduler", "epsilon"),
     "staleness_bound": ("availability", "staleness_bound"),
+    "seed": ("seed",),
 }
 
 
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=sorted(SWEEP_PARAMS))
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated grid, e.g. 0.1,0.3,0.5")
+                         help="comma-separated grid, e.g. 0.1,0.3,0.5 (integers for seed)")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     return parser
 
@@ -170,17 +171,18 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _sweep_config(raw: dict, param: str, seed: int, horizon, index: int, value: float):
+def _sweep_config(raw: dict, param: str, seed: int, horizon, index: int, value):
     raw = copy.deepcopy(raw)
     *path, leaf = SWEEP_PARAMS[param]
     target = raw
     for key in path:
         target = target[key]
     target[leaf] = value
-    return config_mod.build_config(raw, seed=_derived_seed(seed, index), horizon=horizon)
+    seed = value if param == "seed" else _derived_seed(seed, index)
+    return config_mod.build_config(raw, seed=seed, horizon=horizon)
 
 
-def _sweep_row(param: str, value: float, config) -> dict:
+def _sweep_row(param: str, value, config) -> dict:
     result = run(config)
     row: dict = {"param": param, "value": value, "seed": config.seed}
     for entry in result.summary.nodes:
@@ -195,16 +197,19 @@ def _sweep_row(param: str, value: float, config) -> dict:
 
 def cmd_sweep(args) -> int:
     """One summary row per point of the grid, in grid order, into
-    ``sweep.csv``. Every point is built and validated before the first one
-    runs. A point whose run breaks a runtime invariant ends the sweep with
-    exit 3 and ``aborted: point <index> (<param> = <value>): <cause>`` on
-    stderr; no ``sweep.csv`` is written, and with ``--jobs`` > 1 the points
-    not yet started are cancelled."""
+    ``sweep.csv``; point i runs at a seed derived from the root seed and i,
+    a ``seed`` point at its value, read as an integer. Every point is built
+    and validated before the first one runs. A point whose run breaks a
+    runtime invariant ends the sweep with exit 3 and ``aborted: point
+    <index> (<param> = <value>): <cause>`` on stderr; no ``sweep.csv`` is
+    written, and with ``--jobs`` > 1 the points not yet started are
+    cancelled."""
     raw = config_mod.read_raw(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
+    kind = int if args.param == "seed" else float
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [kind(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse sweep values: {exc}") from exc
     if not values:
@@ -236,7 +241,7 @@ def cmd_sweep(args) -> int:
             for row in results:
                 rows.append(row)
         except SimulationAborted as exc:
-            print(f"aborted: point {len(rows)} ({args.param} = {values[len(rows)]:g}): {exc}",
+            print(f"aborted: point {len(rows)} ({args.param} = {values[len(rows)]}): {exc}",
                   file=sys.stderr)
             return EXIT_INVARIANT
 

@@ -29,10 +29,8 @@ logger = logging.getLogger(__name__)
 
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-DEFAULT_SEED = 1
-
 DEFAULTS: dict = {
-    "seed": DEFAULT_SEED,
+    "seed": 1,
     "horizon": 10_000,
     "plants": [
         {"a_open": 1.1, "a_closed": 0.15, "noise_cov": 1.0, "lyapunov_weight": 1.0,
@@ -291,7 +289,3 @@ def load_config(path=None, seed=None, horizon=None, strict: bool = False) -> Sim
     for problem in problems:
         logger.warning("sizing: %s", problem)
     return config
-
-
-def default_config(seed=None, horizon=None) -> SimConfig:
-    return build_config(read_raw(None), seed=seed, horizon=horizon)

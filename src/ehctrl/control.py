@@ -94,7 +94,8 @@ class PlantBank:
     the rows of one (T + 1, k, d) buffer (:meth:`history`). Nothing a node
     decides reads a plant state, so plants advance a block of slots at a
     time (:meth:`replay`) once the block's receptions are known; a slot is
-    the stacked matmul ``where(received, A_c, A_o) @ x + noise``. Stacks are
+    ``where(received, A_c, A_o) @ x + noise``, on Python floats for the
+    scalar stack and as a stacked matmul for each matrix stack. Stacks are
     never padded to a common d: a padded matmul runs another kernel and
     changes the last bits."""
 
@@ -134,23 +135,21 @@ class PlantBank:
                  for k, i in enumerate(idx)}
         return [views[i] for i in range(len(self.models))]
 
-    def replay(self, received: np.ndarray, noise: list[np.ndarray], start: int,
-               on_floats: bool = False) -> None:
+    def replay(self, received: np.ndarray, noise: list[np.ndarray], start: int) -> None:
         """Advance every plant from its history row ``start`` through one
         slot per row of ``received`` (slots, plants): closed-loop dynamics
         where the packet arrived, open loop otherwise, plus that slot's row
         of ``noise`` (:meth:`draw_noise`). The state after slot t goes into
         history row t + 1.
 
-        With ``on_floats`` the scalar stack steps each plant on Python floats
-        as ``a * x + 0.0 + w``: a 1x1 matmul sums ``0.0 + a * x``, so the
-        bytes are the same. That is faster for a few plants only (the caller
-        chooses by node count); matrix stacks always take the matmul."""
+        The scalar stack steps each plant on Python floats as ``a * x + 0.0
+        + w``, the bytes of a 1x1 matmul, which sums ``0.0 + a * x``; matrix
+        stacks take the stacked matmul."""
         for idx, a_open, a_closed, buffer, w in zip(
             self.index, self._a_open, self._a_closed, self._history, noise
         ):
             rows = buffer[start + 1:start + 1 + len(received)]
-            if on_floats and buffer.shape[2] == 1:
+            if buffer.shape[2] == 1:
                 for k, (x, a_o, a_c, arrived, drift) in enumerate(zip(
                     buffer[start, :, 0].tolist(), a_open[:, 0, 0].tolist(),
                     a_closed[:, 0, 0].tolist(), received[:, idx].T.tolist(),
@@ -161,12 +160,12 @@ class PlantBank:
                         x = (a_c if r else a_o) * x + 0.0 + n
                         states.append(x)
                     rows[:, k, 0] = states
-                continue
-            a = np.where(received[:, idx, None, None], a_closed, a_open)
-            x = buffer[start][..., None]
-            for k in range(len(a)):
-                x = a[k] @ x + w[k]
-                rows[k] = x[..., 0]
+            else:
+                a = np.where(received[:, idx, None, None], a_closed, a_open)
+                x = buffer[start][..., None]
+                for k in range(len(a)):
+                    x = a[k] @ x + w[k]
+                    rows[k] = x[..., 0]
 
     def nonfinite(self, start: int, stop: int) -> np.ndarray:
         """(stop - start, plants) flags of the states that :meth:`replay`

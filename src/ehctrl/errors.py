@@ -2,6 +2,9 @@
 
 import copyreg
 
+# The InvariantBreach kinds, in the order of a run's ``violations`` counters.
+BREACH_KINDS = ("causality", "mirror", "dual_bound", "nonfinite")
+
 
 class ConfigError(ValueError):
     """A configuration failed to parse or violates a hard invariant."""

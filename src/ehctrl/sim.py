@@ -11,8 +11,8 @@ below) works on Python floats. Every slot runs, in this fixed order:
      from its own multipliers and the stale remote copies
   3. Bernoulli transmission draws
   4. collision/decoding resolution -> per-node reception flags
-  5. plants step (closed loop on reception, open loop otherwise), one
-     stacked matmul per plant dimension
+  5. plants step (closed loop on reception, open loop otherwise): scalar
+     plants on Python floats, one stacked matmul per matrix dimension
   6. batteries step with the energy spend (the transmit probability under
      fluid accounting, the transmission under integer accounting)
   7. dual subgradient updates, masked by availability
@@ -49,10 +49,8 @@ scheduler, energy and coordination functions; its cost is ~60 numpy calls
 per slot whatever M is. :func:`_scalar_chunk` does the same operations in
 the same order on Python floats, node by node, so its cost grows with M^2
 but starts far lower; it runs up to ``SCALAR_MAX_NODES`` nodes, the measured
-crossover. At those node counts the scalar plants are replayed on floats too
-(``on_floats`` of :meth:`~ehctrl.control.PlantBank.replay`), so the whole
-chunk stays on Python floats; it keeps each slot's values in flat per-chunk
-lists, so no list outlives its slot to keep the cyclic collector busy.
+crossover. It keeps each slot's values in flat per-chunk lists, so no list
+outlives its slot to keep the cyclic collector busy.
 
 Both forms give the same bytes because every operation is one IEEE
 operation or the same libm call on each side, with three orders kept:
@@ -107,6 +105,7 @@ from .control import PlantBank, PlantModel
 from .coordination import AvailabilitySchedule, DualMailbox
 from .energy import BatteryState, HarvestConfig
 from .errors import (
+    BREACH_KINDS,
     ConfigError,
     EnergyCausalityError,
     InvalidStateError,
@@ -161,6 +160,9 @@ class SimConfig:
                 raise ConfigError(f"{name} must list one entry per plant")
         if self.params.count != count:
             raise ConfigError("scheduler params sized for a different node count")
+        if self.params.collision_prob != self.channel.collision_prob:
+            raise ConfigError(f"scheduler collision_prob {self.params.collision_prob!r} "
+                              f"differs from channel's {self.channel.collision_prob!r}")
         if self.horizon < 0:
             raise ConfigError("horizon must be non-negative")
         if not 0 <= self.seed < 2**64:
@@ -556,9 +558,7 @@ def run(config: SimConfig) -> SimResult:
         collision_prob=config.channel.collision_prob,
         energy_accounting=config.energy_accounting,
     )
-    record.violations = {
-        "causality": 0, "mirror": 0, "dual_bound": 0, "nonfinite": 0,
-    }
+    record.violations = dict.fromkeys(BREACH_KINDS, 0)
     _allocate(record, config)
     record.states = plants.history(T)
     record.battery[0] = charge
@@ -566,8 +566,7 @@ def run(config: SimConfig) -> SimResult:
     record.beta[0] = duals.beta
     record.nu[0] = duals.nu
 
-    small = M <= SCALAR_MAX_NODES
-    core = _scalar_chunk if small else _array_chunk
+    core = _scalar_chunk if M <= SCALAR_MAX_NODES else _array_chunk
     try:
         for start in range(0, T, DRAW_CHUNK):
             stop = min(start + DRAW_CHUNK, T)
@@ -585,7 +584,7 @@ def run(config: SimConfig) -> SimResult:
             )
             record.received[start:stop] = received
             record.collided[start:stop] = collided
-            plants.replay(received, noise, start, on_floats=small)
+            plants.replay(received, noise, start)
             _check_chunk(record, plants, start, stop, capacity, cap, params)
     except InvariantBreach as exc:
         rows = exc.slot + 1

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import BREACH_KINDS
 from .sim import Summary, TelemetryRecord, running_mean
 
 # Rows formatted per step; bounds the cell strings held at once to
@@ -46,7 +47,6 @@ _SUMMARY_FIELDS = (
     "battery_final",
 )
 _PROB_BARS = ("node", "p_required", "p_tx", "p_rx_analytic", "p_rx_empirical")
-_VIOLATION_KEYS = ("causality", "mirror", "dual_bound", "nonfinite")
 
 
 def _cells(values) -> list[str]:
@@ -125,7 +125,7 @@ def write_slots_csv(record: TelemetryRecord, path) -> None:
 def summary_dict(summary: Summary) -> dict:
     return {
         "horizon": summary.horizon,
-        "violations": {k: summary.violations.get(k, 0) for k in _VIOLATION_KEYS},
+        "violations": {k: summary.violations.get(k, 0) for k in BREACH_KINDS},
         "nodes": [
             {
                 "node": entry.node + 1,
@@ -160,7 +160,7 @@ def write_outputs(
     write_csv(outdir / "summary.csv", {
         **{name: [node[name] for node in nodes] for name in ("node", *_SUMMARY_FIELDS)},
         **{f"max_nu_{j + 1}": [node["max_nu"][j] for node in nodes] for j in range(len(nodes))},
-        **{f"{k}_violations": [table["violations"][k]] * len(nodes) for k in _VIOLATION_KEYS},
+        **{f"{k}_violations": [table["violations"][k]] * len(nodes) for k in BREACH_KINDS},
     })
     with open(outdir / "summary.json", "w", newline="\n") as fh:
         json.dump(table, fh, indent=2, sort_keys=True)

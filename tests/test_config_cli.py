@@ -12,7 +12,7 @@ import ehctrl.scheduler
 import ehctrl.sim
 from conftest import grid_required_probability
 from ehctrl.cli import main
-from ehctrl.config import DEFAULTS, build_config, default_config, load_config, read_raw
+from ehctrl.config import DEFAULTS, build_config, load_config, read_raw
 from ehctrl.control import PlantModel
 from ehctrl.errors import ConfigError
 
@@ -22,7 +22,7 @@ REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "paper-sec6.cfg"
 class TestConfigLoading:
     def test_shipped_file_matches_builtin_defaults(self):
         from_file = load_config(REPO_CONFIG)
-        builtin = default_config()
+        builtin = build_config(read_raw(None))
         assert from_file.seed == builtin.seed
         assert from_file.horizon == builtin.horizon
         assert np.array_equal(from_file.params.p, builtin.params.p)
@@ -342,6 +342,55 @@ class TestSweepCommand:
     def test_bad_values_rejected(self, tmp_path):
         assert main(["sweep", "--param", "harvest_mean", "--values", "a,b",
                      "--out", str(tmp_path)]) == 2
+
+    def test_seed_points_match_runs(self, tmp_path):
+        """A seed point is the run at that root seed, not at a derived one."""
+        assert main(["sweep", "--param", "seed", "--values", "1,2", "--horizon", "300",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+        assert [(row["value"], row["seed"]) for row in rows] == [("1", "1"), ("2", "2")]
+        for row in rows:
+            out = tmp_path / row["seed"]
+            assert main(["run", "--seed", row["seed"], "--horizon", "300",
+                         "--out", str(out)]) == 0
+            nodes = json.loads((out / "summary.json").read_text())["nodes"]
+            assert [float(row[f"ctrl_perf_{n['node']}"]) for n in nodes] == [
+                n["ctrl_perf"] for n in nodes]
+
+    @pytest.mark.parametrize("value", ["2.5", "abc"])
+    def test_non_integer_seed_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        runs = []
+        monkeypatch.setattr(ehctrl.cli, "run", runs.append)
+        assert main(["sweep", "--param", "seed", "--values", f"1,{value}",
+                     "--horizon", "10", "--out", str(tmp_path)]) == 2
+        assert "cannot parse sweep values" in capsys.readouterr().err
+        assert runs == []
+
+    def test_large_seed_used_exactly(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def spy(config):
+            seeds.append(config.seed)
+            return ehctrl.sim.run(config)
+
+        monkeypatch.setattr(ehctrl.cli, "run", spy)
+        seed = 2**53 + 1  # the nearest float is 2**53
+        assert main(["sweep", "--param", "seed", "--values", str(seed), "--horizon", "10",
+                     "--out", str(tmp_path)]) == 0
+        assert seeds == [seed]
+        assert read_csv(tmp_path / "sweep.csv")[0]["seed"] == str(seed)
+
+    @pytest.mark.parametrize("param", sorted(ehctrl.cli.SWEEP_PARAMS))
+    def test_param_paths_name_numbers(self, param):
+        value = DEFAULTS
+        for key in ehctrl.cli.SWEEP_PARAMS[param]:
+            value = value[key]
+        assert isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_csv(path) -> list[dict]:
+    header, *lines = Path(path).read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -98,8 +98,9 @@ NOISELESS = [1, 3]
 
 
 class TestFloatReplay:
-    """Stepping the scalar stack on floats writes the bytes of the stacked
-    matmul, over two consecutive chunks."""
+    """The replay, scalar plants on floats and matrix stacks as one matmul,
+    writes the bytes of plant-by-plant, slot-by-slot steps
+    ``where(received, A_c, A_o) @ x + w``, over two consecutive chunks."""
 
     @pytest.mark.parametrize("received", ["random", "all", "none"])
     @pytest.mark.parametrize("slots", [1, 255, 256, 257])
@@ -111,18 +112,24 @@ class TestFloatReplay:
                    "none": np.zeros((slots + 3, len(models)), dtype=bool)}[received]
         if received == "random":
             pattern[:2, 3] = False, True  # inf after slot 0, NaN after slot 1
-        written = []
-        for on_floats in (False, True):
-            bank = PlantBank(models, [np.atleast_1d(np.asarray(x, dtype=float)) for x in starts])
-            states = bank.history(slots + 3)
-            rngs = [np.random.default_rng(i) for i in range(len(models))]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for start, stop in ((0, slots), (slots, slots + 3)):
-                    noise = bank.draw_noise(rngs, stop - start)
-                    noise[0][:, NOISELESS] = -0.0
-                    bank.replay(pattern[start:stop], noise, start, on_floats=on_floats)
-            written.append([x.tobytes() for x in states])
-        assert written[0] == written[1]
+        starts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in starts]
+        bank = PlantBank(models, starts)
+        states = bank.history(slots + 3)
+        rngs = [np.random.default_rng(i) for i in range(len(models))]
+        x = [x0[:, None] for x0 in starts]
+        expected = [[x0] for x0 in starts]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, stop in ((0, slots), (slots, slots + 3)):
+                noise = bank.draw_noise(rngs, stop - start)
+                noise[0][:, NOISELESS] = -0.0
+                bank.replay(pattern[start:stop], noise, start)
+                for idx, w in zip(bank.index, noise):
+                    for k, i in enumerate(idx):
+                        a_o, a_c = models[i].a_open, models[i].a_closed
+                        for t in range(start, stop):
+                            x[i] = np.where(pattern[t, i], a_c, a_o) @ x[i] + w[t - start, k]
+                            expected[i].append(x[i][:, 0])
+        assert [s.tobytes() for s in states] == [np.array(e).tobytes() for e in expected]
         if received == "random":  # the corners were reached
             assert np.isinf(states[3]).any() and np.isnan(states[3]).any()
             tiny = np.abs(states[1])
