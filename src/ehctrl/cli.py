@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import functools
 import logging
 import os
@@ -133,13 +134,9 @@ def _plant_from_args(args) -> PlantModel:
         return config_mod.build_plant(data, "plant-file")
     if args.a_open is None or args.a_closed is None or args.rho is None:
         raise ConfigError("required-prob needs --a-open, --a-closed and --rho (or --plant-file)")
-    return PlantModel(
-        a_open=args.a_open,
-        a_closed=args.a_closed,
-        noise_cov=1.0,
-        lyapunov_weight=args.lyapunov,
-        decrease_rate=args.rho,
-    )
+    entry = {"a_open": args.a_open, "a_closed": args.a_closed,
+             "lyapunov_weight": args.lyapunov, "decrease_rate": args.rho}
+    return config_mod.build_plant(entry, "plant")
 
 
 def cmd_required_prob(args) -> int:
@@ -150,7 +147,7 @@ def cmd_required_prob(args) -> int:
 
 
 def cmd_check_config(args) -> int:
-    config = config_mod.load_config(args.config, strict=False)
+    config = config_mod.build_config(config_mod.read_raw(args.config))
     caps = [b.capacity for b in config.batteries]
     problems = sizing_violations(config.params, caps)
     needed_y, needed_b = sizing_needs(config.params)
@@ -171,15 +168,18 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _sweep_config(raw: dict, param: str, seed: int, horizon, index: int, value):
+def _sweep_config(raw: dict, args, index: int, value):
+    """The built and size-checked config of point ``index``."""
     raw = copy.deepcopy(raw)
-    *path, leaf = SWEEP_PARAMS[param]
+    *path, leaf = SWEEP_PARAMS[args.param]
     target = raw
     for key in path:
         target = target[key]
     target[leaf] = value
-    seed = value if param == "seed" else _derived_seed(seed, index)
-    return config_mod.build_config(raw, seed=seed, horizon=horizon)
+    config = config_mod.build_config(raw, horizon=args.horizon)
+    if args.param != "seed":
+        config = dataclasses.replace(config, seed=_derived_seed(config.seed, index))
+    return config_mod.check_sizing(config, args.strict)
 
 
 def _sweep_row(param: str, value, config) -> dict:
@@ -198,12 +198,15 @@ def _sweep_row(param: str, value, config) -> dict:
 def cmd_sweep(args) -> int:
     """One summary row per point of the grid, in grid order, into
     ``sweep.csv``; point i runs at a seed derived from the root seed and i,
-    a ``seed`` point at its value, read as an integer. Every point is built
-    and validated before the first one runs. A point whose run breaks a
+    a ``seed`` point at its value, read as an integer. Every point is built,
+    validated and size-checked (as ``run`` checks its config, ``--strict``
+    included) before the first one runs. A point whose run breaks a
     runtime invariant ends the sweep with exit 3 and ``aborted: point
     <index> (<param> = <value>): <cause>`` on stderr; no ``sweep.csv`` is
     written, and with ``--jobs`` > 1 the points not yet started are
     cancelled."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     raw = config_mod.read_raw(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -214,11 +217,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"cannot parse sweep values: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    base_seed = config_mod._convert(raw["seed"], "seed", int)
-    configs = [
-        _sweep_config(raw, args.param, base_seed, args.horizon, index, value)
-        for index, value in enumerate(values)
-    ]
+    configs = [_sweep_config(raw, args, index, value) for index, value in enumerate(values)]
 
     point = functools.partial(_sweep_row, args.param)
     rows = []

@@ -277,15 +277,18 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
     )
 
 
-def load_config(path=None, seed=None, horizon=None, strict: bool = False) -> SimConfig:
-    """Load, build, and size-check a configuration.
-
-    Sizing-rule violations raise in strict mode and log warnings otherwise.
-    """
-    config = build_config(read_raw(path), seed=seed, horizon=horizon)
+def check_sizing(config: SimConfig, strict: bool = False) -> SimConfig:
+    """``config``, checked against the sizing rules that bound the duals and
+    guarantee per-slot energy causality. Violations raise in strict mode and
+    log warnings otherwise."""
     problems = sizing_violations(config.params, [b.capacity for b in config.batteries])
     if problems and strict:
         raise ConfigError("sizing check failed: " + "; ".join(problems))
     for problem in problems:
         logger.warning("sizing: %s", problem)
     return config
+
+
+def load_config(path=None, seed=None, horizon=None, strict: bool = False) -> SimConfig:
+    """Load, build, and size-check (:func:`check_sizing`) a configuration."""
+    return check_sizing(build_config(read_raw(path), seed=seed, horizon=horizon), strict)

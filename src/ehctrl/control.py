@@ -215,8 +215,8 @@ def required_reception_probability(model: PlantModel, tol: float = DEFAULT_LMI_T
     feasibility test. Raises :class:`InfeasibleTargetError` when even
     always-on reception (theta = 1) cannot meet the rate.
     """
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not tol > 0:  # NaN included
+        raise ConfigError(f"tolerance must be positive, got {tol!r}")
     if model.dim == 1:
         ao2 = float(model.a_open[0, 0]) ** 2
         ac2 = float(model.a_closed[0, 0]) ** 2

@@ -48,9 +48,10 @@ count alone. :func:`_array_chunk` evaluates every node at once through the
 scheduler, energy and coordination functions; its cost is ~60 numpy calls
 per slot whatever M is. :func:`_scalar_chunk` does the same operations in
 the same order on Python floats, node by node, so its cost grows with M^2
-but starts far lower; it runs up to ``SCALAR_MAX_NODES`` nodes, the measured
-crossover. It keeps each slot's values in flat per-chunk lists, so no list
-outlives its slot to keep the cyclic collector busy.
+but starts far lower; it runs up to ``SCALAR_MAX_NODES`` = 7 nodes, the
+largest count at which it can give the array core's bytes (below). It keeps
+each slot's values in flat per-chunk lists, so no list outlives its slot to
+keep the cyclic collector busy.
 
 Both forms give the same bytes because every operation is one IEEE
 operation or the same libm call on each side, with three orders kept:
@@ -63,8 +64,8 @@ operation or the same libm call on each side, with three orders kept:
   * the interference is summed left to right from column 0;
   * the cross-log sum starts from int 0 in ascending column order.
 numpy's ``add.reduce`` sums a row left to right only when it has fewer than
-8 entries (it sums longer rows pairwise in blocks of 8), so the threshold
-must stay below 8. The fault-injection tests patch module functions that
+8 entries (it sums longer rows pairwise in blocks of 8), which sets the
+threshold at 7. The fault-injection tests patch module functions that
 only the array core calls; they set ``SCALAR_MAX_NODES`` to 0.
 
 The record keeps raw per-slot columns only. Its state columns (plant
@@ -128,8 +129,8 @@ DRAW_CHUNK = 256
 
 # Node counts up to this run the slot core on Python floats
 # (:func:`_scalar_chunk`), larger ones on arrays (:func:`_array_chunk`): the
-# measured crossover (see the module docstring). Must stay below 8.
-SCALAR_MAX_NODES = 5
+# largest M whose rows numpy sums left to right (see the module docstring).
+SCALAR_MAX_NODES = 7
 
 _STREAM_NAMES = ("channel", "harvest", "transmission", "collision", "availability", "noise")
 

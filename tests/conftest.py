@@ -21,22 +21,22 @@ settings.load_profile("suite")
 
 def grid_required_probability(model: PlantModel, step: float = 1e-3) -> float:
     """Smallest mixing weight on a dense grid for which the decrease pencil
-    is positive semidefinite; inf if none is."""
+    is positive semidefinite; inf if none is. The pencils of the whole grid
+    go through one stacked ``eigvalsh``."""
     w = model.lyapunov_weight
     closed = model.a_closed.T @ w @ model.a_closed
     open_ = model.a_open.T @ w @ model.a_open
-    for theta in np.arange(0.0, 1.0 + step / 2, step):
-        pencil = model.decrease_rate * w - theta * closed - (1.0 - theta) * open_
-        if np.linalg.eigvalsh(0.5 * (pencil + pencil.T)).min() >= 0.0:
-            return float(theta)
-    return math.inf
+    theta = np.arange(0.0, 1.0 + step / 2, step)[:, None, None]
+    pencil = model.decrease_rate * w - theta * closed - (1.0 - theta) * open_
+    psd = np.linalg.eigvalsh(0.5 * (pencil + pencil.swapaxes(1, 2))).min(axis=1) >= 0.0
+    return float(theta[psd.argmax(), 0, 0]) if psd.any() else math.inf
 
 
 def grid_argmin(fn, lo: float, hi: float, step: float = 1e-3) -> float:
-    """Brute-force argmin of a scalar function on [lo, hi]."""
+    """Brute-force argmin on [lo, hi] of a scalar function that ``fn``
+    evaluates over the whole grid array at once."""
     grid = np.append(np.arange(lo, hi, step), hi)
-    values = np.array([fn(x) for x in grid])
-    return float(grid[int(np.argmin(values))])
+    return float(grid[int(np.argmin(fn(grid)))])
 
 
 def z_objective(c: float):
@@ -44,11 +44,11 @@ def z_objective(c: float):
 
 
 def s_own_objective(phi: float, nu: float):
-    return lambda s: -phi * math.log(s) + nu * s
+    return lambda s: -phi * np.log(s) + nu * s
 
 
 def s_cross_objective(phi: float, nu: float):
-    return lambda s: -phi * math.log(1.0 - s) - nu * s
+    return lambda s: -phi * np.log(1.0 - s) - nu * s
 
 
 @pytest.fixture

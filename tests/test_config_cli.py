@@ -168,6 +168,14 @@ class TestCheckConfig:
         out = capsys.readouterr().out
         assert "39" in out  # nu_bar/eps + 1
 
+    def test_each_problem_reported_once(self, tmp_path, capsys, caplog):
+        cfg = tmp_path / "small-battery.cfg"
+        cfg.write_text("battery: {capacity: 3.0}\n")
+        assert main(["check-config", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        problem = "battery capacity of node 0 is 3, below nu_bar_ii/eps + 1 = 20"
+        assert (captured.out + captured.err + caplog.text).count(problem) == 1
+
 
 class TestRequiredProbCommand:
     def test_scalar_reference_values(self, capsys):
@@ -198,6 +206,19 @@ class TestRequiredProbCommand:
         )
         assert value == pytest.approx(grid_required_probability(model, 1e-4), abs=1e-3)
 
+    def test_nan_tolerance_exits_2(self, tmp_path, capsys):
+        """A NaN tolerance would end the bisection at once and print 1."""
+        plant_file = tmp_path / "plant.yaml"
+        plant_file.write_text(
+            "a_open: [[1.05, 0.1], [0.0, 1.05]]\n"
+            "a_closed: [[0.1, 0.0], [0.0, 0.1]]\n"
+            "lyapunov_weight: [[1.0, 0.0], [0.0, 1.0]]\n"
+            "noise_cov: [[1.0, 0.0], [0.0, 1.0]]\n"
+            "decrease_rate: 0.8\n"
+        )
+        assert main(["required-prob", "--plant-file", str(plant_file), "--tol", "nan"]) == 2
+        assert "tolerance must be positive, got nan" in capsys.readouterr().err
+
     def test_plant_file_unknown_key(self, tmp_path, capsys):
         plant_file = tmp_path / "plant.yaml"
         plant_file.write_text("a_open: 1.05\na_closed: 0.1\ndecrease_rat: 0.5\n")
@@ -223,6 +244,21 @@ class TestRequiredProbCommand:
 
     def test_missing_arguments(self, capsys):
         assert main(["required-prob", "--a-open", "1.1"]) == 2
+
+    def test_flags_match_plant_file(self, tmp_path, capsys):
+        plant_file = tmp_path / "plant.yaml"
+        plant_file.write_text("a_open: 1.05\na_closed: 0.1\nlyapunov_weight: 2.0\n"
+                              "decrease_rate: 0.85\n")
+        assert main(["required-prob", "--plant-file", str(plant_file)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["required-prob", "--a-open", "1.05", "--a-closed", "0.1",
+                     "--lyapunov", "2.0", "--rho", "0.85"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_nonfinite_flag_names_its_key(self, capsys):
+        assert main(["required-prob", "--a-open", "nan", "--a-closed", "0.1",
+                     "--rho", "0.8"]) == 2
+        assert "plant.a_open must be finite, got nan" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -339,6 +375,35 @@ class TestSweepCommand:
                 "energy causality violated at slot 12: node 1") in err
         assert not (out / "sweep.csv").exists()
 
+    def test_strict_undersized_point_exits_2_before_any_run(self, tmp_path, capsys,
+                                                           monkeypatch):
+        runs = []
+        monkeypatch.setattr(ehctrl.cli, "run", runs.append)
+        out = tmp_path / "out"
+        assert main(["sweep", "--param", "epsilon", "--values", "1.0,0.5", "--strict",
+                     "--horizon", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sizing check failed: auxiliary cap y_bar[0, 0] = 25 below" in err
+        assert runs == []
+        assert not (out / "sweep.csv").exists()
+
+    def test_undersized_point_warns(self, tmp_path, caplog):
+        assert main(["sweep", "--param", "epsilon", "--values", "0.5", "--horizon", "10",
+                     "--out", str(tmp_path)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "sizing: auxiliary cap y_bar[0, 0] = 25 below (nu_bar + 2*eps)/eps = 40",
+            "sizing: battery capacity of node 0 is 20, below nu_bar_ii/eps + 1 = 39",
+        ]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, monkeypatch, jobs):
+        runs = []
+        monkeypatch.setattr(ehctrl.cli, "run", runs.append)
+        assert main(["sweep", "--param", "harvest_mean", "--values", "0.3", "--jobs", jobs,
+                     "--horizon", "10", "--out", str(tmp_path)]) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert runs == []
+
     def test_bad_values_rejected(self, tmp_path):
         assert main(["sweep", "--param", "harvest_mean", "--values", "a,b",
                      "--out", str(tmp_path)]) == 2
@@ -364,6 +429,17 @@ class TestSweepCommand:
         assert main(["sweep", "--param", "seed", "--values", f"1,{value}",
                      "--horizon", "10", "--out", str(tmp_path)]) == 2
         assert "cannot parse sweep values" in capsys.readouterr().err
+        assert runs == []
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_root_seed_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, seed):
+        """The root seed is checked as ``run`` checks it, although each point
+        runs at a seed derived from it."""
+        runs = []
+        monkeypatch.setattr(ehctrl.cli, "run", runs.append)
+        assert main(["sweep", "--param", "harvest_mean", "--values", "0.3", "--seed", str(seed),
+                     "--horizon", "10", "--out", str(tmp_path)]) == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
         assert runs == []
 
     def test_large_seed_used_exactly(self, tmp_path, monkeypatch):
@@ -401,3 +477,18 @@ def test_cli_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--horizon", "50", "--out", "out"],
+    ["check-config"],
+    ["required-prob", "--a-open", "1.05", "--a-closed", "0.1", "--rho", "0.8"],
+], ids=["run", "check-config", "required-prob"])
+def test_module_entry_point(tmp_path, argv):
+    """``python -m ehctrl`` works in a fresh interpreter that has only ``src``
+    added to its path: the package imports no submodule itself, so the entry
+    point must."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-s", "-m", "ehctrl", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env={"PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
