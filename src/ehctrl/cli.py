@@ -168,8 +168,9 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _sweep_config(raw: dict, args, index: int, value):
-    """The built and size-checked config of point ``index``."""
+def _sweep_config(raw: dict, args, index: int, value, logged: set):
+    """The built and size-checked config of point ``index``; ``logged`` holds
+    the sizing problems already logged by earlier points."""
     raw = copy.deepcopy(raw)
     *path, leaf = SWEEP_PARAMS[args.param]
     target = raw
@@ -179,7 +180,7 @@ def _sweep_config(raw: dict, args, index: int, value):
     config = config_mod.build_config(raw, horizon=args.horizon)
     if args.param != "seed":
         config = dataclasses.replace(config, seed=_derived_seed(config.seed, index))
-    return config_mod.check_sizing(config, args.strict)
+    return config_mod.check_sizing(config, args.strict, logged)
 
 
 def _sweep_row(param: str, value, config) -> dict:
@@ -200,7 +201,8 @@ def cmd_sweep(args) -> int:
     ``sweep.csv``; point i runs at a seed derived from the root seed and i,
     a ``seed`` point at its value, read as an integer. Every point is built,
     validated and size-checked (as ``run`` checks its config, ``--strict``
-    included) before the first one runs. A point whose run breaks a
+    included) before the first one runs; a sizing problem that several
+    points share is logged once. A point whose run breaks a
     runtime invariant ends the sweep with exit 3 and ``aborted: point
     <index> (<param> = <value>): <cause>`` on stderr; no ``sweep.csv`` is
     written, and with ``--jobs`` > 1 the points not yet started are
@@ -217,7 +219,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"cannot parse sweep values: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    configs = [_sweep_config(raw, args, index, value) for index, value in enumerate(values)]
+    logged = set()
+    configs = [_sweep_config(raw, args, index, value, logged)
+               for index, value in enumerate(values)]
 
     point = functools.partial(_sweep_row, args.param)
     rows = []

@@ -48,7 +48,6 @@ DEFAULTS: dict = {
     "scheduler": {"epsilon": 1.0, "nu_bar": 19.0, "y_bar": 25.0, "s_floor": 1e-6},
     "availability": {"mode": "always-on", "prob": 0.5, "staleness_bound": 1},
     "energy_accounting": "fluid",
-    "dual_access": "mailbox",
     "initial_state": 0.0,
     "required_reception": None,
     "schedule_window": [1050, 1100],
@@ -57,11 +56,11 @@ DEFAULTS: dict = {
 
 
 # Keys of one plant, harvest or battery entry: the required ones, and the
-# optional ones with their defaults.
+# optional ones with their defaults (None: see :func:`build_plant`).
 _ENTRY_KEYS = {
     "plants": (
         ("a_open", "a_closed"),
-        {"noise_cov": 1.0, "lyapunov_weight": 1.0, "decrease_rate": 0.8},
+        {"noise_cov": None, "lyapunov_weight": None, "decrease_rate": 0.8},
     ),
     "harvest": (("mean",), {"distribution": "bernoulli"}),
     "battery": (("capacity",), {"initial": None}),
@@ -157,11 +156,14 @@ def _entry(entry, where: str, key: str) -> dict:
 
 def build_plant(entry, where: str) -> PlantModel:
     """The :class:`PlantModel` of one plant entry; ``where`` names it in
-    errors."""
-    return PlantModel(**{
+    errors. ``noise_cov`` and ``lyapunov_weight`` left out (or null) are the
+    identity of the plant's dimension."""
+    fields = {
         name: _convert(value, f"{where}.{name}", float if name == "decrease_rate" else _floats)
-        for name, value in _entry(entry, where, "plants").items()
-    })
+        for name, value in _entry(entry, where, "plants").items() if value is not None
+    }
+    eye = np.eye(len(np.atleast_2d(fields["a_open"])))
+    return PlantModel(**{"noise_cov": eye, "lyapunov_weight": eye, **fields})
 
 
 def _node_entries(raw: dict, key: str, count: int) -> list[tuple[str, dict]]:
@@ -271,21 +273,24 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
         horizon=_convert(raw["horizon"], "horizon", int),
         seed=_convert(raw["seed"], "seed", int),
         energy_accounting=raw["energy_accounting"],
-        dual_access=raw["dual_access"],
         initial_states=initial_states,
         schedule_window=tuple(_convert(w, "schedule_window", int) for w in window),
     )
 
 
-def check_sizing(config: SimConfig, strict: bool = False) -> SimConfig:
+def check_sizing(config: SimConfig, strict: bool = False, logged=None) -> SimConfig:
     """``config``, checked against the sizing rules that bound the duals and
     guarantee per-slot energy causality. Violations raise in strict mode and
-    log warnings otherwise."""
+    log warnings otherwise. ``logged``, a set shared across calls, keeps a
+    problem it already holds from being logged again."""
     problems = sizing_violations(config.params, [b.capacity for b in config.batteries])
     if problems and strict:
         raise ConfigError("sizing check failed: " + "; ".join(problems))
+    logged = set() if logged is None else logged
     for problem in problems:
-        logger.warning("sizing: %s", problem)
+        if problem not in logged:
+            logged.add(problem)
+            logger.warning("sizing: %s", problem)
     return config
 
 

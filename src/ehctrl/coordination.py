@@ -1,10 +1,12 @@
 """Node availability, bounded staleness, and the exchange of multipliers.
 
-Nodes read each other's multipliers through a mailbox that holds, per ordered
-pair (receiver, sender), the last value shared by the sender and the slot it
-was shared in. Three availability modes generate the sharing schedule:
+Nodes read each other's multipliers only through a mailbox that holds, per
+ordered pair (receiver, sender), the last value shared by the sender and the
+slot it was shared in. Three availability modes generate the sharing
+schedule:
 
-  * ``always-on``   every node shares every slot (synchronous limit),
+  * ``always-on``   every node shares every slot (synchronous limit: the
+                    mailbox then holds the current multipliers),
   * ``random``      each node is available with a fixed probability; a pair
                     exchanges when both ends are available,
   * ``piggyback``   a node shares exactly on the slots it transmits.
@@ -72,20 +74,19 @@ class DualMailbox:
 class AvailabilityDecision:
     """Who can participate and who shares this slot. ``available[j]`` marks
     node j capable of sending and receiving (drives the subgradient mask);
-    ``exchange[i, j]`` marks mailbox (i <- j) refreshes, forced ones
-    included."""
+    None, outside random mode, marks every node capable. ``exchange[i, j]``
+    marks mailbox (i <- j) refreshes, forced ones included."""
 
-    available: np.ndarray
+    available: np.ndarray | None
     exchange: np.ndarray
 
 
 @functools.cache
-def _constant_masks(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only masks of every node and of every off-diagonal pair."""
-    everyone = np.ones(count, dtype=bool)
+def _pair_mask(count: int) -> np.ndarray:
+    """Read-only mask of every off-diagonal pair."""
     pairs = ~np.eye(count, dtype=bool)
-    everyone.flags.writeable = pairs.flags.writeable = False
-    return everyone, pairs
+    pairs.flags.writeable = False
+    return pairs
 
 
 def advance_availability(
@@ -101,14 +102,14 @@ def advance_availability(
     random mode (node i is up when its draw is below ``prob``).
 
     Only the random mode models nodes going down; always-on and piggyback
-    nodes stay capable every slot. Piggyback restricts when duals are
-    shared (riding on measurement packets), not what a node can compute.
-    Always-on pairs share every slot, so none is ever forced and the
-    decision is the same read-only one every slot.
+    nodes stay capable every slot (``available`` is None). Piggyback
+    restricts when duals are shared (riding on measurement packets), not
+    what a node can compute. Always-on pairs share every slot, so none is
+    ever forced and every slot exchanges the same read-only pair mask.
     """
-    everyone, pairs = _constant_masks(mailbox.count)
+    pairs = _pair_mask(mailbox.count)
     if schedule.mode == "always-on":
-        return AvailabilityDecision(available=everyone, exchange=pairs)
+        return AvailabilityDecision(available=None, exchange=pairs)
     # Next slot a pair's staleness is (t + 1) - last_slot; force a refresh
     # wherever that would exceed the bound.
     forced = (t + 1 - mailbox.slots) > schedule.staleness_bound
@@ -119,7 +120,7 @@ def advance_availability(
     else:
         # The sender's packet carries its duals, everyone listens.
         exchange = (np.asarray(transmit_flags, dtype=bool) | forced) & pairs
-        available = everyone
+        available = None
     return AvailabilityDecision(available=available, exchange=exchange)
 
 

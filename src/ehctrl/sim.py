@@ -8,7 +8,8 @@ below) works on Python floats. Every slot runs, in this fixed order:
 
   1. draw channel states and harvest arrivals
   2. every node computes its auxiliary, reception and transmit variables
-     from its own multipliers and the stale remote copies
+     from its own multipliers and the other nodes' copies in its mailbox
+     row, which may be stale (always-on mode refreshes them every slot)
   3. Bernoulli transmission draws
   4. collision/decoding resolution -> per-node reception flags
   5. plants step (closed loop on reception, open loop otherwise): scalar
@@ -121,7 +122,6 @@ MIRROR_ATOL = 1e-9
 DUAL_BOUND_ATOL = 1e-9
 
 ENERGY_ACCOUNTING_MODES = ("fluid", "integer")
-DUAL_ACCESS_MODES = ("mailbox", "direct")
 
 # Slots of each random stream drawn per call; bounds the draw buffers to
 # O(DRAW_CHUNK * M) whatever the horizon.
@@ -148,7 +148,6 @@ class SimConfig:
     horizon: int
     seed: int
     energy_accounting: str = "fluid"
-    dual_access: str = "mailbox"
     initial_states: tuple[np.ndarray, ...] | None = None
     schedule_window: tuple[int, int] = (1050, 1100)
 
@@ -170,8 +169,6 @@ class SimConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.energy_accounting not in ENERGY_ACCOUNTING_MODES:
             raise ConfigError(f"energy_accounting must be one of {ENERGY_ACCOUNTING_MODES}")
-        if self.dual_access not in DUAL_ACCESS_MODES:
-            raise ConfigError(f"dual_access must be one of {DUAL_ACCESS_MODES}")
         if self.initial_states is not None:
             states = tuple(
                 np.atleast_1d(np.asarray(x, dtype=float)) for x in self.initial_states
@@ -355,13 +352,8 @@ def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbo
     and coordination functions. Starts from the state in record row
     ``start``, writes each slot's z, transmitted, battery, phi, beta and nu
     rows and updates ``mailbox`` in place."""
-    M = config.count
     params = config.params
     fluid = config.energy_accounting == "fluid"
-    direct = config.dual_access == "direct"
-    # Always-on and piggyback nodes are capable every slot, so the
-    # availability mask of the dual step is the identity there.
-    masked = config.availability.mode == "random"
     charge = record.battery[start]
     duals = scheduler.DualState(
         phi=record.phi[start], nu=record.nu[start], beta=record.beta[start]
@@ -371,12 +363,7 @@ def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbo
         q = q_chunk[k]
 
         # 2. primal computation from current duals and stale copies
-        if direct:
-            stale = duals.nu.T.copy()
-            stale.flat[:: M + 1] = 0.0
-        else:
-            stale = mailbox.values
-        z = scheduler.compute_z(duals, stale, q, params)
+        z = scheduler.compute_z(duals, mailbox.values, q, params)
         s_own, s_cross = scheduler.compute_s(duals, params)
         y = scheduler.compute_y(duals, params)
 
@@ -397,9 +384,7 @@ def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbo
             config.availability, t, availability[k], tx, mailbox
         )
         grads = scheduler.dual_subgradients(z, s_own, s_cross, y, q, e_chunk[k], params)
-        duals = scheduler.apply_dual_step(
-            duals, grads, params, decision.available if masked else None
-        )
+        duals = scheduler.apply_dual_step(duals, grads, params, decision.available)
 
         # 8. exchange into mailboxes (post-update values, stamped this slot)
         coordination.exchange_duals(mailbox, decision, duals.nu, t)
@@ -428,7 +413,6 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
     log_p, nu_bar, y_bar = params.log_p.tolist(), params.nu_bar.tolist(), params.y_bar.tolist()
     caps = capacity.tolist()
     fluid = config.energy_accounting == "fluid"
-    direct = config.dual_access == "direct"
     mode, prob, bound = (config.availability.mode, config.availability.prob,
                          config.availability.staleness_bound)
     charge = record.battery[start].tolist()
@@ -443,10 +427,6 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
     stop = start + len(q_chunk)
     for t, q, e, u, up in zip(range(start, stop), q_chunk.tolist(), e_chunk.tolist(),
                               transmit.tolist(), availability):
-        if direct:
-            stale = [[0.0 if j == i else nu[j][i] for j in nodes] for i in nodes]
-        else:
-            stale = values
         # 7. availability of this slot (random mode keeps the diagonal of
         # the forced matrix in the column reduction, as the array core does)
         available = None
@@ -460,7 +440,7 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
             nu_i, phi_i = nu[i], phi[i]
             # 2. interference summed left to right from column 0, as numpy's
             # add.reduce does on rows of fewer than 8 entries
-            z_i = 0.5 * (nu_i[i] * q[i] - qc * reduce(add, stale[i]) - beta[i])
+            z_i = 0.5 * (nu_i[i] * q[i] - qc * reduce(add, values[i]) - beta[i])
             z_i = 0.0 if 0.0 > z_i else 1.0 if 1.0 < z_i else z_i
             # 3. (integer accounting gates on whole units)
             tx_i = u[i] < z_i and (fluid or charge[i] >= 1.0)
@@ -541,8 +521,7 @@ def run(config: SimConfig) -> SimResult:
     params = config.params
     streams = make_streams(config.seed, M)
     logger.debug(
-        "run: %d nodes, %d slots, seed %d, %s/%s",
-        M, T, config.seed, config.availability.mode, config.dual_access,
+        "run: %d nodes, %d slots, seed %d, %s", M, T, config.seed, config.availability.mode
     )
 
     plants = PlantBank(

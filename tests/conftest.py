@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: the reception
 requirement oracle scans a dense grid of mixing weights with a direct
-eigenvalue test, and the one-dimensional primal oracles brute-force their
-objectives on a grid.
+eigenvalue test, the one-dimensional primal oracles brute-force their
+objectives on a grid, and the multiplier copies a run's z step read are
+rebuilt from its record instead of taken from its mailbox.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import settings
 
 from ehctrl.control import PlantModel
-from ehctrl.scheduler import SchedulerParams
+from ehctrl.scheduler import DualState, SchedulerParams, compute_z
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -37,6 +38,45 @@ def grid_argmin(fn, lo: float, hi: float, step: float = 1e-3) -> float:
     evaluates over the whole grid array at once."""
     grid = np.append(np.arange(lo, hi, step), hi)
     return float(grid[int(np.argmin(fn(grid)))])
+
+
+def current_copies(nu: np.ndarray) -> np.ndarray:
+    """Per slot, every node's copies of the other nodes' current
+    multipliers: ``nu[t].T`` with a zero diagonal (the synchronous limit)."""
+    copies = nu.transpose(0, 2, 1).copy()
+    nodes = np.arange(nu.shape[1])
+    copies[:, nodes, nodes] = 0.0
+    return copies
+
+
+def piggyback_copies(record, bound: int) -> np.ndarray:
+    """Per slot, the mailbox a piggyback run reads, rebuilt from its record:
+    at the end of slot t, sender j refreshes receiver i's copy with
+    ``nu[t + 1][j, i]`` if j transmitted, or if the copy would otherwise be
+    more than ``bound`` slots old in slot t + 1."""
+    slots, count = record.z.shape
+    pairs = ~np.eye(count, dtype=bool)
+    values, stamps = np.zeros((count, count)), np.zeros((count, count), dtype=int)
+    copies = np.empty((slots, count, count))
+    for t in range(slots):
+        copies[t] = values
+        if t + 1 < slots:  # the last refresh is read by no recorded slot
+            refresh = (record.transmitted[t] | (t + 1 - stamps > bound)) & pairs
+            values[refresh] = record.nu[t + 1].T[refresh]
+            stamps[refresh] = t
+    return copies
+
+
+def z_mismatches(record, params: SchedulerParams, copies: np.ndarray) -> list[int]:
+    """Slots whose recorded z differs in any bit from ``compute_z`` of the
+    slot's start duals (record row t) and the copies ``copies[t]``."""
+    return [
+        t for t in range(record.horizon)
+        if record.z[t].tobytes() != compute_z(
+            DualState(record.phi[t], record.nu[t], record.beta[t]), copies[t],
+            record.q[t], params,
+        ).tobytes()
+    ]
 
 
 def z_objective(c: float):

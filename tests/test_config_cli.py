@@ -57,6 +57,19 @@ class TestConfigLoading:
         # non-strict only warns
         load_config(cfg, strict=False)
 
+    def test_matrix_plant_defaults_to_identities(self, tmp_path):
+        cfg = tmp_path / "matrix.cfg"
+        cfg.write_text(
+            "plants:\n"
+            "  - {a_open: [[1.05, 0.1], [0.0, 1.05]], a_closed: [[0.1, 0.0], [0.0, 0.1]]}\n"
+            "  - {a_open: 1.05, a_closed: 0.1}\n"
+        )
+        plants = load_config(cfg).plants
+        assert np.array_equal(plants[0].noise_cov, np.eye(2))
+        assert np.array_equal(plants[0].lyapunov_weight, np.eye(2))
+        assert np.array_equal(plants[1].noise_cov, [[1.0]])
+        assert np.array_equal(plants[1].lyapunov_weight, [[1.0]])
+
     def test_per_node_lists(self, tmp_path):
         cfg = tmp_path / "lists.cfg"
         cfg.write_text(
@@ -101,7 +114,9 @@ class TestConfigLoading:
         ("battery:\n  - {capacity: 20.0, intial: 5.0}\n  - {capacity: 20.0}\n",
          "battery[0].intial"),
         ("channel: {decode: {rat: 9.0}}\n", "channel.decode.rat"),
-    ], ids=["plant", "harvest", "battery", "decode"])
+        # retired: nodes read each other's multipliers through the mailbox only
+        ("dual_access: mailbox\n", "dual_access"),
+    ], ids=["plant", "harvest", "battery", "decode", "dual-access"])
     def test_unknown_entry_key_exits_2(self, tmp_path, capsys, entries, key):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(entries)
@@ -205,6 +220,21 @@ class TestRequiredProbCommand:
             noise_cov=np.eye(2), lyapunov_weight=np.eye(2), decrease_rate=0.8,
         )
         assert value == pytest.approx(grid_required_probability(model, 1e-4), abs=1e-3)
+
+    def test_matrix_file_defaults_to_identities(self, tmp_path, capsys):
+        """A matrix plant file may leave out ``noise_cov`` and
+        ``lyapunov_weight``: both are the identity of its dimension."""
+        plants = ("a_open: [[1.05, 0.1], [0.0, 1.05]]\n"
+                  "a_closed: [[0.1, 0.0], [0.0, 0.1]]\n"
+                  "decrease_rate: 0.8\n")
+        printed = []
+        for extra in ("", "noise_cov: [[1.0, 0.0], [0.0, 1.0]]\n"
+                          "lyapunov_weight: [[1.0, 0.0], [0.0, 1.0]]\n"):
+            plant_file = tmp_path / "plant.yaml"
+            plant_file.write_text(plants + extra)
+            assert main(["required-prob", "--plant-file", str(plant_file)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_nan_tolerance_exits_2(self, tmp_path, capsys):
         """A NaN tolerance would end the bisection at once and print 1."""
@@ -393,6 +423,29 @@ class TestSweepCommand:
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
             "sizing: auxiliary cap y_bar[0, 0] = 25 below (nu_bar + 2*eps)/eps = 40",
             "sizing: battery capacity of node 0 is 20, below nu_bar_ii/eps + 1 = 39",
+        ]
+
+    def test_shared_sizing_problems_logged_once(self, tmp_path, caplog):
+        """Each distinct sizing problem of a sweep is logged once, in the
+        order the points first raise it."""
+        def warnings():
+            return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("battery: {capacity: 3.0}\n")
+        assert main(["sweep", "--param", "seed", "--values", "1,2,3", "--config", str(cfg),
+                     "--horizon", "10", "--out", str(tmp_path / "seeds")]) == 0
+        assert warnings() == [
+            "sizing: battery capacity of node 0 is 3, below nu_bar_ii/eps + 1 = 20",
+        ]
+        caplog.clear()
+        assert main(["sweep", "--param", "epsilon", "--values", "0.5,0.25,0.5",
+                     "--horizon", "10", "--out", str(tmp_path / "steps")]) == 0
+        assert warnings() == [
+            "sizing: auxiliary cap y_bar[0, 0] = 25 below (nu_bar + 2*eps)/eps = 40",
+            "sizing: battery capacity of node 0 is 20, below nu_bar_ii/eps + 1 = 39",
+            "sizing: auxiliary cap y_bar[0, 0] = 25 below (nu_bar + 2*eps)/eps = 78",
+            "sizing: battery capacity of node 0 is 20, below nu_bar_ii/eps + 1 = 77",
         ]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

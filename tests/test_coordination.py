@@ -40,7 +40,7 @@ class TestSchedule:
         schedule = AvailabilitySchedule(mode="always-on")
         for t in range(5):
             decision = advance_availability(schedule, t, None, [False] * 3, mailbox)
-            assert decision.available.all()
+            assert decision.available is None  # no node is ever masked
             off_diag = decision.exchange[~np.eye(3, dtype=bool)]
             assert off_diag.all()
             exchange_duals(mailbox, decision, make_nu(3, lambda j, i: t), t)
@@ -80,7 +80,7 @@ class TestStalenessBounds:
         decision = advance_availability(schedule, 0, None, [False, True], mailbox)
         assert decision.exchange[0, 1] and not decision.exchange[1, 0]
         # piggyback nodes stay capable of computing every slot
-        assert decision.available.all()
+        assert decision.available is None
 
 
 class TestMailbox:
@@ -168,5 +168,6 @@ class TestSubgradientMask:
 
     def test_always_on_is_identity(self):
         grads = (np.array([0.3, 0.3]), np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0.1, 0.1]))
-        _, nu, _ = self.step(np.ones(2, dtype=bool), grads)
-        assert np.array_equal(nu, grads[1])
+        for available in (None, np.ones(2, dtype=bool)):
+            _, nu, _ = self.step(available, grads)
+            assert np.array_equal(nu, grads[1])

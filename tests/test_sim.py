@@ -11,6 +11,7 @@ import pytest
 import ehctrl.energy
 import ehctrl.scheduler
 import ehctrl.sim
+from conftest import current_copies, piggyback_copies, z_mismatches
 from ehctrl import telemetry
 from ehctrl.comm import ChannelConfig
 from ehctrl.config import build_config, read_raw
@@ -74,11 +75,6 @@ class TestDeterminism:
         res_a = run(short_config(seed=3))
         res_b = run(short_config(seed=4))
         assert not np.array_equal(res_a.record.z, res_b.record.z)
-
-    def test_direct_access_matches_always_on_mailbox(self):
-        res_mail = run(short_config(seed=6, dual_access="mailbox"))
-        res_direct = run(short_config(seed=6, dual_access="direct"))
-        assert_identical(res_mail.record, res_direct.record)
 
 
 @pytest.fixture(scope="module")
@@ -201,9 +197,23 @@ class TestMatrixPlants:
             assert np.array_equal(rec.lyapunov[:, i], v)
 
 
+def node_plants(nodes):
+    """``nodes`` scalar plant entries, alternating the two shipped plants."""
+    return [{"a_open": 1.1, "a_closed": 0.15} if i % 2 else {"a_open": 1.05, "a_closed": 0.1}
+            for i in range(nodes)]
+
+
+def interior_share(z: np.ndarray) -> float:
+    """Share of z entries strictly inside (0, 1), where z moves with the
+    interference and a z check is not decided by a clip."""
+    return float(np.mean((z > 0.0) & (z < 1.0)))
+
+
 class TestRecordTrace:
-    """Row t + 1 of every state column is the recursion applied to row t.
-    Random mode is left out: its availability mask is not recorded."""
+    """Row t + 1 of every state column is the recursion applied to row t,
+    and z in slot t is the z step of row t and the mailbox rebuilt from the
+    record. Random mode is left out: its availability draws are not
+    recorded."""
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -232,6 +242,36 @@ class TestRecordTrace:
                 rec.battery[t + 1],
                 ehctrl.energy.step_batteries(rec.battery[t], capacity, spend, rec.harvested[t]),
             )
+
+    # M = 2 runs the scalar core, M = 8 the array core.
+    @pytest.mark.parametrize("nodes", [2, 8])
+    def test_always_on_reads_current_multipliers(self, nodes):
+        """The synchronous limit: the always-on mailbox holds the other
+        nodes' current multipliers in every slot."""
+        config = short_config(seed=6, horizon=2000, plants=node_plants(nodes))
+        rec = run(config).record
+        assert interior_share(rec.z) > 0.05
+        assert z_mismatches(rec, config.params, current_copies(rec.nu)) == []
+
+    @pytest.mark.parametrize("accounting", ["fluid", "integer"])
+    @pytest.mark.parametrize("bound", [1, 5])
+    @pytest.mark.parametrize("nodes", [2, 8])
+    def test_piggyback_reads_rebuilt_mailbox(self, nodes, bound, accounting):
+        # Empty, slowly charged batteries: integer accounting then gates
+        # transmissions, and with them the piggybacked refreshes.
+        config = short_config(
+            seed=5, horizon=1000, plants=node_plants(nodes), energy_accounting=accounting,
+            availability={"mode": "piggyback", "staleness_bound": bound},
+            harvest={"mean": 0.25, "distribution": "uniform"},
+            battery={"capacity": 20.0, "initial": 0.0},
+        )
+        rec = run(config).record
+        assert interior_share(rec.z) > 0.05
+        assert z_mismatches(rec, config.params, piggyback_copies(rec, bound)) == []
+        # A bound of 1 refreshes every pair every slot; a longer one leaves
+        # copies stale, which the synchronous copies then fail to explain.
+        stale = z_mismatches(rec, config.params, current_copies(rec.nu))
+        assert (stale == []) == (bound == 1)
 
 
 class TestDegenerateRuns:
@@ -361,12 +401,18 @@ CORE_CASES = list(itertools.product(
     range(1, min(SCALAR_MAX_NODES + 1, 7) + 1),
     ("always-on", "random", "piggyback"),
     ("fluid", "integer"),
-    ("mailbox", "direct"),
     ("sized", "faults", "nan"),
 ))
 
 
-def core_inputs(nodes, mode, accounting, access, state, seed):
+def core_id(case) -> str:
+    """A case's id, which also seeds its draws. The ``mailbox`` segment names
+    the one way the cores read the other nodes' multipliers; it keeps the ids
+    and the draws the cases had when a second way existed."""
+    return "{}-{}-{}-mailbox-{}".format(*case)
+
+
+def core_inputs(nodes, mode, accounting, state, seed):
     """Config, record, mailbox, capacities, start slot and draws of one
     chunk. Row ``start`` of the record holds the start state: ``sized``
     keeps the mirror and the caps, ``faults`` adds the states the
@@ -399,7 +445,6 @@ def core_inputs(nodes, mode, accounting, access, state, seed):
         horizon=start + CORE_SLOTS,
         seed=seed,
         energy_accounting=accounting,
-        dual_access=access,
     )
     record = TelemetryRecord(horizon=config.horizon, count=nodes, required_p=p,
                              collision_prob=params.collision_prob,
@@ -434,7 +479,7 @@ def core_inputs(nodes, mode, accounting, access, state, seed):
     transmit = rng.random(shape)
     availability = rng.random(shape) if mode == "random" else [None] * CORE_SLOTS
     if state != "sized":
-        interference = np.nansum(mailbox.values[0] if access == "mailbox" else nu[1:, 0])
+        interference = np.nansum(mailbox.values[0])
         record.nu[start, 0, 0] += (2.0 + params.collision_prob * interference) / q[0, 0]
     return config, record, mailbox, capacity, start, q, e, transmit, availability
 
@@ -451,11 +496,11 @@ class TestScalarCore:
     """The two forms of the per-slot core write the same bytes from the same
     draws and start state (see the ``ehctrl.sim`` docstring)."""
 
-    @pytest.mark.parametrize("case", CORE_CASES, ids=["-".join(map(str, c)) for c in CORE_CASES])
+    @pytest.mark.parametrize("case", CORE_CASES, ids=core_id)
     def test_scalar_chunk_matches_array_chunk(self, case):
         # Seeded by the case itself, so a case keeps its draws whatever
         # the threshold makes of the case list.
-        seed = zlib.crc32("-".join(map(str, case)).encode())
+        seed = zlib.crc32(core_id(case).encode())
         config, record, mailbox, capacity, start, *draws = core_inputs(*case, seed)
         written = {}
         for core in (_array_chunk, _scalar_chunk):
