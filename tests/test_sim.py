@@ -401,20 +401,22 @@ CORE_CASES = list(itertools.product(
     range(1, min(SCALAR_MAX_NODES + 1, 7) + 1),
     ("always-on", "random", "piggyback"),
     ("fluid", "integer"),
+    ("mailbox", "direct"),
     ("sized", "faults", "nan"),
 ))
 
 
 def core_id(case) -> str:
-    """A case's id, which also seeds its draws. The ``mailbox`` segment names
-    the one way the cores read the other nodes' multipliers; it keeps the ids
-    and the draws the cases had when a second way existed."""
-    return "{}-{}-{}-mailbox-{}".format(*case)
+    """A case's id, which also seeds its draws."""
+    return "-".join(map(str, case))
 
 
-def core_inputs(nodes, mode, accounting, state, seed):
+def core_inputs(nodes, mode, accounting, start_copies, state, seed):
     """Config, record, mailbox, capacities, start slot and draws of one
-    chunk. Row ``start`` of the record holds the start state: ``sized``
+    chunk. The mailbox starts with stale copies drawn apart from the
+    multipliers (``mailbox``) or with the other nodes' current multipliers
+    stamped in the start slot (``direct``), the state the always-on mailbox
+    keeps. Row ``start`` of the record holds the start state: ``sized``
     keeps the mirror and the caps, ``faults`` adds the states the
     fault-injection tests create (z above the charge, nu above its cap,
     beta off the mirror) and the nu = 0, phi = 0 and p = 0 corners, ``nan``
@@ -471,6 +473,9 @@ def core_inputs(nodes, mode, accounting, state, seed):
     mailbox.values[:] = rng.uniform(0.0, 20.0, (nodes, nodes)) * 10.0 ** rng.uniform(
         -3, 0, (nodes, nodes))
     mailbox.slots[:] = rng.integers(max(start - 14, 0), start + 1, (nodes, nodes))
+    if start_copies == "direct":
+        mailbox.values[:] = record.nu[start].T
+        mailbox.slots[:] = start
     np.fill_diagonal(mailbox.values, 0.0)
     np.fill_diagonal(mailbox.slots, 0)
     shape = (CORE_SLOTS, nodes)
