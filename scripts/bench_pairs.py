@@ -8,7 +8,13 @@ Usage (from the repository root):
 
 The base commit (default ``HEAD``, so run it before committing the change,
 or pass ``--base HEAD~1`` after) is extracted with ``git archive`` into a
-temporary directory. For each workload, ``bench/run.py`` then runs
+temporary directory, and the working tree's files (tracked and untracked,
+not ignored) are copied beside it. So neither side has compiled bytecode:
+the workers run with ``PYTHONDONTWRITEBYTECODE=1`` and compile ``ehctrl``
+from source on both sides, as in a fresh checkout (a ``__pycache__`` on one
+side alone moves its ``setup_s`` and ``peak_rss_mb``; with ``.pyc`` files
+``paper-run`` peaks about 0.9 MB higher). For each workload,
+``bench/run.py`` then runs
 ``--pairs`` times on each side, base and working tree alternating and the
 side that goes first swapping from pair to pair, all at the same
 ``--seconds`` and ``--seed``. Every end-to-end metric that
@@ -40,6 +46,15 @@ fresh process per run with the tree's ``src`` on ``PYTHONPATH``:
           point); reports the wall time and checks that both sides write
           the same ``sweep.csv``
 
+The ``write`` pseudo-workload times the run-file writers alone. Each run is
+a fresh process on the tree's ``src``: it simulates the shipped config
+(``configs/paper-sec6.cfg``, 10k slots) at ``--seed`` once, then times
+``WRITE_CALLS`` calls of ``telemetry.write_outputs`` into a temporary
+directory and reports their median (``write_s``). Runs are paired and
+alternate like the others, and both sides must write the same
+``slots.csv`` and ``summary.json`` digests. Whole-process wall times carry
+the machine's clock switching; this isolates the writing layer.
+
 Results go to ``BENCH_<pr>.json`` (or ``--out``) under the key
 ``<workload>@seed<seed>`` (``tier1`` for the suite); entries already in the file for other keys are
 kept, so workloads and seeds can be run one call at a time. The file also
@@ -55,6 +70,7 @@ import itertools
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -108,6 +124,30 @@ print(json.dumps({"us_per_slot": elapsed / slots * 1e6, "digest": digest.hexdige
 """
 
 
+WRITE = "write"
+WRITE_CALLS = 3
+# Run with the tree's src on sys.path: argv is config path, seed, calls;
+# prints the median seconds of the write_outputs calls and the digest of
+# slots.csv and summary.json.
+WRITE_PROBE = """
+import hashlib, json, statistics, sys, tempfile, time
+from pathlib import Path
+from ehctrl import telemetry
+from ehctrl.config import load_config
+from ehctrl.sim import run
+config = load_config(sys.argv[1], seed=int(sys.argv[2]))
+result = run(config)
+times = []
+with tempfile.TemporaryDirectory(prefix="bench-write-") as out:
+    for _ in range(int(sys.argv[3])):
+        start = time.perf_counter()
+        telemetry.write_outputs(result.record, result.summary, out, config.schedule_window)
+        times.append(time.perf_counter() - start)
+    digest = " ".join(hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+                      for name in ("slots.csv", "summary.json"))
+print(json.dumps({"write_s": statistics.median(times), "digest": digest}))
+"""
+
 TIER1 = "tier1"
 SWEEP = "sweep"
 SWEEP_VALUES = "0.2,0.3,0.4,0.5,0.6"
@@ -136,6 +176,14 @@ def extract(rev: str, dest: Path) -> None:
     tar_path.unlink()
 
 
+def copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored files."""
+    for name in git("ls-files", "-z", "-co", "--exclude-standard").split("\0"):
+        if name and (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
 def bench_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     """One ``bench/run.py`` run on ``tree``: its result and context lines."""
     proc = subprocess.run(
@@ -151,16 +199,30 @@ def bench_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     return result
 
 
-def probe_once(tree: Path, nodes: int, seed: int) -> dict:
-    """One ``M_SCALING_PROBE`` run on ``tree`` in a fresh process."""
+def run_probe(tree: Path, name: str, script: str, *args) -> dict:
+    """The JSON last line of ``script`` run with ``args`` on ``tree`` in a
+    fresh process."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-c", M_SCALING_PROBE, str(nodes), str(M_SCALING_SLOTS), str(seed)],
+        [sys.executable, "-c", script, *map(str, args)],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise SystemExit(f"m-scaling probe failed in {tree}:\n{proc.stderr[-2000:]}")
+        raise SystemExit(f"{name} probe failed in {tree}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def probe_once(tree: Path, nodes: int, seed: int) -> dict:
+    """One ``M_SCALING_PROBE`` run on ``tree``."""
+    return run_probe(tree, M_SCALING, M_SCALING_PROBE, nodes, M_SCALING_SLOTS, seed)
+
+
+def write_once(tree: Path, seed: int) -> dict:
+    """One ``WRITE_PROBE`` run on ``tree`` at the shipped config."""
+    result = run_probe(tree, WRITE, WRITE_PROBE, tree / "configs" / "paper-sec6.cfg",
+                       seed, WRITE_CALLS)
+    result["last_line"] = f"slots.csv, summary.json sha256 {result['digest']}"
+    return result
 
 
 def command_once(tree: Path, argv: list[str]) -> dict:
@@ -193,16 +255,17 @@ def sweep_once(tree: Path, seed: int) -> dict:
     return result
 
 
-def timed_command(name: str, once, sides: dict, pairs: int, seed: int) -> dict:
-    """Paired wall times of one whole command (``tier1_once`` or
-    ``sweep_once``)."""
+def timed_command(name: str, once, sides: dict, pairs: int, seed: int,
+                  metric: str) -> dict:
+    """Paired times, under ``metric``, of one whole command (``tier1_once``
+    or ``sweep_once``) or of the writers (``write_once``)."""
     runs = {side: [] for side in sides}
     for k in range(pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
             runs[side].append(once(sides[side], seed))
         print(f"{name} pair {k + 1}/{pairs}: " + ", ".join(
-            f"{side} {runs[side][-1]['wall_s']:.2f} s" for side in order
+            f"{side} {runs[side][-1][metric]:.3f} s" for side in order
         ), file=sys.stderr)
     digests = {r.get("digest") for side in sides for r in runs[side]}
     return {
@@ -210,9 +273,14 @@ def timed_command(name: str, once, sides: dict, pairs: int, seed: int) -> dict:
         "seed": seed,
         "all_correct": len(digests) == 1,
         "last_line": {side: runs[side][-1]["last_line"] for side in sides},
-        "metrics": {"wall_s": paired([r["wall_s"] for r in runs["base"]],
-                                     [r["wall_s"] for r in runs["change"]], "s", "lower")},
+        "metrics": {metric: paired([r[metric] for r in runs["base"]],
+                                   [r[metric] for r in runs["change"]], "s", "lower")},
     }
+
+
+# The pseudo-workloads timed by ``timed_command``: the run and its metric.
+TIMED = {WRITE: (write_once, "write_s"), SWEEP: (sweep_once, "wall_s"),
+         TIER1: (tier1_once, "wall_s")}
 
 
 def summarize(values: list[float]) -> dict:
@@ -294,7 +362,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec.get("run_seconds", 30))
     parser.add_argument("--seed", type=int, default=1)
-    names = [w["name"] for w in spec["workloads"]] + [M_SCALING, SWEEP, TIER1]
+    names = [w["name"] for w in spec["workloads"]] + [M_SCALING, WRITE, SWEEP, TIER1]
     parser.add_argument("--workload", action="append", choices=names,
                         help="workload to run (repeatable; default: all)")
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<pr>.json)")
@@ -315,10 +383,10 @@ def main(argv=None) -> int:
     report.setdefault("results", {})
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_tree = Path(tmp) / "base"
-        base_tree.mkdir()
-        extract(args.base, base_tree)
-        sides = {"base": base_tree, "change": ROOT}
+        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        sides["base"].mkdir()
+        extract(args.base, sides["base"])
+        copy_worktree(sides["change"])
         for workload in workloads:
             if workload == M_SCALING:
                 report["results"][f"{M_SCALING}@seed{args.seed}"] = m_scaling(
@@ -326,11 +394,11 @@ def main(argv=None) -> int:
                 )
                 out_path.write_text(json.dumps(report, indent=1) + "\n")
                 continue
-            if workload in (SWEEP, TIER1):
-                once = sweep_once if workload == SWEEP else tier1_once
-                key = TIER1 if workload == TIER1 else f"{SWEEP}@seed{args.seed}"
+            if workload in TIMED:
+                once, metric = TIMED[workload]
+                key = TIER1 if workload == TIER1 else f"{workload}@seed{args.seed}"
                 report["results"][key] = timed_command(
-                    workload, once, sides, args.pairs, args.seed
+                    workload, once, sides, args.pairs, args.seed, metric
                 )
                 out_path.write_text(json.dumps(report, indent=1) + "\n")
                 continue

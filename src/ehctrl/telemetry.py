@@ -20,12 +20,25 @@ computed here with :func:`ehctrl.sim.running_mean`, and the probability bars
 come from the summary. Every CSV, ``sweep.csv`` included, is one mapping from
 header to column handed to :func:`write_csv`, which formats ``WRITE_CHUNK``
 rows at a time. Floats are written with shortest round-trip repr so equal
-runs produce byte-identical files.
+runs produce byte-identical files; ``summary.json`` writes a non-finite value
+(the summary of a run aborted on a non-finite state) as ``null``, so the
+file stays valid JSON, while ``summary.csv`` keeps ``inf``/``nan``.
+
+:func:`write_outputs` uses both cores: a forked child process writes
+``slots.csv``, the largest file, while the caller writes every other file.
+The child only formats and writes (``tolist``, ``divmod``, ``full``, ``str``);
+every BLAS/LAPACK call (the state norms of fig_state.csv) stays in the
+caller, since a forked child must not enter numpy's BLAS threads. The child
+is always reaped before :func:`write_outputs` returns or raises.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import pickle
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +80,7 @@ def write_csv(path, columns: dict) -> None:
         fh.write(",".join(columns) + "\n")
         for lo in range(0, rows, WRITE_CHUNK):
             cells = [_cells(column[lo:lo + WRITE_CHUNK]) for column in columns.values()]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+            fh.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
 class _StateCells:
@@ -144,26 +157,99 @@ def _state_trace(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x, axis=1)
 
 
+def _json_finite(value):
+    """``value`` with every non-finite float inside it replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_finite(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_finite(item) for item in value]
+    return value
+
+
+def _fork_slots_writer(record: TelemetryRecord, path: Path) -> tuple[int, int]:
+    """Fork a child that writes slots.csv and exits; return its pid and the
+    read end of a pipe that carries the child's exception, pickled, if
+    writing failed (nothing if it succeeded). The child never returns."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            write_slots_csv(record, path)
+            code = 0
+        except BaseException as exc:
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(exc))
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read_fd: int, path: Path) -> BaseException | None:
+    """Wait for the slots.csv child; the exception it sent, if any, or an
+    error if it did not exit 0 (an exception that would not pickle, or a
+    signal)."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        failure = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if failure:
+        return pickle.loads(failure)
+    if code:
+        return ChildProcessError(f"writing {path} failed: its process ended with {code}")
+    return None
+
+
 def write_outputs(
     record: TelemetryRecord, summary: Summary, outdir, window: tuple[int, int]
 ) -> None:
     """Write slots.csv, summary.csv, summary.json and the plot-ready fig_*.csv
     aggregates of one run into ``outdir``; ``window`` is the inclusive slot
-    range of fig_schedule_window.csv."""
+    range of fig_schedule_window.csv.
+
+    A child forked here writes slots.csv while this process writes the other
+    nine files; both use the same writers, so the bytes do not depend on
+    the split. The child calls no BLAS or LAPACK routine: it only formats
+    the record's columns, and the norms and running means stay here. The
+    child ends with ``os._exit`` and is always reaped before this function
+    returns or raises, so no process outlives the call. An error of this
+    process's own writes is raised first; otherwise an exception the child
+    raised is re-raised here as it was (say ``IsADirectoryError`` naming
+    slots.csv), and a child that ends any other way raises
+    ``ChildProcessError``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / "slots.csv"
+    pid, read_fd = _fork_slots_writer(record, path)
+    try:
+        _write_aggregates(record, summary, outdir, window)
+    finally:
+        failure = _reap(pid, read_fd, path)
+    if failure is not None:
+        raise failure
+
+
+def _write_aggregates(
+    record: TelemetryRecord, summary: Summary, outdir: Path, window: tuple[int, int]
+) -> None:
+    """Every output file of :func:`write_outputs` but slots.csv."""
     T, M = record.horizon, record.count
     table = summary_dict(summary)
     nodes = table["nodes"]
 
-    write_slots_csv(record, outdir / "slots.csv")
     write_csv(outdir / "summary.csv", {
         **{name: [node[name] for node in nodes] for name in ("node", *_SUMMARY_FIELDS)},
         **{f"max_nu_{j + 1}": [node["max_nu"][j] for node in nodes] for j in range(len(nodes))},
         **{f"{k}_violations": [table["violations"][k]] * len(nodes) for k in BREACH_KINDS},
     })
     with open(outdir / "summary.json", "w", newline="\n") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
+        json.dump(_json_finite(table), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     slot = {"slot": np.arange(T)}
