@@ -8,11 +8,13 @@ with probability z_j is
 
 with q_c the per-interfering-pair collision probability
 (:func:`ehctrl.sim.per_slot_reception` evaluates it for every node and
-slot). Collision events are drawn independently per ordered pair; only the
-marginals above are observable in the run statistics. Nothing a node
-decides depends on which packets were decoded, so both functions work on a
-block of slots at once: :func:`draw_channels` before the block runs and
-:func:`resolve_chunk` after it, on the block's recorded transmissions.
+slot). The policy prices collisions at the rate the channel draws them, so
+q_c has one home, ``SchedulerParams.collision_prob``. Collision events are
+drawn independently per ordered pair; only the marginals above are
+observable in the run statistics. Nothing a node decides depends on which
+packets were decoded, so both functions work on a block of slots at once:
+:func:`draw_channels` before the block runs and :func:`resolve_chunk` after
+it, on the block's recorded transmissions.
 """
 
 from __future__ import annotations
@@ -61,13 +63,10 @@ DEFAULT_DECODE = DecodingCurve(kind="logistic", rate=3.0, midpoint=1.5)
 class ChannelConfig:
     fading_mean: float = 2.0
     decode: DecodingCurve = DEFAULT_DECODE
-    collision_prob: float = 0.25
 
     def __post_init__(self):
         if self.fading_mean <= 0:
             raise ConfigError("fading_mean must be positive")
-        if not 0.0 <= self.collision_prob <= 1.0:
-            raise ConfigError("collision_prob must lie in [0, 1]")
 
 
 def draw_channels(config: ChannelConfig, rngs, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,11 +79,11 @@ def draw_channels(config: ChannelConfig, rngs, size: int) -> tuple[np.ndarray, n
 
 
 def resolve_chunk(
-    config: ChannelConfig, transmitted: np.ndarray, q: np.ndarray, rngs
+    collision_prob: float, transmitted: np.ndarray, q: np.ndarray, rngs
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolve the receptions of a block of slots given who transmitted in
     each; ``transmitted`` and ``q`` are (slots, nodes) rows, and so are the
-    returned ``(received, collided)`` flags.
+    returned ``(received, collided)`` flags. ``collision_prob`` is q_c.
 
     In a slot with n transmitters, each transmitting node i takes n uniforms
     from its own stream ``rngs[i]``: one per other transmitter (independent
@@ -110,7 +109,7 @@ def resolve_chunk(
     last = np.cumsum(sizes) - 1
     decode = draws[last]
     draws[last] = math.inf
-    hit = np.minimum.reduceat(draws, last + 1 - sizes) < config.collision_prob
+    hit = np.minimum.reduceat(draws, last + 1 - sizes) < collision_prob
     collided.T[senders] = hit
     received.T[senders] = ~hit & (decode < q.T[senders])
     return received, collided

@@ -201,7 +201,6 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
             rate=_convert(decode["rate"], "channel.decode.rate"),
             midpoint=_convert(decode["midpoint"], "channel.decode.midpoint"),
         ),
-        collision_prob=_convert(chan["collision_prob"], "channel.collision_prob"),
     )
 
     harvests = tuple(
@@ -236,7 +235,7 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
         nu_bar=_convert(sched["nu_bar"], "scheduler.nu_bar", _floats),
         y_bar=_convert(sched["y_bar"], "scheduler.y_bar", _floats),
         p=p,
-        collision_prob=channel.collision_prob,
+        collision_prob=_convert(chan["collision_prob"], "channel.collision_prob"),
         s_floor=_convert(sched["s_floor"], "scheduler.s_floor"),
     )
 

@@ -163,9 +163,11 @@ class PlantBank:
             else:
                 a = np.where(received[:, idx, None, None], a_closed, a_open)
                 x = buffer[start][..., None]
-                for k in range(len(a)):
-                    x = a[k] @ x + w[k]
-                    rows[k] = x[..., 0]
+                # A diverging plant overflows here; the run reports it.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for k in range(len(a)):
+                        x = a[k] @ x + w[k]
+                        rows[k] = x[..., 0]
 
     def nonfinite(self, start: int, stop: int) -> np.ndarray:
         """(stop - start, plants) flags of the states that :meth:`replay`
@@ -182,7 +184,8 @@ class PlantBank:
         values = np.empty((rows, len(self.models)))
         for idx, weight, buffer in zip(self.index, self._weight, self._history):
             x = buffer[:rows]
-            values[:, idx] = (x[:, :, None, :] @ weight @ x[..., None])[..., 0, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[:, idx] = (x[:, :, None, :] @ weight @ x[..., None])[..., 0, 0]
         return values
 
 

@@ -62,13 +62,6 @@ class DualMailbox:
         self.values = np.zeros((count, count))
         self.slots = np.zeros((count, count), dtype=int)
 
-    def staleness(self, t: int) -> np.ndarray:
-        """Slot lag of every pair's snapshot during slot t (diagonal is zero:
-        a node always has its own multipliers fresh)."""
-        lag = t - self.slots
-        np.fill_diagonal(lag, 0)
-        return lag
-
 
 @dataclass(eq=False)
 class AvailabilityDecision:

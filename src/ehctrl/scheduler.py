@@ -5,7 +5,9 @@ constraint, ``nu[i, j]`` (j != i) prices the interference it causes to node
 j's constraint, ``phi[i]`` prices the log-domain reception requirement and
 ``beta[i]`` the average energy constraint. Remote multipliers enter only
 through the stale copies, the last values received from the other nodes.
-Every step below is elementwise across nodes.
+Every step below is elementwise across nodes. The functions hold no state:
+each takes only the multiplier arrays it reads and returns new arrays, and
+the caller keeps the multipliers (:mod:`ehctrl.sim` in its record rows).
 
 Closed forms, with c = nu_ii * q_i - q_c * sum_{j != i} nu_ji - beta:
 
@@ -119,57 +121,37 @@ def sizing_violations(params: SchedulerParams, capacities) -> list[str]:
     return problems
 
 
-@dataclass(eq=False)
-class DualState:
-    """Dual variables of every node: ``nu[i]`` is node i's multiplier row,
-    ``phi[i]`` and ``beta[i]`` its reception and energy prices."""
-
-    phi: np.ndarray
-    nu: np.ndarray
-    beta: np.ndarray
-
-
-def init_duals(charge: np.ndarray, capacity: np.ndarray, params: SchedulerParams) -> DualState:
-    """Start-of-run duals: everything zero except beta, which mirrors the
-    initial battery headroom scaled by the step size."""
-    count = params.count
-    return DualState(
-        phi=np.zeros(count),
-        nu=np.zeros((count, count)),
-        beta=params.epsilon * (capacity - charge),
-    )
-
-
-def compute_z(duals: DualState, stale: np.ndarray, q: np.ndarray, params: SchedulerParams) -> np.ndarray:
+def compute_z(nu: np.ndarray, beta: np.ndarray, stale: np.ndarray, q: np.ndarray,
+              params: SchedulerParams) -> np.ndarray:
     """Transmit probabilities: the exact minimizer of z (z - c) over [0, 1],
     i.e. clip(c / 2, 0, 1). Remote multipliers enter only through ``stale``,
     where ``stale[i, j]`` is node i's copy of nu_ji (zero diagonal)."""
     interference = np.add.reduce(stale, axis=1)
-    c = duals.nu.diagonal() * q - params.collision_prob * interference - duals.beta
+    c = nu.diagonal() * q - params.collision_prob * interference - beta
     return np.minimum(np.maximum(0.5 * c, 0.0), 1.0)
 
 
-def compute_s(duals: DualState, params: SchedulerParams) -> tuple[np.ndarray, np.ndarray]:
+def compute_s(phi: np.ndarray, nu: np.ndarray, params: SchedulerParams
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Auxiliary reception variables ``s_own`` (M,) and ``s_cross`` (M, M)
     with zero diagonal. The floor keeps the log terms of the phi update
     finite; the nu = 0 corners take the limits of the closed forms
     (s_own -> 1, s_cross -> 0)."""
     floor = params.s_floor
-    nu = duals.nu
     # phi / 0 reads as +inf, which the clips below send to the limits.
     ratio = np.empty(nu.shape)
     ratio.fill(np.inf)
-    np.divide(duals.phi[:, None], nu, out=ratio, where=nu != 0.0)
+    np.divide(phi[:, None], nu, out=ratio, where=nu != 0.0)
     s_own = np.minimum(np.maximum(ratio.diagonal(), floor), 1.0)
     s_cross = np.minimum(np.maximum(1.0 - ratio, 0.0), 1.0 - floor)
     s_cross.flat[:: len(nu) + 1] = 0.0
     return s_own, s_cross
 
 
-def compute_y(duals: DualState, params: SchedulerParams) -> np.ndarray:
+def compute_y(nu: np.ndarray, params: SchedulerParams) -> np.ndarray:
     """Auxiliary relaxation variables: zero until a multiplier climbs
     strictly above its cap, then the full upper bound (ties stay at zero)."""
-    return np.where(duals.nu > params.nu_bar, params.y_bar, 0.0)
+    return np.where(nu > params.nu_bar, params.y_bar, 0.0)
 
 
 def dual_subgradients(
@@ -204,21 +186,24 @@ def dual_subgradients(
 
 
 def apply_dual_step(
-    duals: DualState,
+    phi: np.ndarray,
+    nu: np.ndarray,
+    beta: np.ndarray,
     grads: tuple[np.ndarray, np.ndarray, np.ndarray],
     params: SchedulerParams,
     available: np.ndarray | None = None,
-) -> DualState:
-    """Projected ascent step for every node. Multiplier column j is frozen
-    while node j is unavailable (``available[j]`` false), since its
-    subgradient cannot be formed; phi and beta always step."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected ascent step for every node; returns the stepped ``(phi, nu,
+    beta)``. Multiplier column j is frozen while node j is unavailable
+    (``available[j]`` false), since its subgradient cannot be formed; phi
+    and beta always step."""
     phi_grad, nu_grad, beta_grad = grads
     eps = params.epsilon
     if available is not None:
         nu_grad = np.where(available[None, :], nu_grad, 0.0)
     # phi_grad = -inf (p_i = 0) projects cleanly to 0 here.
-    return DualState(
-        phi=np.maximum(duals.phi + eps * phi_grad, 0.0),
-        nu=np.maximum(duals.nu + eps * nu_grad, 0.0),
-        beta=np.maximum(duals.beta + eps * beta_grad, 0.0),
+    return (
+        np.maximum(phi + eps * phi_grad, 0.0),
+        np.maximum(nu + eps * nu_grad, 0.0),
+        np.maximum(beta + eps * beta_grad, 0.0),
     )

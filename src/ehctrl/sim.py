@@ -1,10 +1,13 @@
 """Slot-loop orchestration of the coupled plant/channel/battery/dual system.
 
-The state of all nodes is held as arrays: multipliers phi (M,), nu (M, M)
-and beta (M,), battery charges (M,), the mailbox (M, M) and one plant state
-stack per state dimension. Every function the loop calls takes the loop's
-arrays and returns arrays; only the small-M form of the per-slot core (see
-below) works on Python floats. Every slot runs, in this fixed order:
+The state of all nodes lives in the record rows: row t of the multipliers
+phi (M,), nu (M, M) and beta (M,) and of the battery charges (M,) is the
+state slot t starts from, and the slot writes its successor into row t + 1.
+The only state a per-slot core carries from slot to slot is the mailbox
+(M, M); the plants step in one state stack per dimension. Every function the
+loop calls takes arrays and returns arrays; only the small-M form of the
+per-slot core (see below) works on Python floats. Every slot runs, in this
+fixed order:
 
   1. draw channel states and harvest arrivals
   2. every node computes its auxiliary, reception and transmit variables
@@ -85,10 +88,10 @@ charge of row t. The earliest breach aborts the run: the earliest slot,
 then the order of the steps that break them (non-finite state, causality,
 then the first node breaking the cap or the mirror, the cap first), and
 the record is cut after that slot as if the run had stopped there. A
-diverging plant is stepped to the end of its chunk first, so numpy may
-warn about values past the breach. Each breach is an
-:class:`~ehctrl.errors.InvariantBreach` whose ``kind`` keys the
-``violations`` counters.
+diverging plant is stepped to the end of its chunk first; its overflows
+past the breach raise no numpy warning, since the abort reports them. Each
+breach is an :class:`~ehctrl.errors.InvariantBreach` whose ``kind`` keys
+the ``violations`` counters.
 """
 
 from __future__ import annotations
@@ -160,9 +163,6 @@ class SimConfig:
                 raise ConfigError(f"{name} must list one entry per plant")
         if self.params.count != count:
             raise ConfigError("scheduler params sized for a different node count")
-        if self.params.collision_prob != self.channel.collision_prob:
-            raise ConfigError(f"scheduler collision_prob {self.params.collision_prob!r} "
-                              f"differs from channel's {self.channel.collision_prob!r}")
         if self.horizon < 0:
             raise ConfigError("horizon must be non-negative")
         if not 0 <= self.seed < 2**64:
@@ -349,23 +349,21 @@ def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbo
                  availability) -> None:
     """Steps 2, 3, 6, 7 and 8 of the slots from ``start`` on, one per row of
     the chunk's draws, as array expressions through the scheduler, energy
-    and coordination functions. Starts from the state in record row
-    ``start``, writes each slot's z, transmitted, battery, phi, beta and nu
-    rows and updates ``mailbox`` in place."""
+    and coordination functions. Reads slot t's state from record rows t,
+    writes its z and transmitted rows and the state after it into rows
+    t + 1; across slots it carries nothing but ``mailbox``, updated in
+    place."""
     params = config.params
     fluid = config.energy_accounting == "fluid"
-    charge = record.battery[start]
-    duals = scheduler.DualState(
-        phi=record.phi[start], nu=record.nu[start], beta=record.beta[start]
-    )
     for k in range(len(q_chunk)):
         t = start + k
         q = q_chunk[k]
+        phi, nu, beta, charge = record.phi[t], record.nu[t], record.beta[t], record.battery[t]
 
         # 2. primal computation from current duals and stale copies
-        z = scheduler.compute_z(duals, mailbox.values, q, params)
-        s_own, s_cross = scheduler.compute_s(duals, params)
-        y = scheduler.compute_y(duals, params)
+        z = scheduler.compute_z(nu, beta, mailbox.values, q, params)
+        s_own, s_cross = scheduler.compute_s(phi, nu, params)
+        y = scheduler.compute_y(nu, params)
 
         # 3. transmission draws into the record row (integer accounting
         # gates on whole units)
@@ -375,25 +373,22 @@ def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbo
 
         record.z[t] = z
 
-        # 6. battery steps (fluid: the transmit probability is the spend)
+        # 6. battery steps (fluid: the transmit probability is the spend);
+        # 9. the state after the slot goes into rows t + 1 as it is computed
         spend = z if fluid else tx.astype(float)
-        charge = energy.step_batteries(charge, capacity, spend, e_chunk[k])
+        record.battery[t + 1] = energy.step_batteries(charge, capacity, spend, e_chunk[k])
 
         # 7. masked dual updates
         decision = coordination.advance_availability(
             config.availability, t, availability[k], tx, mailbox
         )
         grads = scheduler.dual_subgradients(z, s_own, s_cross, y, q, e_chunk[k], params)
-        duals = scheduler.apply_dual_step(duals, grads, params, decision.available)
+        record.phi[t + 1], record.nu[t + 1], record.beta[t + 1] = scheduler.apply_dual_step(
+            phi, nu, beta, grads, params, decision.available
+        )
 
         # 8. exchange into mailboxes (post-update values, stamped this slot)
-        coordination.exchange_duals(mailbox, decision, duals.nu, t)
-
-        # 9. the state after the slot (h, q and e are recorded per chunk)
-        record.battery[t + 1] = charge
-        record.phi[t + 1] = duals.phi
-        record.beta[t + 1] = duals.beta
-        record.nu[t + 1] = duals.nu
+        coordination.exchange_duals(mailbox, decision, record.nu[t + 1], t)
 
 
 def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbox,
@@ -529,22 +524,21 @@ def run(config: SimConfig) -> SimResult:
     )
     capacity = np.array([b.capacity for b in config.batteries])
     charge = np.array([b.charge for b in config.batteries])
-    duals = scheduler.init_duals(charge, capacity, params)
     mailbox = DualMailbox(M)
     cap = params.nu_bar + params.epsilon + DUAL_BOUND_ATOL
 
     record = TelemetryRecord(
         horizon=T, count=M, required_p=params.p.copy(),
-        collision_prob=config.channel.collision_prob,
+        collision_prob=params.collision_prob,
         energy_accounting=config.energy_accounting,
     )
     record.violations = dict.fromkeys(BREACH_KINDS, 0)
     _allocate(record, config)
     record.states = plants.history(T)
     record.battery[0] = charge
-    record.phi[0] = duals.phi
-    record.beta[0] = duals.beta
-    record.nu[0] = duals.nu
+    # beta starts at the initial battery headroom scaled by the step size, so
+    # it mirrors the battery from row 0 on; phi and nu start at zero.
+    record.beta[0] = params.epsilon * (capacity - charge)
 
     core = _scalar_chunk if M <= SCALAR_MAX_NODES else _array_chunk
     try:
@@ -560,7 +554,8 @@ def run(config: SimConfig) -> SimResult:
 
             # 4. and 5. replayed over the chunk's rows, then the checks
             received, collided = comm.resolve_chunk(
-                config.channel, record.transmitted[start:stop], q_chunk, streams["collision"]
+                params.collision_prob, record.transmitted[start:stop], q_chunk,
+                streams["collision"]
             )
             record.received[start:stop] = received
             record.collided[start:stop] = collided

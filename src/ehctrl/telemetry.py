@@ -154,7 +154,8 @@ def _state_trace(x: np.ndarray) -> np.ndarray:
     """Scalar trace of one plant: the state itself when scalar, else its norm."""
     if x.shape[1] == 1:
         return x[:, 0]
-    return np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged state is inf
+        return np.linalg.norm(x, axis=1)
 
 
 def _json_finite(value):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import settings
 
 from ehctrl.control import PlantModel
-from ehctrl.scheduler import DualState, SchedulerParams, compute_z
+from ehctrl.scheduler import SchedulerParams, compute_z
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -73,8 +73,7 @@ def z_mismatches(record, params: SchedulerParams, copies: np.ndarray) -> list[in
     return [
         t for t in range(record.horizon)
         if record.z[t].tobytes() != compute_z(
-            DualState(record.phi[t], record.nu[t], record.beta[t]), copies[t],
-            record.q[t], params,
+            record.nu[t], record.beta[t], copies[t], record.q[t], params
         ).tobytes()
     ]
 

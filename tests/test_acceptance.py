@@ -23,7 +23,6 @@ from ehctrl import telemetry
 from ehctrl.config import build_config, read_raw
 from ehctrl.control import PlantModel, required_reception_probability
 from ehctrl.scheduler import (
-    DualState,
     SchedulerParams,
     apply_dual_step,
     compute_s,
@@ -193,7 +192,6 @@ def _random_sized_config(rng):
     return build_config(raw, seed=int(rng.integers(0, 2**63)), horizon=400)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_criterion_4_energy_causality(acceptance_runs):
     worst = -np.inf
     for result in acceptance_runs:
@@ -229,16 +227,16 @@ def test_criterion_5_dual_bound(acceptance_runs):
     # Adversarial run: drive a multiplier past its cap and watch the reset.
     params = SchedulerParams(epsilon=1.0, nu_bar=2.0, y_bar=4.0,
                              p=np.array([0.3, 0.3]), collision_prob=1.0)
-    duals = DualState(phi=np.zeros(2), nu=np.zeros((2, 2)), beta=np.zeros(2))
+    phi, nu, beta = np.zeros(2), np.zeros((2, 2)), np.zeros(2)
     trajectory = []
     for _ in range(12):
-        y = compute_y(duals, params)
+        y = compute_y(nu, params)
         grads = dual_subgradients(
             z=np.ones(2), s_own=np.full(2, params.s_floor), s_cross=np.zeros((2, 2)),
             y=y, q=np.zeros(2), e=np.ones(2), params=params,
         )
-        duals = apply_dual_step(duals, grads, params)
-        trajectory.append(duals.nu[0, 1])
+        phi, nu, beta = apply_dual_step(phi, nu, beta, grads, params)
+        trajectory.append(nu[0, 1])
     trajectory = np.array(trajectory)
     exceeded = trajectory.max() > 2.0
     capped = trajectory.max() <= 2.0 + 1.0 + DUAL_TOL
@@ -293,15 +291,13 @@ def test_criterion_8_optimizer_oracles():
         nu_own = rng.uniform(0.01, 25.0, 2)
         nu_stale = rng.uniform(0.0, 25.0, 2)
         beta = float(rng.uniform(0.0, 25.0))
-        duals = DualState(
-            phi=np.full(2, phi), nu=np.array([nu_own, [0.0, 0.0]]), beta=np.full(2, beta)
-        )
+        nu = np.array([nu_own, [0.0, 0.0]])
         stale = np.array([[0.0, nu_stale[1]], [0.0, 0.0]])
         q = float(rng.uniform(0.0, 1.0))
-        z = compute_z(duals, stale, np.full(2, q), params)[0]
+        z = compute_z(nu, np.full(2, beta), stale, np.full(2, q), params)[0]
         c = nu_own[0] * q - params.collision_prob * nu_stale[1] - beta
         worst_primal = max(worst_primal, abs(z - grid_argmin(z_objective(c), 0.0, 1.0)))
-        s_own, s_cross = compute_s(duals, params)
+        s_own, s_cross = compute_s(np.full(2, phi), nu, params)
         own_oracle = grid_argmin(s_own_objective(phi, nu_own[0]), params.s_floor, 1.0)
         cross_oracle = grid_argmin(
             s_cross_objective(phi, nu_own[1]), 0.0, 1.0 - params.s_floor

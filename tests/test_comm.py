@@ -9,9 +9,9 @@ from ehctrl.errors import ConfigError
 from ehctrl.sim import per_slot_reception
 
 
-def make_config(collision_prob=0.25, **decode_kwargs) -> ChannelConfig:
+def make_config(**decode_kwargs) -> ChannelConfig:
     decode = DecodingCurve(**decode_kwargs) if decode_kwargs else ChannelConfig().decode
-    return ChannelConfig(fading_mean=2.0, decode=decode, collision_prob=collision_prob)
+    return ChannelConfig(fading_mean=2.0, decode=decode)
 
 
 class TestDrawChannels:
@@ -48,23 +48,23 @@ class TestDrawChannels:
             DecodingCurve(kind="nope")
 
 
-def resolve_slot(cfg, tx, q, rngs):
+def resolve_slot(collision_prob, tx, q, rngs):
     """One slot's ``(received, collided)`` flags through :func:`resolve_chunk`."""
-    received, collided = resolve_chunk(cfg, np.array([tx]), np.array([q]), rngs)
+    received, collided = resolve_chunk(collision_prob, np.array([tx]), np.array([q]), rngs)
     return received[0], collided[0]
 
 
 class TestResolveSlot:
     def test_lone_perfect_link(self):
         received, collided = resolve_slot(
-            make_config(), np.array([True]), np.array([1.0]), [np.random.default_rng(0)]
+            0.25, np.array([True]), np.array([1.0]), [np.random.default_rng(0)]
         )
         assert received[0] and not collided[0]
 
     def test_certain_collision(self):
         rngs = [np.random.default_rng(seed) for seed in (0, 1)]
         received, collided = resolve_slot(
-            make_config(collision_prob=1.0), np.array([True, True]), np.array([1.0, 1.0]), rngs
+            1.0, np.array([True, True]), np.array([1.0, 1.0]), rngs
         )
         assert collided.all()
         assert not received.any()
@@ -78,25 +78,23 @@ class TestResolveSlot:
         rng = np.random.default_rng(1)
         tx = np.tile([True, False], (200, 1))
         received, collided = resolve_chunk(
-            make_config(collision_prob=1.0), tx, np.full((200, 2), 0.5), [rng] * 2,
+            1.0, tx, np.full((200, 2), 0.5), [rng] * 2,
         )
         assert not collided[:, 0].any()
         assert not collided[:, 1].any() and not received[:, 1].any()
 
     def test_marginal_matches_product_form(self):
-        cfg = make_config(collision_prob=0.25)
         rng = np.random.default_rng(3)
         n = 100_000
         tx, q = np.ones((n, 2), dtype=bool), np.ones((n, 2))
-        hits = int(resolve_chunk(cfg, tx, q, [rng] * 2)[0][:, 0].sum())
+        hits = int(resolve_chunk(0.25, tx, q, [rng] * 2)[0][:, 0].sum())
         assert hits / n == pytest.approx(0.75, abs=0.01)
 
     def test_outcome_invariant(self):
         rng = np.random.default_rng(9)
-        cfg = make_config(collision_prob=0.4)
         tx = rng.random((500, 3)) < 0.5
         q = rng.random((500, 3))
-        received, collided = resolve_chunk(cfg, tx, q, [rng] * 3)
+        received, collided = resolve_chunk(0.4, tx, q, [rng] * 3)
         assert not (received & ~(tx & ~collided)).any()
         lone = tx.sum(axis=1, keepdims=True) == 1
         assert not (collided & (~tx | lone)).any()
@@ -108,27 +106,28 @@ class TestBufferedCollisionStream:
     with the same seeds."""
 
     @staticmethod
-    def reference_slot(cfg, tx, q, rngs):
+    def reference_slot(collision_prob, tx, q, rngs):
         collided = np.zeros(tx.size, dtype=bool)
         decoded = np.zeros(tx.size, dtype=bool)
         senders = np.flatnonzero(tx)
         for i in senders:
             draws = rngs[i].random(len(senders))
-            collided[i] = min(draws[:-1], default=math.inf) < cfg.collision_prob
+            collided[i] = min(draws[:-1], default=math.inf) < collision_prob
             decoded[i] = draws[-1] < q[i]
         return collided, decoded
 
     def check_chunks(self, tx, q, chunk, seed=21):
         """Resolve ``tx`` ``chunk`` slots at a time against the oracle."""
-        cfg = make_config(collision_prob=0.4)
+        collision_prob = 0.4
         count = tx.shape[1]
         chunked = [np.random.default_rng((seed, i)) for i in range(count)]
         reference = [np.random.default_rng((seed, i)) for i in range(count)]
         for start in range(0, len(tx), chunk):
             rows = slice(start, start + chunk)
-            received, collided = resolve_chunk(cfg, tx[rows], q[rows], chunked)
+            received, collided = resolve_chunk(collision_prob, tx[rows], q[rows], chunked)
             for t in range(*rows.indices(len(tx))):
-                expected_collided, decoded = self.reference_slot(cfg, tx[t], q[t], reference)
+                expected_collided, decoded = self.reference_slot(
+                    collision_prob, tx[t], q[t], reference)
                 assert np.array_equal(collided[t - start], expected_collided)
                 assert np.array_equal(
                     received[t - start], tx[t] & ~expected_collided & decoded
@@ -172,7 +171,7 @@ class TestReceptionProbability:
         assert np.array_equal(got, [[0.5, 0.0]])
 
     def test_against_monte_carlo(self):
-        cfg = make_config(collision_prob=0.25)
+        cfg = make_config()
         z = np.array([0.4446, 0.3558])
         rng = np.random.default_rng(11)
         # mean decode probability under the default curve
@@ -189,11 +188,10 @@ class TestReceptionProbability:
 
     @given(st.integers(min_value=100, max_value=2000))
     def test_empirical_rate_converges(self, n):
-        cfg = make_config(collision_prob=0.3)
         rng = np.random.default_rng(n)
         z = np.array([0.6, 0.4])
         q = np.array([0.8, 0.7])
         expected = reception_probability(z, q, 0.3)
         tx = rng.random((n, 2)) < z
-        hits = int(resolve_chunk(cfg, tx, np.tile(q, (n, 1)), [rng] * 2)[0][:, 0].sum())
+        hits = int(resolve_chunk(0.3, tx, np.tile(q, (n, 1)), [rng] * 2)[0][:, 0].sum())
         assert abs(hits / n - expected) <= 4 / np.sqrt(n)

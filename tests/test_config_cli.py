@@ -325,6 +325,15 @@ class TestRunCommand:
         for name in ("slots.csv", "summary.csv", "summary.json", "fig_state.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_null_initial_state_starts_at_zero(self, tmp_path):
+        for name, value in (("null", "null"), ("zero", "0.0")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"initial_state: {value}\n")
+            assert main(["run", "--config", str(cfg), "--horizon", "300",
+                         "--out", str(tmp_path / name)]) == 0
+        slots = [(tmp_path / name / "slots.csv").read_bytes() for name in ("null", "zero")]
+        assert slots[0] == slots[1]
+
     def test_strict_blocks_undersized_config(self, tmp_path):
         cfg = tmp_path / "u.cfg"
         cfg.write_text("scheduler: {epsilon: 1.0, nu_bar: 19.0, y_bar: 20.0, s_floor: 1.0e-6}\n")
@@ -335,7 +344,7 @@ class TestRunCommand:
     def test_invariant_breach_exits_3_with_partial_telemetry(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         monkeypatch.setattr(
-            ehctrl.scheduler, "compute_z", lambda duals, stale, q, params: np.full(q.shape, 0.6)
+            ehctrl.scheduler, "compute_z", lambda nu, beta, stale, q, params: np.full(q.shape, 0.6)
         )
         cfg = tmp_path / "tiny-battery.cfg"
         cfg.write_text("battery: {capacity: 20.0, initial: 0.2}\n")

@@ -297,15 +297,15 @@ def _overspend(z, *args):
     return np.full(z.shape, 50.0)
 
 
-def _over_cap(duals, old, grads, params, *args):
-    node = duals.nu.shape[0] - 1
-    duals.nu[node, 0] = params.nu_bar[node, 0] + params.epsilon + 1.0
-    return duals
+def _over_cap(stepped, phi, nu, beta, grads, params, *args):
+    node = nu.shape[0] - 1
+    stepped[1][node, 0] = params.nu_bar[node, 0] + params.epsilon + 1.0
+    return stepped
 
 
-def _off_mirror(duals, *args):
-    duals.beta[0] += 0.5
-    return duals
+def _off_mirror(stepped, *args):
+    stepped[2][0] += 0.5
+    return stepped
 
 
 _BREACHES = {
@@ -399,7 +399,6 @@ def test_sweep_csv(tmp_path):
     assert sweep_digest(tmp_path / "sweep") == SWEEP_CSV
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_random_config_slots(tmp_path):
     digests = [slots_digest(config, tmp_path) for config in random_configs()]
     assert digests == RANDOM_SLOTS
@@ -413,12 +412,10 @@ def test_mixed_dims_slots(tmp_path):
     assert slots_digest(mixed_dims_config(), tmp_path) == MIXED_DIMS_SLOTS
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_aborted_run_slots(tmp_path):
     assert slots_digest(diverging_config(), tmp_path) == ABORTED_SLOTS
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("case", ABORT_CASES)
 def test_abort_slots(case, tmp_path):
     assert abort_digest(case, tmp_path) == ABORTS[case]

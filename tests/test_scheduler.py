@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 from conftest import grid_argmin, s_cross_objective, s_own_objective, z_objective
 from ehctrl.errors import ConfigError
 from ehctrl.scheduler import (
-    DualState,
     SchedulerParams,
     apply_dual_step,
     compute_s,
     compute_y,
     compute_z,
     dual_subgradients,
-    init_duals,
     sizing_violations,
 )
 
@@ -29,20 +27,22 @@ def make_params(count=2, epsilon=1.0, nu_bar=19.0, y_bar=25.0, q_c=0.25, p=None)
 
 
 def make_duals(count=2, phi=0.0, nu_own=None, beta=0.0):
-    """Duals with node 0's multiplier row set to ``nu_own``, other rows zero."""
+    """Multipliers ``(phi, nu, beta)`` with node 0's row of nu set to
+    ``nu_own``, other rows zero."""
     nu = np.zeros((count, count))
     if nu_own is not None:
         nu[0] = nu_own
-    return DualState(phi=np.full(count, float(phi)), nu=nu, beta=np.full(count, float(beta)))
+    return np.full(count, float(phi)), nu, np.full(count, float(beta))
 
 
 def node0_z(duals, q, params, nu_stale=None):
     """Node 0's transmit probability given its stale copies nu_j0 (j != 0)."""
-    count = duals.phi.size
+    phi, nu, beta = duals
+    count = phi.size
     stale = np.zeros((count, count))
     if nu_stale is not None:
         stale[0, 1:] = np.asarray(nu_stale, dtype=float)[1:]
-    return compute_z(duals, stale, np.full(count, q), params)[0]
+    return compute_z(nu, beta, stale, np.full(count, q), params)[0]
 
 
 def zero_grads(count=2):
@@ -78,26 +78,26 @@ class TestComputeZ:
 
 class TestComputeS:
     def test_interior_ratio(self):
-        s_own, _ = compute_s(make_duals(phi=1.0, nu_own=[2.0, 0.0]), make_params())
+        s_own, _ = compute_s(*make_duals(phi=1.0, nu_own=[2.0, 0.0])[:2], make_params())
         assert s_own[0] == pytest.approx(0.5)
 
     def test_cross_upper_boundary_at_zero_phi(self):
         params = make_params()
-        _, s_cross = compute_s(make_duals(phi=0.0, nu_own=[0.0, 5.0]), params)
+        _, s_cross = compute_s(*make_duals(phi=0.0, nu_own=[0.0, 5.0])[:2], params)
         assert s_cross[0, 1] == pytest.approx(1.0 - params.s_floor)
 
     def test_own_upper_clamp(self):
-        s_own, _ = compute_s(make_duals(phi=3.0, nu_own=[1.0, 0.0]), make_params())
+        s_own, _ = compute_s(*make_duals(phi=3.0, nu_own=[1.0, 0.0])[:2], make_params())
         assert s_own[0] == 1.0
 
     def test_zero_multiplier_corners(self):
-        s_own, s_cross = compute_s(make_duals(phi=0.7), make_params())
+        s_own, s_cross = compute_s(*make_duals(phi=0.7)[:2], make_params())
         assert s_own[0] == 1.0
         assert s_cross[0, 1] == 0.0
 
     def test_floor_keeps_logs_finite(self):
         params = make_params()
-        s_own, s_cross = compute_s(make_duals(phi=0.0, nu_own=[9.0, 9.0]), params)
+        s_own, s_cross = compute_s(*make_duals(phi=0.0, nu_own=[9.0, 9.0])[:2], params)
         assert s_own[0] == params.s_floor
         assert math.isfinite(math.log(s_own[0]))
         assert math.isfinite(math.log1p(-s_cross[0, 1]))
@@ -105,67 +105,66 @@ class TestComputeS:
 
 class TestComputeY:
     def test_tie_stays_zero(self):
-        duals = make_duals(nu_own=[19.0, 0.0])
-        assert compute_y(duals, make_params())[0, 0] == 0.0
+        _, nu, _ = make_duals(nu_own=[19.0, 0.0])
+        assert compute_y(nu, make_params())[0, 0] == 0.0
 
     def test_above_cap_releases_full_bound(self):
-        duals = make_duals(nu_own=[19.5, 0.0])
-        assert compute_y(duals, make_params())[0, 0] == 25.0
+        _, nu, _ = make_duals(nu_own=[19.5, 0.0])
+        assert compute_y(nu, make_params())[0, 0] == 25.0
 
     def test_below_threshold(self):
-        duals = make_duals(nu_own=[0.0, 0.0])
-        assert np.all(compute_y(duals, make_params())[0] == 0.0)
+        _, nu, _ = make_duals(nu_own=[0.0, 0.0])
+        assert np.all(compute_y(nu, make_params())[0] == 0.0)
 
 
 class TestDualUpdates:
     def test_zero_subgradient_fixed_point(self):
         params = make_params()
         duals = make_duals(phi=1.2, nu_own=[3.0, 0.4], beta=0.7)
-        stepped = apply_dual_step(duals, zero_grads(), params)
-        assert np.array_equal(stepped.phi, duals.phi)
-        assert np.array_equal(stepped.nu, duals.nu)
-        assert np.array_equal(stepped.beta, duals.beta)
+        stepped = apply_dual_step(*duals, zero_grads(), params)
+        for new, old in zip(stepped, duals):
+            assert np.array_equal(new, old)
 
     def test_beta_projection_at_zero(self):
         params = make_params()
         duals = make_duals(beta=0.0)
         phi_grad, nu_grad, _ = zero_grads()
         grads = (phi_grad, nu_grad, np.full(2, 0.0 - 0.5))
-        assert apply_dual_step(duals, grads, params).beta[0] == 0.0
+        assert apply_dual_step(*duals, grads, params)[2][0] == 0.0
 
     def test_cap_overflow_resets_to_zero(self):
         # multiplier at nu_bar + eps with the auxiliary released: next update zeroes it
         params = make_params(nu_bar=19.0, y_bar=25.0, q_c=1.0, epsilon=1.0)
-        duals = make_duals(nu_own=[0.0, 20.0])
+        phi, nu, beta = make_duals(nu_own=[0.0, 20.0])
         q = np.ones(2)
-        z = compute_z(duals, np.zeros((2, 2)), q, params)
-        s_own, s_cross = compute_s(duals, params)
-        y = compute_y(duals, params)
+        z = compute_z(nu, beta, np.zeros((2, 2)), q, params)
+        s_own, s_cross = compute_s(phi, nu, params)
+        y = compute_y(nu, params)
         assert y[0, 1] == 25.0
         grads = dual_subgradients(z, s_own, s_cross, y, q, np.zeros(2), params)
-        new = apply_dual_step(duals, grads, params)
+        _, new_nu, _ = apply_dual_step(phi, nu, beta, grads, params)
         # subgradient for the cross component: q_c*z - s - y = 1*z - s - 25 <= 1 - 25
-        assert new.nu[0, 1] == 0.0
+        assert new_nu[0, 1] == 0.0
 
     def test_mask_freezes_components(self):
         params = make_params()
         duals = make_duals(phi=0.5, nu_own=[2.0, 1.0], beta=0.3)
         grads = (np.ones(2), np.ones((2, 2)), np.ones(2))
-        stepped = apply_dual_step(duals, grads, params, available=np.array([True, False]))
-        assert stepped.nu[0, 0] == pytest.approx(3.0)
-        assert stepped.nu[0, 1] == pytest.approx(1.0)
-        assert stepped.phi[0] == pytest.approx(1.5)  # phi never masked
-        assert stepped.beta[0] == pytest.approx(1.3)
+        phi, nu, beta = apply_dual_step(*duals, grads, params, available=np.array([True, False]))
+        assert nu[0, 0] == pytest.approx(3.0)
+        assert nu[0, 1] == pytest.approx(1.0)
+        assert phi[0] == pytest.approx(1.5)  # phi never masked
+        assert beta[0] == pytest.approx(1.3)
 
     def test_vacuous_requirement_keeps_phi_zero(self):
         params = make_params(p=[0.0, 0.3])
-        duals = make_duals()
+        phi, nu, beta = make_duals()
         q = np.full(2, 0.5)
-        z = compute_z(duals, np.zeros((2, 2)), q, params)
-        s_own, s_cross = compute_s(duals, params)
-        grads = dual_subgradients(z, s_own, s_cross, compute_y(duals, params), q, q, params)
-        new = apply_dual_step(duals, grads, params)
-        assert new.phi[0] == 0.0
+        z = compute_z(nu, beta, np.zeros((2, 2)), q, params)
+        s_own, s_cross = compute_s(phi, nu, params)
+        grads = dual_subgradients(z, s_own, s_cross, compute_y(nu, params), q, q, params)
+        new_phi, _, _ = apply_dual_step(phi, nu, beta, grads, params)
+        assert new_phi[0] == 0.0
 
     def test_duals_stay_nonnegative(self):
         params = make_params()
@@ -176,24 +175,8 @@ class TestDualUpdates:
             phi_grad[0] = rng.normal(scale=3.0)
             nu_grad[0] = rng.normal(scale=2.0, size=2)
             beta_grad[0] = rng.normal()
-            duals = apply_dual_step(duals, (phi_grad, nu_grad, beta_grad), params)
-            assert np.all(duals.phi >= 0.0) and np.all(duals.beta >= 0.0)
-            assert np.all(duals.nu >= 0.0)
-
-
-class TestInitDuals:
-    def test_full_battery(self):
-        duals = init_duals(np.full(2, 20.0), np.full(2, 20.0), make_params())
-        assert np.all(duals.beta == 0.0)
-        assert np.all(duals.phi == 0.0)
-        assert np.all(duals.nu == 0.0)
-
-    def test_empty_battery(self):
-        assert init_duals(np.zeros(2), np.full(2, 20.0), make_params()).beta[0] == 20.0
-
-    def test_step_size_scaling(self):
-        params = make_params(epsilon=0.5)
-        assert init_duals(np.full(2, 10.0), np.full(2, 20.0), params).beta[0] == 5.0
+            duals = apply_dual_step(*duals, (phi_grad, nu_grad, beta_grad), params)
+            assert all(np.all(x >= 0.0) for x in duals)
 
 
 class TestSizing:
@@ -247,8 +230,7 @@ class TestBruteForceOracles:
         for _ in range(300):
             phi = rng.uniform(0.01, 30.0)
             nu = rng.uniform(0.01, 25.0, 2)
-            duals = make_duals(phi=phi, nu_own=nu)
-            s_own, s_cross = compute_s(duals, params)
+            s_own, s_cross = compute_s(*make_duals(phi=phi, nu_own=nu)[:2], params)
             own_grid = grid_argmin(s_own_objective(phi, nu[0]), floor, 1.0)
             cross_grid = grid_argmin(s_cross_objective(phi, nu[1]), 0.0, 1.0 - floor)
             worst = max(worst, abs(s_own[0] - own_grid), abs(s_cross[0, 1] - cross_grid))
@@ -264,15 +246,15 @@ class TestMultiplierCapProperty:
         rng = np.random.default_rng(seed)
         duals = make_duals()
         for _ in range(80):
-            y = compute_y(duals, params)
+            y = compute_y(duals[1], params)
             z = np.full(2, rng.uniform(0.0, 1.0))
             s_own = np.full(2, rng.uniform(params.s_floor, 1.0))
             s_cross = np.array([[0.0, rng.uniform(0.0, 1.0 - params.s_floor)], [0.0, 0.0]])
             q = np.full(2, rng.uniform(0, 1))
             e = np.full(2, rng.uniform(0, 1))
             grads = dual_subgradients(z, s_own, s_cross, y, q, e, params)
-            duals = apply_dual_step(duals, grads, params)
-            assert np.all(duals.nu <= params.nu_bar + params.epsilon + 1e-9)
+            duals = apply_dual_step(*duals, grads, params)
+            assert np.all(duals[1] <= params.nu_bar + params.epsilon + 1e-9)
 
 
 def test_adversarial_cap_reset_trajectory():
@@ -283,14 +265,14 @@ def test_adversarial_cap_reset_trajectory():
     duals = make_duals()
     history = []
     for _ in range(12):
-        y = compute_y(duals, params)
+        y = compute_y(duals[1], params)
         # adversarial primal: full transmission, no reception slack
         grads = dual_subgradients(
             z=np.ones(2), s_own=np.full(2, params.s_floor), s_cross=np.zeros((2, 2)),
             y=y, q=np.zeros(2), e=np.ones(2), params=params,
         )
-        duals = apply_dual_step(duals, grads, params)
-        history.append(duals.nu[0, 1])
+        duals = apply_dual_step(*duals, grads, params)
+        history.append(duals[1][0, 1])
     history = np.array(history)
     assert history.max() > params.nu_bar[0, 1]                      # cap exceeded
     assert history.max() <= params.nu_bar[0, 1] + params.epsilon    # but bounded

@@ -18,12 +18,7 @@ from ehctrl.config import build_config, read_raw
 from ehctrl.control import PlantModel
 from ehctrl.coordination import AvailabilitySchedule, DualMailbox
 from ehctrl.energy import BatteryState, HarvestConfig
-from ehctrl.errors import (
-    ConfigError,
-    EnergyCausalityError,
-    InvalidStateError,
-    InvariantViolation,
-)
+from ehctrl.errors import EnergyCausalityError, InvalidStateError, InvariantViolation
 from ehctrl.scheduler import SchedulerParams, sizing_violations
 from ehctrl.sim import (
     SCALAR_MAX_NODES,
@@ -106,7 +101,7 @@ class TestRunInvariants:
     def test_running_averages_recomputable(self, result):
         rec = result.record
         denom = np.arange(1, rec.horizon + 1)[:, None]
-        analytic = per_slot_reception(rec.z, rec.q, result.config.channel.collision_prob)
+        analytic = per_slot_reception(rec.z, rec.q, result.config.params.collision_prob)
         for name, values in (
             ("ctrl_perf", rec.lyapunov),
             ("p_tx", rec.z),
@@ -228,15 +223,14 @@ class TestRecordTrace:
         capacity = np.array([b.capacity for b in config.batteries])
         rec = run(config).record
         for t in range(rec.horizon - 1):
-            duals = ehctrl.scheduler.DualState(phi=rec.phi[t], nu=rec.nu[t], beta=rec.beta[t])
             grads = ehctrl.scheduler.dual_subgradients(
-                rec.z[t], *ehctrl.scheduler.compute_s(duals, params),
-                ehctrl.scheduler.compute_y(duals, params), rec.q[t], rec.harvested[t], params,
+                rec.z[t], *ehctrl.scheduler.compute_s(rec.phi[t], rec.nu[t], params),
+                ehctrl.scheduler.compute_y(rec.nu[t], params), rec.q[t], rec.harvested[t], params,
             )
-            after = ehctrl.scheduler.apply_dual_step(duals, grads, params)
-            assert np.array_equal(rec.phi[t + 1], after.phi)
-            assert np.array_equal(rec.nu[t + 1], after.nu)
-            assert np.array_equal(rec.beta[t + 1], after.beta)
+            after = ehctrl.scheduler.apply_dual_step(
+                rec.phi[t], rec.nu[t], rec.beta[t], grads, params)
+            for name, stepped in zip(("phi", "nu", "beta"), after):
+                assert np.array_equal(getattr(rec, name)[t + 1], stepped)
             spend = rec.spend[t].astype(float)
             assert np.array_equal(
                 rec.battery[t + 1],
@@ -272,6 +266,28 @@ class TestRecordTrace:
         # copies stale, which the synchronous copies then fail to explain.
         stale = z_mismatches(rec, config.params, current_copies(rec.nu))
         assert (stale == []) == (bound == 1)
+
+
+class TestStartState:
+    """Record row 0: phi and nu start at zero and beta at the initial battery
+    headroom scaled by the step size."""
+
+    @staticmethod
+    def first_row(**overrides):
+        rec = run(short_config(horizon=1, **overrides)).record
+        return rec.phi[0], rec.nu[0], rec.beta[0]
+
+    def test_full_battery(self):
+        for values in self.first_row():
+            assert np.all(values == 0.0)
+
+    def test_empty_battery(self):
+        assert self.first_row(battery={"capacity": 20.0, "initial": 0.0})[2][0] == 20.0
+
+    def test_step_size_scaling(self):
+        _, _, beta = self.first_row(battery={"capacity": 20.0, "initial": 10.0},
+                                    scheduler={"epsilon": 0.5})
+        assert beta[0] == 5.0
 
 
 class TestDegenerateRuns:
@@ -318,7 +334,7 @@ class TestAborts:
     def test_causality_breach_aborts(self, monkeypatch):
         monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         monkeypatch.setattr(
-            ehctrl.scheduler, "compute_z", lambda duals, stale, q, params: np.full(q.shape, 0.6)
+            ehctrl.scheduler, "compute_z", lambda nu, beta, stale, q, params: np.full(q.shape, 0.6)
         )
         config = short_config(seed=1, horizon=50, battery={"capacity": 20.0, "initial": 0.2})
         with pytest.raises(SimulationAborted) as err:
@@ -348,10 +364,10 @@ class TestAborts:
         monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         true_step = ehctrl.scheduler.apply_dual_step
 
-        def overshooting_step(duals, grads, params, available=None):
-            stepped = true_step(duals, grads, params, available)
-            stepped.nu[1, 0] = params.nu_bar[1, 0] + params.epsilon + 1.0
-            return stepped
+        def overshooting_step(phi, nu, beta, grads, params, available=None):
+            phi, nu, beta = true_step(phi, nu, beta, grads, params, available)
+            nu[1, 0] = params.nu_bar[1, 0] + params.epsilon + 1.0
+            return phi, nu, beta
 
         monkeypatch.setattr(ehctrl.scheduler, "apply_dual_step", overshooting_step)
         with pytest.raises(SimulationAborted) as err:
@@ -364,7 +380,6 @@ class TestAborts:
             "causality": 0, "mirror": 0, "dual_bound": 1, "nonfinite": 0,
         }
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_nonfinite_state_aborts(self):
         config = short_config(
             seed=1,
@@ -439,7 +454,7 @@ def core_inputs(nodes, mode, accounting, start_copies, state, seed):
                        decrease_rate=0.8)
     config = SimConfig(
         plants=(plant,) * nodes,
-        channel=ChannelConfig(collision_prob=params.collision_prob),
+        channel=ChannelConfig(),
         harvests=(HarvestConfig(0.5),) * nodes,
         batteries=tuple(BatteryState(c, c) for c in capacity),
         params=params,
@@ -558,7 +573,7 @@ class TestConfigSurface:
         assert config.count == 2
         assert config.params.p[0] == pytest.approx(0.3453, abs=5e-4)
         assert config.params.p[1] == pytest.approx(0.2769, abs=5e-4)
-        assert config.channel.collision_prob == 0.25
+        assert config.params.collision_prob == 0.25
         assert config.batteries[0] == BatteryState(20.0, 20.0)
         assert config.params.epsilon == 1.0
         assert float(config.params.nu_bar[0, 0]) == 19.0
@@ -568,11 +583,3 @@ class TestConfigSurface:
         config = build_config(read_raw(None))
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.horizon = 5
-
-    def test_one_collision_probability(self):
-        """The policy prices collisions at the probability the channel draws
-        them with, so the two must agree."""
-        config = build_config(read_raw(None))
-        params = dataclasses.replace(config.params, collision_prob=0.9)
-        with pytest.raises(ConfigError, match="0.9.*0.25"):
-            dataclasses.replace(config, params=params)

@@ -1,9 +1,12 @@
 """The run-file writers: the forked ``slots.csv`` writer of ``write_outputs``
-(errors, reaping, stdio) and ``summary.json`` after a non-finite abort. The
-bytes of every file are pinned in ``test_golden.py``."""
+(errors, reaping, stdio), the state traces of ``fig_state.csv``, and
+``summary.json`` and stderr after a non-finite abort. The bytes of every
+file are pinned in ``test_golden.py``."""
 
+import csv
 import errno
 import json
+import math
 import os
 import signal
 import subprocess
@@ -168,16 +171,45 @@ class TestForkDoublesNoOutput:
         assert [line.split(":")[0] for line in done.stdout.splitlines()] == ["node 1", "node 2"]
 
 
+class TestStateTrace:
+    def test_matrix_plant_column_is_the_norm(self, tmp_path):
+        """A matrix plant's column is the norm of its state, a scalar plant's
+        column the state itself."""
+        raw = read_raw(None)
+        raw["plants"] = [
+            {"a_open": [[1.05, 0.1], [0.0, 0.9]], "a_closed": (np.eye(2) * 0.1).tolist()},
+            raw["plants"][1],
+        ]
+        result = run(build_config(raw, seed=3, horizon=300))
+        write(result, tmp_path)
+        with open(tmp_path / "fig_state.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        matrix, scalar = result.record.states
+        assert len(rows) == len(matrix) == 300
+        for row, x, s in zip(rows, matrix.tolist(), scalar.tolist()):
+            assert float(row["x_1"]) == pytest.approx(math.hypot(*x), rel=1e-15)
+            assert float(row["x_2"]) == s[0]
+
+
+# The first plant's state overflows at slot 63, scalar or 2x2.
+DIVERGING_PLANTS = {
+    "scalar": "{a_open: 1.0e10, a_closed: 0.15}",
+    "2x2": "{a_open: [[1.0e10, 0.0], [0.0, 1.0e10]], a_closed: [[0.15, 0.0], [0.0, 0.15]]}",
+}
+
+
+def diverging_config(tmp_path, plant: str = DIVERGING_PLANTS["scalar"]) -> Path:
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(f"plants:\n  - {plant}\n  - {{a_open: 1.05, a_closed: 0.1}}\n"
+                   "required_reception: [0.5, 0.3]\n")
+    return cfg
+
+
 class TestNonFiniteSummary:
     def test_summary_json_parses_after_nonfinite_abort(self, tmp_path):
         """Node 1's state overflows at slot 63; its ``ctrl_perf`` is infinite."""
-        cfg = tmp_path / "diverge.cfg"
-        cfg.write_text("plants:\n  - {a_open: 1.0e10, a_closed: 0.15}\n"
-                       "  - {a_open: 1.05, a_closed: 0.1}\n"
-                       "required_reception: [0.5, 0.3]\n")
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert main(["run", "--config", str(diverging_config(tmp_path)), "--out", str(out)]) == 3
 
         def reject(constant):
             raise ValueError(f"not JSON: {constant}")
@@ -188,3 +220,16 @@ class TestNonFiniteSummary:
         assert isinstance(summary["nodes"][1]["ctrl_perf"], float)
         header, first, _ = (out / "summary.csv").read_text().splitlines()
         assert dict(zip(header.split(","), first.split(",")))["ctrl_perf"] == "inf"
+
+    @pytest.mark.parametrize("plant", DIVERGING_PLANTS.values(), ids=DIVERGING_PLANTS)
+    def test_stderr_holds_the_abort_alone(self, tmp_path, plant):
+        """The overflows past the breach print no numpy warning."""
+        done = subprocess.run(
+            [sys.executable, "-m", "ehctrl", "run", "--config",
+             str(diverging_config(tmp_path, plant)), "--out", "out"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        message = "run aborted at slot 63: plant 0 state went non-finite at slot 63"
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == [f"ERROR ehctrl.cli: {message}", f"aborted: {message}"]
