@@ -2,8 +2,10 @@
 
 Subcommands:
 
-  run            simulate one configuration and write slots.csv, summary.csv,
-                 summary.json and the fig_*.csv aggregates
+  run            simulate one configuration and write slots.csv, summary.csv
+                 and summary.json
+  figures        simulate the same configuration and write the plot-ready
+                 fig_*.csv aggregates
   required-prob  print the reception probability a plant needs for its
                  decrease-rate target
   check-config   verify the dual-bound and battery sizing rules
@@ -11,9 +13,9 @@ Subcommands:
                  of root seeds, one summary row per point
 
 Exit codes: 0 success, 2 configuration error, 3 runtime invariant violation
-(``run`` still flushes the partial telemetry; ``sweep`` names the aborted
-point and writes no ``sweep.csv``). Set EHCTRL_LOG=DEBUG|INFO|WARNING for
-log verbosity.
+(``run`` and ``figures`` still flush the partial telemetry; ``sweep`` names
+the aborted point and writes no ``sweep.csv``). Set
+EHCTRL_LOG=DEBUG|INFO|WARNING for log verbosity.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one configuration")
     _add_common(p_run)
 
+    p_fig = sub.add_parser("figures", help="plot-ready aggregates of one configuration")
+    _add_common(p_fig)
+
     p_req = sub.add_parser("required-prob", help="required reception probability of a plant")
     p_req.add_argument("--a-open", type=float, default=None, help="open-loop gain (scalar plant)")
     p_req.add_argument("--a-closed", type=float, default=None, help="closed-loop gain (scalar plant)")
@@ -102,7 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_run(args) -> int:
+def _simulate(args, write):
+    """Load and run the config that ``args`` names, then hand the record, its
+    summary and the config to ``write``. A run that breaks a runtime
+    invariant writes its partial record the same way and prints ``aborted:
+    <cause>`` on stderr. Return the config and the result, or None after an
+    abort."""
     config = config_mod.load_config(
         args.config, seed=args.seed, horizon=args.horizon, strict=args.strict
     )
@@ -110,12 +120,20 @@ def cmd_run(args) -> int:
         result = run(config)
     except SimulationAborted as exc:
         logger.error("%s", exc)
-        telemetry.write_outputs(
-            exc.record, summarize(exc.record), args.out, config.schedule_window
-        )
+        write(exc.record, summarize(exc.record), config)
         print(f"aborted: {exc}", file=sys.stderr)
+        return None
+    write(result.record, result.summary, config)
+    return config, result
+
+
+def cmd_run(args) -> int:
+    done = _simulate(
+        args, lambda record, summary, config: telemetry.write_outputs(record, summary, args.out)
+    )
+    if done is None:
         return EXIT_INVARIANT
-    telemetry.write_outputs(result.record, result.summary, args.out, config.schedule_window)
+    config, result = done
     for entry, plant in zip(result.summary.nodes, config.plants):
         print(
             f"node {entry.node + 1}: required p = {entry.p_required:.4f}, "
@@ -126,6 +144,13 @@ def cmd_run(args) -> int:
             f"energy balance = {entry.energy_balance:.4f}"
         )
     return EXIT_OK
+
+
+def cmd_figures(args) -> int:
+    done = _simulate(args, lambda record, summary, config: telemetry.write_figures(
+        record, summary, args.out, config.schedule_window
+    ))
+    return EXIT_INVARIANT if done is None else EXIT_OK
 
 
 def _plant_from_args(args) -> PlantModel:
@@ -261,6 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "run": cmd_run,
+        "figures": cmd_figures,
         "required-prob": cmd_required_prob,
         "check-config": cmd_check_config,
         "sweep": cmd_sweep,

@@ -629,13 +629,14 @@ def summarize(record: TelemetryRecord) -> Summary:
             ("energy_balance", record.harvested - record.spend),
         )
     }
+    max_nu = record.nu.max(axis=0)
     nodes = [
         NodeSummary(
             node=i,
             p_required=float(record.required_p[i]),
             **{name: float(final[i]) for name, final in finals.items()},
             battery_final=float(record.battery[-1, i]),
-            max_nu=record.nu[:, i, :].max(axis=0),
+            max_nu=max_nu[i],
         )
         for i in range(record.count)
     ]

@@ -24,21 +24,15 @@ runs produce byte-identical files; ``summary.json`` writes a non-finite value
 (the summary of a run aborted on a non-finite state) as ``null``, so the
 file stays valid JSON, while ``summary.csv`` keeps ``inf``/``nan``.
 
-:func:`write_outputs` uses both cores: a forked child process writes
-``slots.csv``, the largest file, while the caller writes every other file.
-The child only formats and writes (``tolist``, ``divmod``, ``full``, ``str``);
-every BLAS/LAPACK call (the state norms of fig_state.csv) stays in the
-caller, since a forked child must not enter numpy's BLAS threads. The child
-is always reaped before :func:`write_outputs` returns or raises.
+:func:`write_outputs` writes the three run files (``summary.csv``,
+``summary.json``, then ``slots.csv``) and :func:`write_figures` the seven
+``fig_*.csv`` files, each in the calling process.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import pickle
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -169,81 +163,14 @@ def _json_finite(value):
     return value
 
 
-def _fork_slots_writer(record: TelemetryRecord, path: Path) -> tuple[int, int]:
-    """Fork a child that writes slots.csv and exits; return its pid and the
-    read end of a pipe that carries the child's exception, pickled, if
-    writing failed (nothing if it succeeded). The child never returns."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    code = 1
-    try:
-        os.close(read_fd)
-        try:
-            write_slots_csv(record, path)
-            code = 0
-        except BaseException as exc:
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(exc))
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, read_fd: int, path: Path) -> BaseException | None:
-    """Wait for the slots.csv child; the exception it sent, if any, or an
-    error if it did not exit 0 (an exception that would not pickle, or a
-    signal)."""
-    with os.fdopen(read_fd, "rb") as pipe:
-        failure = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if failure:
-        return pickle.loads(failure)
-    if code:
-        return ChildProcessError(f"writing {path} failed: its process ended with {code}")
-    return None
-
-
-def write_outputs(
-    record: TelemetryRecord, summary: Summary, outdir, window: tuple[int, int]
-) -> None:
-    """Write slots.csv, summary.csv, summary.json and the plot-ready fig_*.csv
-    aggregates of one run into ``outdir``; ``window`` is the inclusive slot
-    range of fig_schedule_window.csv.
-
-    A child forked here writes slots.csv while this process writes the other
-    nine files; both use the same writers, so the bytes do not depend on
-    the split. The child calls no BLAS or LAPACK routine: it only formats
-    the record's columns, and the norms and running means stay here. The
-    child ends with ``os._exit`` and is always reaped before this function
-    returns or raises, so no process outlives the call. An error of this
-    process's own writes is raised first; otherwise an exception the child
-    raised is re-raised here as it was (say ``IsADirectoryError`` naming
-    slots.csv), and a child that ends any other way raises
-    ``ChildProcessError``."""
+def write_outputs(record: TelemetryRecord, summary: Summary, outdir) -> None:
+    """Write summary.csv, summary.json and slots.csv of one run into
+    ``outdir``. The summaries go first, so a failing slots.csv still leaves
+    them."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "slots.csv"
-    pid, read_fd = _fork_slots_writer(record, path)
-    try:
-        _write_aggregates(record, summary, outdir, window)
-    finally:
-        failure = _reap(pid, read_fd, path)
-    if failure is not None:
-        raise failure
-
-
-def _write_aggregates(
-    record: TelemetryRecord, summary: Summary, outdir: Path, window: tuple[int, int]
-) -> None:
-    """Every output file of :func:`write_outputs` but slots.csv."""
-    T, M = record.horizon, record.count
     table = summary_dict(summary)
     nodes = table["nodes"]
-
     write_csv(outdir / "summary.csv", {
         **{name: [node[name] for node in nodes] for name in ("node", *_SUMMARY_FIELDS)},
         **{f"max_nu_{j + 1}": [node["max_nu"][j] for node in nodes] for j in range(len(nodes))},
@@ -252,7 +179,18 @@ def _write_aggregates(
     with open(outdir / "summary.json", "w", newline="\n") as fh:
         json.dump(_json_finite(table), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+    write_slots_csv(record, outdir / "slots.csv")
 
+
+def write_figures(
+    record: TelemetryRecord, summary: Summary, outdir, window: tuple[int, int]
+) -> None:
+    """Write the plot-ready fig_*.csv aggregates of one run into ``outdir``;
+    ``window`` is the inclusive slot range of fig_schedule_window.csv."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    T, M = record.horizon, record.count
+    nodes = summary_dict(summary)["nodes"]
     slot = {"slot": np.arange(T)}
     write_csv(outdir / "fig_state.csv", {
         **slot, **{f"x_{i + 1}": _state_trace(x) for i, x in enumerate(record.states)},

@@ -295,12 +295,7 @@ class TestRunCommand:
     def test_writes_all_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--horizon", "300", "--seed", "2", "--out", str(out)]) == 0
-        expected = {
-            "slots.csv", "summary.csv", "summary.json", "fig_state.csv",
-            "fig_battery.csv", "fig_ctrl_perf.csv", "fig_energy_balance.csv",
-            "fig_dual_means.csv", "fig_prob_bars.csv", "fig_schedule_window.csv",
-        }
-        assert expected <= {p.name for p in out.iterdir()}
+        assert {p.name for p in out.iterdir()} == {"slots.csv", "summary.csv", "summary.json"}
         stdout = capsys.readouterr().out
         assert "required p = 0.3453" in stdout
         summary = json.loads((out / "summary.json").read_text())
@@ -320,8 +315,9 @@ class TestRunCommand:
 
     def test_same_seed_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--horizon", "400", "--seed", "1", "--out", str(out_a)]) == 0
-        assert main(["run", "--horizon", "400", "--seed", "1", "--out", str(out_b)]) == 0
+        for command in ("run", "figures"):
+            for out in (out_a, out_b):
+                assert main([command, "--horizon", "400", "--seed", "1", "--out", str(out)]) == 0
         for name in ("slots.csv", "summary.csv", "summary.json", "fig_state.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 

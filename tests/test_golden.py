@@ -171,10 +171,13 @@ def _sha256(path: Path) -> str:
 
 
 def default_outputs(outdir: Path) -> dict:
-    """Digest of every file ``ehctrl run`` writes for the shipped config."""
-    code = main(["run", "--horizon", str(DEFAULT_HORIZON), "--seed", str(DEFAULT_SEED),
-                 "--out", str(outdir)])
-    assert code == 0
+    """Digest of every file ``ehctrl run`` and then ``ehctrl figures`` write
+    into one directory for the shipped config."""
+    common = ["--horizon", str(DEFAULT_HORIZON), "--seed", str(DEFAULT_SEED),
+              "--out", str(outdir)]
+    assert main(["run", *common]) == 0
+    assert {path.name for path in outdir.iterdir()} == {"slots.csv", "summary.csv", "summary.json"}
+    assert main(["figures", *common]) == 0
     return {path.name: _sha256(path) for path in sorted(outdir.iterdir())}
 
 
