@@ -134,14 +134,15 @@ def cmd_run(args) -> int:
     if done is None:
         return EXIT_INVARIANT
     config, result = done
-    for entry, plant in zip(result.summary.nodes, config.plants):
+    s = result.summary
+    for i in range(s.p_tx.size):
         print(
-            f"node {entry.node + 1}: required p = {entry.p_required:.4f}, "
-            f"p_tx = {entry.p_tx:.4f}, p_rx = {entry.p_rx_analytic:.4f} "
-            f"(empirical {entry.p_rx_empirical:.4f}), "
-            f"ctrl_perf = {entry.ctrl_perf:.4f}, "
-            f"bound = {control_performance_bound(plant):.4f}, "
-            f"energy balance = {entry.energy_balance:.4f}"
+            f"node {i + 1}: required p = {s.p_required[i]:.4f}, "
+            f"p_tx = {s.p_tx[i]:.4f}, p_rx = {s.p_rx_analytic[i]:.4f} "
+            f"(empirical {s.p_rx_empirical[i]:.4f}), "
+            f"ctrl_perf = {s.ctrl_perf[i]:.4f}, "
+            f"bound = {control_performance_bound(config.plants[i]):.4f}, "
+            f"energy balance = {s.energy_balance[i]:.4f}"
         )
     return EXIT_OK
 
@@ -173,12 +174,11 @@ def cmd_required_prob(args) -> int:
 
 def cmd_check_config(args) -> int:
     config = config_mod.build_config(config_mod.read_raw(args.config))
-    caps = [b.capacity for b in config.batteries]
-    problems = sizing_violations(config.params, caps)
+    problems = sizing_violations(config.params, config.capacity)
     needed_y, needed_b = sizing_needs(config.params)
     print(f"auxiliary caps: min y_bar = {config.params.y_bar.min():g}, "
           f"needed >= {needed_y.max():g}")
-    print(f"battery capacities: min = {min(caps):g}, needed >= {needed_b.max():g}")
+    print(f"battery capacities: min = {config.capacity.min():g}, needed >= {needed_b.max():g}")
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}")
@@ -209,15 +209,12 @@ def _sweep_config(raw: dict, args, index: int, value, logged: set):
 
 
 def _sweep_row(param: str, value, config) -> dict:
-    result = run(config)
+    s = run(config).summary
+    columns = {"p_required": s.p_required, "p_tx": s.p_tx, "p_rx": s.p_rx_analytic,
+               "ctrl_perf": s.ctrl_perf, "energy_balance": s.energy_balance}
     row: dict = {"param": param, "value": value, "seed": config.seed}
-    for entry in result.summary.nodes:
-        suffix = str(entry.node + 1)
-        row[f"p_required_{suffix}"] = entry.p_required
-        row[f"p_tx_{suffix}"] = entry.p_tx
-        row[f"p_rx_{suffix}"] = entry.p_rx_analytic
-        row[f"ctrl_perf_{suffix}"] = entry.ctrl_perf
-        row[f"energy_balance_{suffix}"] = entry.energy_balance
+    for i in range(s.p_tx.size):
+        row.update({f"{name}_{i + 1}": float(values[i]) for name, values in columns.items()})
     return row
 
 

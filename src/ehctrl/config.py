@@ -20,7 +20,7 @@ import yaml
 from .comm import ChannelConfig, DecodingCurve
 from .control import PlantModel, required_reception_probability
 from .coordination import AvailabilitySchedule
-from .energy import BatteryState, HarvestConfig
+from .energy import HarvestConfig
 from .errors import ConfigError
 from .scheduler import SchedulerParams, sizing_violations
 from .sim import SimConfig
@@ -97,8 +97,11 @@ _KIND_NAMES = {float: "a number", int: "an integer", _floats: "numbers"}
 def _convert(value, key: str, kind=float):
     """``value`` as ``kind`` (float, int or :func:`_floats`), or a
     :class:`ConfigError` naming ``key``. An integer must be integral: 5.0
-    converts, 2.7 does not; numbers must be finite."""
+    converts, 2.7 does not; numbers must be finite. A YAML boolean (true,
+    yes, off, ...) is not a number, not even inside a list."""
     try:
+        if any(isinstance(v, bool) for v in np.asarray(value, dtype=object).flat):
+            raise TypeError
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}") from None
@@ -209,12 +212,11 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
         for where, entry in _node_entries(raw, "harvest", count)
     )
 
-    batteries = []
+    capacity, charge = [], []
     for where, entry in _node_entries(raw, "battery", count):
-        capacity = _convert(entry["capacity"], f"{where}.capacity")
+        capacity.append(_convert(entry["capacity"], f"{where}.capacity"))
         initial = entry["initial"]
-        charge = capacity if initial is None else _convert(initial, f"{where}.initial")
-        batteries.append(BatteryState(charge=charge, capacity=capacity))
+        charge.append(capacity[-1] if initial is None else _convert(initial, f"{where}.initial"))
 
     if raw["required_reception"] is not None:
         p = _convert(raw["required_reception"], "required_reception", _floats)
@@ -261,19 +263,23 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
     window = raw["schedule_window"]
     if not (isinstance(window, (list, tuple)) and len(window) == 2):
         raise ConfigError("schedule_window must be [start, stop]")
+    window = tuple(_convert(w, "schedule_window", int) for w in window)
+    if window[0] > window[1]:
+        raise ConfigError(f"schedule_window start {window[0]} is after its stop {window[1]}")
 
     return SimConfig(
         plants=plants,
         channel=channel,
         harvests=harvests,
-        batteries=tuple(batteries),
+        capacity=capacity,
+        charge=charge,
         params=params,
         availability=availability,
         horizon=_convert(raw["horizon"], "horizon", int),
         seed=_convert(raw["seed"], "seed", int),
         energy_accounting=raw["energy_accounting"],
         initial_states=initial_states,
-        schedule_window=tuple(_convert(w, "schedule_window", int) for w in window),
+        schedule_window=window,
     )
 
 
@@ -282,7 +288,7 @@ def check_sizing(config: SimConfig, strict: bool = False, logged=None) -> SimCon
     guarantee per-slot energy causality. Violations raise in strict mode and
     log warnings otherwise. ``logged``, a set shared across calls, keeps a
     problem it already holds from being logged again."""
-    problems = sizing_violations(config.params, [b.capacity for b in config.batteries])
+    problems = sizing_violations(config.params, config.capacity)
     if problems and strict:
         raise ConfigError("sizing check failed: " + "; ".join(problems))
     logged = set() if logged is None else logged

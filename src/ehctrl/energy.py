@@ -24,20 +24,6 @@ CAUSALITY_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
-class BatteryState:
-    charge: float
-    capacity: float
-
-    def __post_init__(self):
-        if self.capacity <= 0:
-            raise ConfigError("battery capacity must be positive")
-        if not 0.0 <= self.charge <= self.capacity:
-            raise ConfigError(
-                f"battery charge {self.charge} outside [0, {self.capacity}]"
-            )
-
-
-@dataclass(frozen=True)
 class HarvestConfig:
     """Stationary non-negative energy arrivals with the given per-slot mean.
 

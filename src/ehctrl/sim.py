@@ -108,7 +108,7 @@ from . import comm, coordination, energy, scheduler
 from .comm import ChannelConfig
 from .control import PlantBank, PlantModel
 from .coordination import AvailabilitySchedule, DualMailbox
-from .energy import BatteryState, HarvestConfig
+from .energy import HarvestConfig
 from .errors import (
     BREACH_KINDS,
     ConfigError,
@@ -137,15 +137,23 @@ SCALAR_MAX_NODES = 7
 
 _STREAM_NAMES = ("channel", "harvest", "transmission", "collision", "availability", "noise")
 
+# The (M,) fields of a :class:`Summary`, in the column order of summary.csv.
+SUMMARY_FIELDS = ("p_required", "p_tx", "p_rx_analytic", "p_rx_empirical", "ctrl_perf",
+                  "energy_balance", "battery_final")
+
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Complete, validated description of one simulation run."""
+    """Complete, validated description of one simulation run. ``capacity``
+    and ``charge`` are the (M,) battery capacities and start charges;
+    ``initial_states`` holds one start state per plant, zeros when given as
+    None."""
 
     plants: tuple[PlantModel, ...]
     channel: ChannelConfig
     harvests: tuple[HarvestConfig, ...]
-    batteries: tuple[BatteryState, ...]
+    capacity: np.ndarray
+    charge: np.ndarray
     params: SchedulerParams
     availability: AvailabilitySchedule
     horizon: int
@@ -158,9 +166,20 @@ class SimConfig:
         count = len(self.plants)
         if count < 1:
             raise ConfigError("need at least one plant")
-        for name, seq in (("harvests", self.harvests), ("batteries", self.batteries)):
-            if len(seq) != count:
-                raise ConfigError(f"{name} must list one entry per plant")
+        if len(self.harvests) != count:
+            raise ConfigError("harvests must list one entry per plant")
+        capacity = np.array(self.capacity, dtype=float)
+        charge = np.array(self.charge, dtype=float)
+        if capacity.shape != (count,) or charge.shape != (count,):
+            raise ConfigError("batteries must list one entry per plant")
+        if not (capacity > 0.0).all():
+            raise ConfigError("battery capacity must be positive")
+        outside = ~((charge >= 0.0) & (charge <= capacity))
+        if outside.any():
+            i = int(outside.argmax())
+            raise ConfigError(f"battery charge {charge[i]} outside [0, {capacity[i]}]")
+        object.__setattr__(self, "capacity", capacity)
+        object.__setattr__(self, "charge", charge)
         if self.params.count != count:
             raise ConfigError("scheduler params sized for a different node count")
         if self.horizon < 0:
@@ -169,16 +188,16 @@ class SimConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.energy_accounting not in ENERGY_ACCOUNTING_MODES:
             raise ConfigError(f"energy_accounting must be one of {ENERGY_ACCOUNTING_MODES}")
-        if self.initial_states is not None:
-            states = tuple(
-                np.atleast_1d(np.asarray(x, dtype=float)) for x in self.initial_states
-            )
-            if len(states) != count:
-                raise ConfigError("initial_states must list one vector per plant")
-            for x, plant in zip(states, self.plants):
-                if x.shape != (plant.dim,):
-                    raise ConfigError("initial state dimension does not match plant")
-            object.__setattr__(self, "initial_states", states)
+        states = (
+            [np.zeros(plant.dim) for plant in self.plants] if self.initial_states is None
+            else [np.atleast_1d(np.asarray(x, dtype=float)) for x in self.initial_states]
+        )
+        if len(states) != count:
+            raise ConfigError("initial_states must list one vector per plant")
+        for x, plant in zip(states, self.plants):
+            if x.shape != (plant.dim,):
+                raise ConfigError("initial state dimension does not match plant")
+        object.__setattr__(self, "initial_states", tuple(states))
 
     @property
     def count(self) -> int:
@@ -219,23 +238,21 @@ class TelemetryRecord:
 
 
 @dataclass(eq=False)
-class NodeSummary:
-    node: int
-    p_required: float
-    p_tx: float
-    p_rx_analytic: float
-    p_rx_empirical: float
-    ctrl_perf: float
-    energy_balance: float
-    battery_final: float
-    max_nu: np.ndarray
-
-
-@dataclass(eq=False)
 class Summary:
+    """Final averages of one run: every field but ``horizon``,
+    ``violations`` and the (M, M) ``max_nu`` is an (M,) array, node i in
+    entry i. All are empty for a zero-length run."""
+
     horizon: int
-    nodes: list[NodeSummary]
     violations: dict
+    p_required: np.ndarray
+    p_tx: np.ndarray
+    p_rx_analytic: np.ndarray
+    p_rx_empirical: np.ndarray
+    ctrl_perf: np.ndarray
+    energy_balance: np.ndarray
+    battery_final: np.ndarray
+    max_nu: np.ndarray
 
 
 @dataclass(eq=False)
@@ -519,11 +536,8 @@ def run(config: SimConfig) -> SimResult:
         "run: %d nodes, %d slots, seed %d, %s", M, T, config.seed, config.availability.mode
     )
 
-    plants = PlantBank(
-        config.plants, config.initial_states or [np.zeros(p.dim) for p in config.plants]
-    )
-    capacity = np.array([b.capacity for b in config.batteries])
-    charge = np.array([b.charge for b in config.batteries])
+    plants = PlantBank(config.plants, config.initial_states)
+    capacity, charge = config.capacity, config.charge
     mailbox = DualMailbox(M)
     cap = params.nu_bar + params.epsilon + DUAL_BOUND_ATOL
 
@@ -615,29 +629,24 @@ def _check_chunk(record: TelemetryRecord, plants: PlantBank, start: int, stop: i
 
 
 def summarize(record: TelemetryRecord) -> Summary:
-    """Final summary table; empty for a zero-length run."""
+    """Final summary of ``record``; empty arrays for a zero-length run."""
+    violations = dict(record.violations)
     if record.horizon == 0:
-        return Summary(horizon=0, nodes=[], violations=dict(record.violations))
-    analytic = per_slot_reception(record.z, record.q, record.collision_prob)
-    finals = {
-        name: running_mean(values)[-1]
-        for name, values in (
-            ("p_tx", record.z),
-            ("p_rx_analytic", analytic),
-            ("p_rx_empirical", record.received),
-            ("ctrl_perf", record.lyapunov),
-            ("energy_balance", record.harvested - record.spend),
-        )
-    }
-    max_nu = record.nu.max(axis=0)
-    nodes = [
-        NodeSummary(
-            node=i,
-            p_required=float(record.required_p[i]),
-            **{name: float(final[i]) for name, final in finals.items()},
-            battery_final=float(record.battery[-1, i]),
-            max_nu=max_nu[i],
-        )
-        for i in range(record.count)
-    ]
-    return Summary(horizon=record.horizon, nodes=nodes, violations=dict(record.violations))
+        return Summary(horizon=0, violations=violations,
+                       **dict.fromkeys(SUMMARY_FIELDS, np.zeros(0)), max_nu=np.zeros((0, 0)))
+
+    def final(values):  # a copy: a view would keep the (T, M) running mean alive
+        return running_mean(values)[-1].copy()
+
+    return Summary(
+        horizon=record.horizon,
+        violations=violations,
+        p_required=np.array(record.required_p, dtype=float),
+        p_tx=final(record.z),
+        p_rx_analytic=final(per_slot_reception(record.z, record.q, record.collision_prob)),
+        p_rx_empirical=final(record.received),
+        ctrl_perf=final(record.lyapunov),
+        energy_balance=final(record.harvested - record.spend),
+        battery_final=record.battery[-1].copy(),
+        max_nu=record.nu.max(axis=0),
+    )

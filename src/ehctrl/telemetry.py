@@ -38,22 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BREACH_KINDS
-from .sim import Summary, TelemetryRecord, running_mean
+from .sim import SUMMARY_FIELDS, Summary, TelemetryRecord, running_mean
 
 # Rows formatted per step; bounds the cell strings held at once to
 # O(WRITE_CHUNK * columns) whatever the horizon.
 WRITE_CHUNK = 256
 
-_SUMMARY_FIELDS = (
-    "p_required",
-    "p_tx",
-    "p_rx_analytic",
-    "p_rx_empirical",
-    "ctrl_perf",
-    "energy_balance",
-    "battery_final",
-)
-_PROB_BARS = ("node", "p_required", "p_tx", "p_rx_analytic", "p_rx_empirical")
+_PROB_BARS = ("p_required", "p_tx", "p_rx_analytic", "p_rx_empirical")
 
 
 def _cells(values) -> list[str]:
@@ -108,6 +99,12 @@ def _per_node(name: str, values: np.ndarray) -> dict:
     return {f"{name}_{i + 1}": values[:, i] for i in range(values.shape[1])}
 
 
+def _summary_columns(summary: Summary, names) -> dict:
+    """The node column and the named (M,) columns of ``summary``."""
+    return {"node": np.arange(1, summary.p_tx.size + 1),
+            **{name: getattr(summary, name) for name in names}}
+
+
 def write_slots_csv(record: TelemetryRecord, path) -> None:
     """Per-slot, per-node raw telemetry."""
     T, M = record.horizon, record.count
@@ -130,16 +127,15 @@ def write_slots_csv(record: TelemetryRecord, path) -> None:
 
 
 def summary_dict(summary: Summary) -> dict:
+    """``summary`` as JSON-ready data: one mapping per node."""
+    columns = {name: getattr(summary, name).tolist() for name in SUMMARY_FIELDS}
     return {
         "horizon": summary.horizon,
         "violations": {k: summary.violations.get(k, 0) for k in BREACH_KINDS},
         "nodes": [
-            {
-                "node": entry.node + 1,
-                **{name: float(getattr(entry, name)) for name in _SUMMARY_FIELDS},
-                "max_nu": [float(v) for v in entry.max_nu],
-            }
-            for entry in summary.nodes
+            {"node": i + 1, **{name: column[i] for name, column in columns.items()},
+             "max_nu": max_nu}
+            for i, max_nu in enumerate(summary.max_nu.tolist())
         ],
     }
 
@@ -169,15 +165,15 @@ def write_outputs(record: TelemetryRecord, summary: Summary, outdir) -> None:
     them."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = summary_dict(summary)
-    nodes = table["nodes"]
+    count = summary.p_tx.size
     write_csv(outdir / "summary.csv", {
-        **{name: [node[name] for node in nodes] for name in ("node", *_SUMMARY_FIELDS)},
-        **{f"max_nu_{j + 1}": [node["max_nu"][j] for node in nodes] for j in range(len(nodes))},
-        **{f"{k}_violations": [table["violations"][k]] * len(nodes) for k in BREACH_KINDS},
+        **_summary_columns(summary, SUMMARY_FIELDS),
+        **_per_node("max_nu", summary.max_nu),
+        **{f"{k}_violations": [summary.violations.get(k, 0)] * count for k in BREACH_KINDS},
     })
     with open(outdir / "summary.json", "w", newline="\n") as fh:
-        json.dump(_json_finite(table), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(_json_finite(summary_dict(summary)), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     write_slots_csv(record, outdir / "slots.csv")
 
@@ -190,7 +186,6 @@ def write_figures(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     T, M = record.horizon, record.count
-    nodes = summary_dict(summary)["nodes"]
     slot = {"slot": np.arange(T)}
     write_csv(outdir / "fig_state.csv", {
         **slot, **{f"x_{i + 1}": _state_trace(x) for i, x in enumerate(record.states)},
@@ -207,9 +202,7 @@ def write_figures(
         **slot,
         **{f"nu_mean_{i + 1}_{j + 1}": nu_mean[:, i, j] for i in range(M) for j in range(M)},
     })
-    write_csv(outdir / "fig_prob_bars.csv", {
-        name: [node[name] for node in nodes] for name in _PROB_BARS
-    })
+    write_csv(outdir / "fig_prob_bars.csv", _summary_columns(summary, _PROB_BARS))
     lo, hi = max(0, window[0]), min(T, window[1] + 1)
     write_csv(outdir / "fig_schedule_window.csv", {
         **_slot_node(np.arange(lo, hi), M),

@@ -99,7 +99,7 @@ def test_criterion_1_required_probabilities():
 
 
 def _stability_check(results):
-    finals = np.array([[e.ctrl_perf for e in r.summary.nodes] for r in results])
+    finals = np.array([r.summary.ctrl_perf for r in results])
     below_bound = bool((finals < CTRL_HARD_BOUND).all())
     in_band = [
         bool(((row >= CTRL_BAND[0]) & (row < CTRL_BAND[1])).all()) for row in finals[1:]
@@ -123,8 +123,8 @@ def _reception_check(results):
     ok = True
     worst_margin = np.inf
     for result in results:
-        empirical = np.array([e.p_rx_empirical for e in result.summary.nodes])
-        analytic = np.array([e.p_rx_analytic for e in result.summary.nodes])
+        empirical = result.summary.p_rx_empirical
+        analytic = result.summary.p_rx_analytic
         worst_margin = min(worst_margin, float((empirical - required).min()))
         ok &= bool((empirical >= required - RX_MARGIN).all())
         for i, (lo, hi) in enumerate(RX_BANDS):
@@ -135,11 +135,7 @@ def _reception_check(results):
 def test_criterion_3_reception_requirement(cache):
     results = [cache.get(seed) for seed in ALL_SEEDS]
     ok, worst = _reception_check(results)
-    finals = [
-        (r.summary.nodes[0].p_rx_analytic, r.summary.nodes[1].p_rx_analytic)
-        for r in results
-    ]
-    arr = np.array(finals)
+    arr = np.array([r.summary.p_rx_analytic for r in results])
     _report(
         3, ok,
         f"p_rx_1 in [{arr[:, 0].min():.4f}, {arr[:, 0].max():.4f}], "
@@ -202,8 +198,7 @@ def test_criterion_4_energy_causality(acceptance_runs):
     stress_runs = 0
     for _ in range(200):
         config = _random_sized_config(rng)
-        capacities = [b.capacity for b in config.batteries]
-        assert sizing_violations(config.params, capacities) == []
+        assert sizing_violations(config.params, config.capacity) == []
         result = run(config)  # any causality breach aborts and fails here
         assert result.summary.violations["causality"] == 0
         stress_runs += 1
@@ -255,8 +250,7 @@ def test_criterion_6_mirror_identity(acceptance_runs):
     for result in acceptance_runs:
         record = result.record
         eps = result.config.params.epsilon
-        caps = np.array([b.capacity for b in result.config.batteries])
-        mirror = eps * (caps[None, :] - record.battery)
+        mirror = eps * (result.config.capacity[None, :] - record.battery)
         worst = max(worst, float(np.abs(record.beta - mirror).max()))
     ok = worst <= MIRROR_TOL
     _report(6, ok, f"max |beta - eps*(capacity - charge)| = {worst:.2e}")
@@ -264,9 +258,7 @@ def test_criterion_6_mirror_identity(acceptance_runs):
 
 def test_criterion_7_energy_balance(cache):
     results = [cache.get(seed) for seed in ALL_SEEDS]
-    balances = np.array(
-        [[e.energy_balance for e in r.summary.nodes] for r in results]
-    )
+    balances = np.array([r.summary.energy_balance for r in results])
     nonneg = bool((balances >= 0.0).all())
     ordering = bool((balances[:, 0] < balances[:, 1]).all())
     in_band = all(
@@ -354,8 +346,7 @@ def test_criterion_9_asynchrony(cache):
         dual_ok = True
         for result in results:
             eps = result.config.params.epsilon
-            caps = np.array([b.capacity for b in result.config.batteries])
-            mirror = eps * (caps[None, :] - result.record.battery)
+            mirror = eps * (result.config.capacity[None, :] - result.record.battery)
             mirror_ok &= bool(np.abs(result.record.beta - mirror).max() <= MIRROR_TOL)
             cap = result.config.params.nu_bar[None, :, :] + eps
             dual_ok &= bool((result.record.nu <= cap + DUAL_TOL).all())

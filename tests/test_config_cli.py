@@ -13,7 +13,7 @@ import ehctrl.sim
 from conftest import grid_required_probability
 from ehctrl.cli import main
 from ehctrl.config import DEFAULTS, build_config, load_config, read_raw
-from ehctrl.control import PlantModel
+from ehctrl.control import PlantModel, control_performance_bound
 from ehctrl.errors import ConfigError
 
 REPO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "paper-sec6.cfg"
@@ -28,7 +28,8 @@ class TestConfigLoading:
         assert np.array_equal(from_file.params.p, builtin.params.p)
         assert from_file.channel == builtin.channel
         assert from_file.availability == builtin.availability
-        assert from_file.batteries == builtin.batteries
+        assert np.array_equal(from_file.capacity, builtin.capacity)
+        assert np.array_equal(from_file.charge, builtin.charge)
 
     def test_unknown_keys_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -82,8 +83,8 @@ class TestConfigLoading:
         )
         config = load_config(cfg)
         assert config.harvests[1].mean == 0.7
-        assert config.batteries[0].charge == 5.0
-        assert config.batteries[1].charge == 25.0
+        assert config.capacity.tolist() == [20.0, 25.0]
+        assert config.charge.tolist() == [5.0, 25.0]
 
     @pytest.mark.parametrize("entries, message", [
         ("plants:\n  - {a_open: 1.1, a_closed: 0.15}\n  - {a_open: 1.05}\n",
@@ -96,9 +97,13 @@ class TestConfigLoading:
         ("scheduler: null\n", "scheduler must be a mapping"),
         ("availability: [1, 2]\n", "availability must be a mapping"),
         ("channel: {decode: null}\n", "channel.decode must be a mapping"),
+        ("battery: {capacity: 0}\n", "battery capacity must be positive"),
+        ("battery: {initial: 30}\n", "battery charge 30.0 outside [0, 20.0]"),
+        ("schedule_window: [2000, 100]\n", "schedule_window start 2000 is after its stop 100"),
     ], ids=["plant-key-missing", "plant-not-mapping", "harvest-key-missing",
             "battery-not-mapping", "channel-not-mapping", "scheduler-null",
-            "availability-list", "decode-null"])
+            "availability-list", "decode-null", "battery-capacity-zero",
+            "battery-charge-above-capacity", "schedule-window-inverted"])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, entries, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entries)
@@ -140,9 +145,19 @@ class TestConfigLoading:
         ("required_reception: [.nan, 0.5]\n",
          "required_reception must be finite, got [nan, 0.5]"),
         ("initial_state: .nan\n", "initial_state must be finite, got nan"),
+        # YAML booleans are not numbers
+        ("horizon: true\n", "horizon must be an integer, got True"),
+        ("availability: {staleness_bound: yes}\n",
+         "availability.staleness_bound must be an integer, got True"),
+        ("channel: {collision_prob: false}\n", "channel.collision_prob must be a number, got False"),
+        ("plants:\n  - {a_open: true, a_closed: 0.15}\n  - {a_open: 1.05, a_closed: 0.1}\n",
+         "plants[0].a_open must be numbers, got True"),
+        ("required_reception: [0.3, true]\n", "required_reception must be numbers, got [0.3, True]"),
     ], ids=["horizon", "epsilon", "fading-mean", "schedule-window", "staleness-bound",
             "nan-epsilon", "nan-decode-rate", "nan-nu-bar", "nan-harvest-mean",
-            "inf-fading-mean", "nan-required-reception", "nan-initial-state"])
+            "inf-fading-mean", "nan-required-reception", "nan-initial-state",
+            "bool-horizon", "bool-staleness-bound", "bool-collision-prob", "bool-a-open",
+            "bool-in-list"])
     def test_unconvertible_value_exits_2(self, tmp_path, capsys, entries, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entries)
@@ -312,6 +327,38 @@ class TestRunCommand:
         assert len(slots) == 1  # header only
         summary = json.loads((out / "summary.json").read_text())
         assert summary["nodes"] == []
+
+    def test_zero_horizon_summary_bytes(self, tmp_path):
+        out = tmp_path / "empty"
+        assert main(["run", "--horizon", "0", "--out", str(out)]) == 0
+        assert (out / "summary.csv").read_text() == (
+            "node,p_required,p_tx,p_rx_analytic,p_rx_empirical,ctrl_perf,energy_balance,"
+            "battery_final,causality_violations,mirror_violations,dual_bound_violations,"
+            "nonfinite_violations\n"
+        )
+        assert (out / "summary.json").read_text() == (
+            '{\n  "horizon": 0,\n  "nodes": [],\n  "violations": {\n    "causality": 0,\n'
+            '    "dual_bound": 0,\n    "mirror": 0,\n    "nonfinite": 0\n  }\n}\n'
+        )
+
+    @pytest.mark.parametrize("horizon", ["0", "300"])
+    def test_stdout_matches_summary_json(self, tmp_path, capsys, horizon):
+        """Each line ``run`` prints holds the values of the summary.json that
+        the same run writes."""
+        out = tmp_path / "out"
+        assert main(["run", "--horizon", horizon, "--seed", "3", "--out", str(out)]) == 0
+        nodes = json.loads((out / "summary.json").read_text())["nodes"]
+        plants = load_config(None).plants
+        assert len(nodes) == (len(plants) if horizon != "0" else 0)
+        assert capsys.readouterr().out.splitlines() == [
+            f"node {n['node']}: required p = {n['p_required']:.4f}, "
+            f"p_tx = {n['p_tx']:.4f}, p_rx = {n['p_rx_analytic']:.4f} "
+            f"(empirical {n['p_rx_empirical']:.4f}), "
+            f"ctrl_perf = {n['ctrl_perf']:.4f}, "
+            f"bound = {control_performance_bound(plant):.4f}, "
+            f"energy balance = {n['energy_balance']:.4f}"
+            for n, plant in zip(nodes, plants)
+        ]
 
     def test_same_seed_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, strategies as st
 import ehctrl.scheduler
 import ehctrl.sim
 from ehctrl.config import build_config, read_raw
-from ehctrl.energy import BatteryState, HarvestConfig, draw_harvest, step_batteries
+from ehctrl.energy import HarvestConfig, draw_harvest, step_batteries
 from ehctrl.errors import ConfigError, EnergyCausalityError
 from ehctrl.sim import SimulationAborted, run
 
@@ -39,27 +41,23 @@ class TestHarvest:
             HarvestConfig(mean=1.5, distribution="bernoulli")
 
 
-def step_battery(state, spend, harvested):
-    """One battery through the all-node battery step."""
-    charge = step_batteries(
-        np.array([state.charge]), np.array([state.capacity]),
-        np.array([float(spend)]), np.array([float(harvested)]),
+def step_battery(charge: float, capacity: float, spend: float, harvested: float) -> float:
+    """One battery's next charge through the all-node battery step."""
+    (after,) = step_batteries(
+        np.array([charge]), np.array([capacity]), np.array([spend]), np.array([harvested]),
     )
-    return BatteryState(charge=float(charge[0]), capacity=state.capacity)
+    return float(after)
 
 
 class TestStepBattery:
     def test_balanced_at_capacity(self):
-        state = step_battery(BatteryState(20.0, 20.0), 0.5, 0.5)
-        assert state.charge == 20.0
+        assert step_battery(20.0, 20.0, 0.5, 0.5) == 20.0
 
     def test_full_depletion(self):
-        state = step_battery(BatteryState(0.3, 20.0), 0.3, 0.0)
-        assert state.charge == 0.0
+        assert step_battery(0.3, 20.0, 0.3, 0.0) == 0.0
 
     def test_upper_clamp(self):
-        state = step_battery(BatteryState(19.8, 20.0), 0.0, 1.0)
-        assert state.charge == 20.0
+        assert step_battery(19.8, 20.0, 0.0, 1.0) == 20.0
 
     def test_causality_violation_raises(self, monkeypatch):
         # The run checks causality on the recorded rows: in slot 7 both nodes
@@ -83,12 +81,6 @@ class TestStepBattery:
         assert cause.slot == 7 and cause.node == 1
         assert cause.spend == 0.5 and cause.charge == pytest.approx(0.2)
 
-    def test_charge_range_enforced(self):
-        with pytest.raises(ConfigError):
-            BatteryState(21.0, 20.0)
-        with pytest.raises(ConfigError):
-            BatteryState(-0.1, 20.0)
-
     @given(
         st.lists(
             st.tuples(
@@ -99,24 +91,49 @@ class TestStepBattery:
         )
     )
     def test_prefix_causality_and_bounds(self, steps):
-        state = BatteryState(5.0, 8.0)
+        charge, capacity = 5.0, 8.0
         spent = harvested = 0.0
-        initial = state.charge
+        initial = charge
         for frac, gain in steps:
-            spend = frac * state.charge  # always causal by construction
-            state = step_battery(state, spend, gain)
+            spend = frac * charge  # always causal by construction
+            charge = step_battery(charge, capacity, spend, gain)
             spent += spend
             harvested += gain
-            assert 0.0 <= state.charge <= state.capacity
+            assert 0.0 <= charge <= capacity
             assert spent <= initial + harvested + 1e-9
 
     def test_idle_battery_never_decreases(self):
-        state = BatteryState(1.0, 6.0)
+        charge, capacity = 1.0, 6.0
         rng = np.random.default_rng(2)
         cfg = HarvestConfig(mean=0.4, distribution="uniform")
-        previous = state.charge
         for gain in draw_harvest(cfg, rng, 100):
-            state = step_battery(state, 0.0, gain)
-            assert state.charge >= previous
-            previous = state.charge
-        assert state.charge <= state.capacity
+            previous = charge
+            charge = step_battery(charge, capacity, 0.0, gain)
+            assert previous <= charge <= capacity
+
+
+class TestBatteryConfig:
+    """A :class:`~ehctrl.sim.SimConfig` takes one capacity and one start
+    charge per plant, with 0 < capacity and 0 <= charge <= capacity."""
+
+    @pytest.mark.parametrize("capacity, charge, message", [
+        ([0.0, 20.0], [0.0, 20.0], "battery capacity must be positive"),
+        ([20.0, -3.0], [20.0, 0.0], "battery capacity must be positive"),
+        ([20.0, 20.0], [-0.1, 20.0], "battery charge -0.1 outside [0, 20.0]"),
+        ([20.0, 8.0], [20.0, 8.5], "battery charge 8.5 outside [0, 8.0]"),
+        ([20.0], [20.0], "batteries must list one entry per plant"),
+        ([20.0, 20.0], [20.0, 20.0, 20.0], "batteries must list one entry per plant"),
+    ], ids=["capacity-zero", "capacity-negative", "charge-negative", "charge-above-capacity",
+            "capacity-short", "charge-long"])
+    def test_invalid_battery_rejected(self, capacity, charge, message):
+        config = build_config(read_raw(None), horizon=10)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(config, capacity=np.array(capacity), charge=np.array(charge))
+
+    def test_arrays_are_copied(self):
+        capacity, charge = np.array([20.0, 10.0]), np.array([5.0, 10.0])
+        config = dataclasses.replace(build_config(read_raw(None)), capacity=capacity,
+                                     charge=charge)
+        capacity[0] = charge[0] = 1.0
+        assert config.capacity.tolist() == [20.0, 10.0]
+        assert config.charge.tolist() == [5.0, 10.0]

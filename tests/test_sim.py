@@ -17,11 +17,12 @@ from ehctrl.comm import ChannelConfig
 from ehctrl.config import build_config, read_raw
 from ehctrl.control import PlantModel
 from ehctrl.coordination import AvailabilitySchedule, DualMailbox
-from ehctrl.energy import BatteryState, HarvestConfig
+from ehctrl.energy import HarvestConfig
 from ehctrl.errors import EnergyCausalityError, InvalidStateError, InvariantViolation
 from ehctrl.scheduler import SchedulerParams, sizing_violations
 from ehctrl.sim import (
     SCALAR_MAX_NODES,
+    SUMMARY_FIELDS,
     SimConfig,
     SimulationAborted,
     TelemetryRecord,
@@ -89,8 +90,7 @@ class TestRunInvariants:
     def test_mirror_identity_every_slot(self, result):
         config = result.config
         eps = config.params.epsilon
-        caps = np.array([b.capacity for b in config.batteries])
-        mirror = eps * (caps[None, :] - result.record.battery)
+        mirror = eps * (config.capacity[None, :] - result.record.battery)
         assert np.abs(result.record.beta - mirror).max() <= 1e-9
 
     def test_multiplier_caps_every_slot(self, result):
@@ -111,17 +111,16 @@ class TestRunInvariants:
         ):
             expected = np.cumsum(values, 0) / denom
             assert np.abs(running_mean(values) - expected).max() <= 1e-9
-            finals = np.array([getattr(e, name) for e in result.summary.nodes])
-            assert np.abs(finals - expected[-1]).max() <= 1e-9
+            assert np.abs(getattr(result.summary, name) - expected[-1]).max() <= 1e-9
 
     def test_empirical_tracks_analytic(self, result):
-        nodes = result.summary.nodes
-        gap = max(abs(e.p_rx_empirical - e.p_rx_analytic) for e in nodes)
+        summary = result.summary
+        gap = np.abs(summary.p_rx_empirical - summary.p_rx_analytic).max()
         assert gap <= 4.0 / np.sqrt(result.record.horizon)
 
     def test_default_sizing_clean(self, result):
         config = result.config
-        assert sizing_violations(config.params, [b.capacity for b in config.batteries]) == []
+        assert sizing_violations(config.params, config.capacity) == []
 
 
 class TestIntegerAccounting:
@@ -144,18 +143,16 @@ class TestIntegerAccounting:
 
     def test_battery_spends_transmissions_exactly(self, run_integer):
         config, rec = run_integer
-        caps = np.array([b.capacity for b in config.batteries])
         unclipped = rec.battery[:-1] - rec.transmitted[:-1] + rec.harvested[:-1]
-        assert (unclipped > caps).any()  # the capacity clamp fires
-        assert np.array_equal(rec.battery[1:], np.clip(unclipped, 0.0, caps))
+        assert (unclipped > config.capacity).any()  # the capacity clamp fires
+        assert np.array_equal(rec.battery[1:], np.clip(unclipped, 0.0, config.capacity))
 
     def test_energy_balance_counts_transmissions(self, run_integer):
         _, rec = run_integer
         paid = (rec.harvested - rec.transmitted).mean(axis=0)
         fluid = (rec.harvested - rec.z).mean(axis=0)
         assert np.abs(paid - fluid).max() > 1e-3  # the two balances differ here
-        for node in summarize(rec).nodes:
-            assert node.energy_balance == pytest.approx(paid[node.node], rel=1e-12, abs=1e-12)
+        assert summarize(rec).energy_balance == pytest.approx(paid, rel=1e-12, abs=1e-12)
 
 
 class TestMatrixPlants:
@@ -220,7 +217,7 @@ class TestRecordTrace:
     def test_rows_follow_recursion(self, overrides):
         config = short_config(seed=4, horizon=600, **overrides)
         params = config.params
-        capacity = np.array([b.capacity for b in config.batteries])
+        capacity = config.capacity
         rec = run(config).record
         for t in range(rec.horizon - 1):
             grads = ehctrl.scheduler.dual_subgradients(
@@ -294,7 +291,9 @@ class TestDegenerateRuns:
     def test_zero_horizon(self):
         result = run(short_config(horizon=0))
         assert result.record.horizon == 0
-        assert result.summary.nodes == []
+        for name in SUMMARY_FIELDS:
+            assert getattr(result.summary, name).shape == (0,)
+        assert result.summary.max_nu.shape == (0, 0)
 
     def test_starved_single_node_stays_silent(self):
         config = short_config(
@@ -326,8 +325,8 @@ class TestDegenerateRuns:
         record.nu = np.zeros((50, 1, 1))
         record.violations = {}
         summary = summarize(record)
-        assert summary.nodes[0].p_rx_analytic == pytest.approx(1.0)
-        assert summary.nodes[0].p_rx_empirical == pytest.approx(1.0)
+        assert summary.p_rx_analytic[0] == pytest.approx(1.0)
+        assert summary.p_rx_empirical[0] == pytest.approx(1.0)
 
 
 class TestAborts:
@@ -456,7 +455,8 @@ def core_inputs(nodes, mode, accounting, start_copies, state, seed):
         plants=(plant,) * nodes,
         channel=ChannelConfig(),
         harvests=(HarvestConfig(0.5),) * nodes,
-        batteries=tuple(BatteryState(c, c) for c in capacity),
+        capacity=capacity,
+        charge=capacity,
         params=params,
         availability=AvailabilitySchedule(mode, 0.5, int(rng.integers(1, 12))),
         horizon=start + CORE_SLOTS,
@@ -574,7 +574,7 @@ class TestConfigSurface:
         assert config.params.p[0] == pytest.approx(0.3453, abs=5e-4)
         assert config.params.p[1] == pytest.approx(0.2769, abs=5e-4)
         assert config.params.collision_prob == 0.25
-        assert config.batteries[0] == BatteryState(20.0, 20.0)
+        assert config.capacity.tolist() == config.charge.tolist() == [20.0, 20.0]
         assert config.params.epsilon == 1.0
         assert float(config.params.nu_bar[0, 0]) == 19.0
         assert float(config.params.y_bar[0, 0]) == 25.0
