@@ -32,9 +32,10 @@ traced memory, so the µs per slot are taken without tracing. Each row
 also gives, per side, the median number of cyclic-collector passes per
 generation during the timed run, counted through ``gc.callbacks``. It runs
 paired like the workloads, alternating sides per pair and node count, and
-checks that both sides produce the same record digest. The rows at M = 3
-to 8 sit on both sides of ``ehctrl.sim.SCALAR_MAX_NODES``, the node count
-up to which ``sim.run`` takes its scalar slot core (at most 7).
+checks that both sides produce the same digest of every record column.
+The rows at M = 3 to 8 sit on both sides of ``ehctrl.sim.SCALAR_MAX_NODES``,
+the node count up to which ``sim.run`` takes its scalar slot core (at
+most 7).
 
 Two more pseudo-workloads time whole commands, paired the same way, in a
 fresh process per run with the tree's ``src`` on ``PYTHONPATH``:
@@ -114,8 +115,9 @@ record = run(config).record
 elapsed = time.perf_counter() - start
 gc.callbacks.remove(count)
 digest = hashlib.sha256()
-for column in (*record.states, record.z, record.received, record.collided,
-               record.battery, record.phi, record.beta, record.nu):
+for column in (*record.states, record.lyapunov, record.z, record.transmitted,
+               record.received, record.collided, record.h, record.q, record.battery,
+               record.harvested, record.phi, record.beta, record.nu):
     digest.update(column.tobytes())
 del record
 tracemalloc.start()

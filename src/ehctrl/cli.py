@@ -151,7 +151,13 @@ def cmd_figures(args) -> int:
     done = _simulate(args, lambda record, summary, config: telemetry.write_figures(
         record, summary, args.out, config.schedule_window
     ))
-    return EXIT_INVARIANT if done is None else EXIT_OK
+    if done is None:
+        return EXIT_INVARIANT
+    (start, stop), horizon = done[0].schedule_window, done[0].horizon
+    if start >= horizon:
+        logger.warning("schedule_window [%d, %d] starts at or after the horizon %d: "
+                       "fig_schedule_window.csv holds only its header", start, stop, horizon)
+    return EXIT_OK
 
 
 def _plant_from_args(args) -> PlantModel:

@@ -23,7 +23,7 @@ from .coordination import AvailabilitySchedule
 from .energy import HarvestConfig
 from .errors import ConfigError
 from .scheduler import SchedulerParams, sizing_violations
-from .sim import SimConfig
+from .sim import SimConfig, battery_problem
 
 logger = logging.getLogger(__name__)
 
@@ -217,6 +217,9 @@ def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
         capacity.append(_convert(entry["capacity"], f"{where}.capacity"))
         initial = entry["initial"]
         charge.append(capacity[-1] if initial is None else _convert(initial, f"{where}.initial"))
+        problem = battery_problem(capacity[-1], charge[-1])
+        if problem:
+            raise ConfigError(f"{where}.{problem[0]}: {problem[1]}")
 
     if raw["required_reception"] is not None:
         p = _convert(raw["required_reception"], "required_reception", _floats)

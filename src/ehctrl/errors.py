@@ -1,9 +1,18 @@
 """Exception types shared across the package."""
 
-import copyreg
-
 # The InvariantBreach kinds, in the order of a run's ``violations`` counters.
 BREACH_KINDS = ("causality", "mirror", "dual_bound", "nonfinite")
+
+# The message of each breach kind, formatted from the breach's fields.
+_MESSAGES = {
+    "causality": "energy causality violated at slot {slot}: node {node} "
+                 "spends {observed:.12g} with charge {expected:.12g}",
+    "nonfinite": "plant {node} state went non-finite at slot {slot}",
+    "dual_bound": "invariant violated at slot {slot}: multiplier bound exceeded "
+                  "for node {node}: nu = {observed}, cap = {expected}",
+    "mirror": "invariant violated at slot {slot}: battery mirror diverged "
+              "for node {node}: beta = {observed!r}, expected {expected!r}",
+}
 
 
 class ConfigError(ValueError):
@@ -15,17 +24,22 @@ class InfeasibleTargetError(ValueError):
 
 
 class InvariantBreach(RuntimeError):
-    """A runtime invariant of the simulation broke in ``slot``; ``kind`` names
-    which one and keys the run's ``violations`` counters."""
+    """A runtime invariant broke in ``slot`` at ``node`` (the plant, for
+    ``nonfinite``). ``kind``, the class's by default, names the invariant
+    and keys the message and the ``violations`` counters. ``observed`` and
+    ``expected`` disagreed: the spend and the charge (``causality``), the
+    node's ``nu`` row and its cap row (``dual_bound``), ``beta`` and its
+    mirror value (``mirror``); ``nonfinite`` carries neither. ``args`` holds
+    the five fields, so a breach pickles (to and from sweep workers) as is."""
 
     kind: str
-    slot: int
 
-    def __reduce__(self):
-        # Rebuilt from ``args`` and the attributes without calling
-        # ``__init__``, whose parameters differ from ``args``, so that a
-        # breach survives the pickling between sweep worker processes.
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+    def __init__(self, slot: int, node: int, observed=None, expected=None, kind=None):
+        super().__init__(slot, node, observed, expected, kind or self.kind)
+        self.slot, self.node, self.observed, self.expected, self.kind = self.args
+
+    def __str__(self) -> str:
+        return _MESSAGES[self.kind].format(**vars(self))
 
 
 class EnergyCausalityError(InvariantBreach):
@@ -33,33 +47,13 @@ class EnergyCausalityError(InvariantBreach):
 
     kind = "causality"
 
-    def __init__(self, node: int, spend: float, charge: float, slot: int):
-        self.node = node
-        self.spend = spend
-        self.charge = charge
-        self.slot = slot
-        super().__init__(
-            f"energy causality violated at slot {slot}: node {node} "
-            f"spends {spend:.12g} with charge {charge:.12g}"
-        )
-
 
 class InvalidStateError(InvariantBreach):
     """A plant state went non-finite; the run is corrupted."""
 
     kind = "nonfinite"
 
-    def __init__(self, plant: int, slot: int):
-        self.plant = plant
-        self.slot = slot
-        super().__init__(f"plant {plant} state went non-finite at slot {slot}")
-
 
 class InvariantViolation(InvariantBreach):
     """A dual-side invariant broke: ``kind`` is ``"mirror"`` (battery/
     multiplier mirror identity) or ``"dual_bound"`` (multiplier cap)."""
-
-    def __init__(self, message: str, kind: str, slot: int):
-        self.kind = kind
-        self.slot = slot
-        super().__init__(f"invariant violated at slot {slot}: {message}")

@@ -86,12 +86,12 @@ mirror identity beta = epsilon * (capacity - charge) under fluid energy
 accounting; and per-slot energy causality, the spend of slot t against the
 charge of row t. The earliest breach aborts the run: the earliest slot,
 then the order of the steps that break them (non-finite state, causality,
-then the first node breaking the cap or the mirror, the cap first), and
-the record is cut after that slot as if the run had stopped there. A
-diverging plant is stepped to the end of its chunk first; its overflows
-past the breach raise no numpy warning, since the abort reports them. Each
-breach is an :class:`~ehctrl.errors.InvariantBreach` whose ``kind`` keys
-the ``violations`` counters.
+then the first node breaking the cap or the mirror, the cap first). The
+breach, an :class:`~ehctrl.errors.InvariantBreach`, becomes the record's
+``breach``, the record is cut after its slot as if the run had stopped
+there, and :class:`SimulationAborted` carries the record. A diverging
+plant is stepped to the end of its chunk first; its overflows past the
+breach raise no numpy warning, since the abort reports them.
 """
 
 from __future__ import annotations
@@ -142,6 +142,15 @@ SUMMARY_FIELDS = ("p_required", "p_tx", "p_rx_analytic", "p_rx_empirical", "ctrl
                   "energy_balance", "battery_final")
 
 
+def battery_problem(capacity: float, charge: float) -> tuple[str, str] | None:
+    """The config key at fault and the message, or None, for one battery."""
+    if not capacity > 0.0:
+        return "capacity", "battery capacity must be positive"
+    if not 0.0 <= charge <= capacity:
+        return "initial", f"battery charge {charge} outside [0, {capacity}]"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Complete, validated description of one simulation run. ``capacity``
@@ -172,12 +181,9 @@ class SimConfig:
         charge = np.array(self.charge, dtype=float)
         if capacity.shape != (count,) or charge.shape != (count,):
             raise ConfigError("batteries must list one entry per plant")
-        if not (capacity > 0.0).all():
-            raise ConfigError("battery capacity must be positive")
-        outside = ~((charge >= 0.0) & (charge <= capacity))
-        if outside.any():
-            i = int(outside.argmax())
-            raise ConfigError(f"battery charge {charge[i]} outside [0, {capacity[i]}]")
+        for problem in map(battery_problem, capacity.tolist(), charge.tolist()):
+            if problem:
+                raise ConfigError(problem[1])
         object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "charge", charge)
         if self.params.count != count:
@@ -206,8 +212,8 @@ class SimConfig:
 
 @dataclass(eq=False)
 class TelemetryRecord:
-    """Raw per-slot columns of one run. Running averages are derived from
-    them with :func:`running_mean` by :func:`summarize` and the writers."""
+    """Raw per-slot columns of one run and the ``breach`` that stopped it, if
+    any. Running averages are derived with :func:`running_mean`."""
 
     horizon: int
     count: int
@@ -228,7 +234,7 @@ class TelemetryRecord:
     phi: np.ndarray = None
     beta: np.ndarray = None
     nu: np.ndarray = None
-    violations: dict = field(default_factory=dict)
+    breach: InvariantBreach | None = None
 
     @property
     def spend(self) -> np.ndarray:
@@ -263,16 +269,15 @@ class SimResult:
 
 
 class SimulationAborted(RuntimeError):
-    """A runtime invariant broke mid-run; partial telemetry is attached."""
+    """A runtime invariant broke mid-run: ``record`` holds the partial
+    telemetry, ``cause`` its ``breach`` and ``slot`` the breach's slot."""
 
-    def __init__(self, cause: Exception, record: TelemetryRecord, slot: int):
-        self.cause = cause
-        self.record = record
-        self.slot = slot
-        super().__init__(f"run aborted at slot {slot}: {cause}")
+    def __init__(self, record: TelemetryRecord):
+        super().__init__(record)
+        self.record, self.cause, self.slot = record, record.breach, record.breach.slot
 
-    def __reduce__(self):
-        return type(self), (self.cause, self.record, self.slot)
+    def __str__(self) -> str:
+        return f"run aborted at slot {self.slot}: {self.cause}"
 
 
 def make_streams(seed: int, count: int) -> dict[str, list[np.random.Generator]]:
@@ -297,12 +302,15 @@ def _allocate(record: TelemetryRecord, config: SimConfig) -> None:
     record.nu = np.zeros((T + 1, M, M))
 
 
-def _finalize(record: TelemetryRecord, upto: int) -> None:
-    """Trim every column to the completed slots."""
+def _finalize(record: TelemetryRecord, plants: PlantBank) -> None:
+    """Certify the saved states, then trim every column to the completed
+    slots: up to the breach, if any."""
+    upto = record.horizon if record.breach is None else record.breach.slot + 1
+    record.lyapunov = plants.certificates(upto)
     record.horizon = upto
     record.states = [s[:upto] for s in record.states]
     for name in (
-        "lyapunov", "z", "h", "q", "battery", "harvested", "phi", "beta",
+        "z", "h", "q", "battery", "harvested", "phi", "beta",
         "transmitted", "received", "collided", "nu",
     ):
         setattr(record, name, getattr(record, name)[:upto])
@@ -537,22 +545,19 @@ def run(config: SimConfig) -> SimResult:
     )
 
     plants = PlantBank(config.plants, config.initial_states)
-    capacity, charge = config.capacity, config.charge
     mailbox = DualMailbox(M)
-    cap = params.nu_bar + params.epsilon + DUAL_BOUND_ATOL
 
     record = TelemetryRecord(
         horizon=T, count=M, required_p=params.p.copy(),
         collision_prob=params.collision_prob,
         energy_accounting=config.energy_accounting,
     )
-    record.violations = dict.fromkeys(BREACH_KINDS, 0)
     _allocate(record, config)
     record.states = plants.history(T)
-    record.battery[0] = charge
+    record.battery[0] = config.charge
     # beta starts at the initial battery headroom scaled by the step size, so
     # it mirrors the battery from row 0 on; phi and nu start at zero.
-    record.beta[0] = params.epsilon * (capacity - charge)
+    record.beta[0] = params.epsilon * (config.capacity - config.charge)
 
     core = _scalar_chunk if M <= SCALAR_MAX_NODES else _array_chunk
     try:
@@ -563,7 +568,7 @@ def run(config: SimConfig) -> SimResult:
                 config, streams, plants, record, start, stop
             )
             # 2., 3., 6., 7. and 8. slot by slot, 9. into record rows
-            core(config, record, mailbox, capacity, start, q_chunk, e_chunk, transmit,
+            core(config, record, mailbox, config.capacity, start, q_chunk, e_chunk, transmit,
                  availability)
 
             # 4. and 5. replayed over the chunk's rows, then the checks
@@ -574,63 +579,52 @@ def run(config: SimConfig) -> SimResult:
             record.received[start:stop] = received
             record.collided[start:stop] = collided
             plants.replay(received, noise, start)
-            _check_chunk(record, plants, start, stop, capacity, cap, params)
+            _check_chunk(config, record, plants, start, stop)
     except InvariantBreach as exc:
-        rows = exc.slot + 1
-        record.lyapunov = plants.certificates(rows)
-        _finalize(record, rows)
-        record.violations[exc.kind] += 1
-        raise SimulationAborted(exc, record, exc.slot) from exc
+        record.breach = exc
 
-    record.lyapunov = plants.certificates(T)
-    _finalize(record, T)
+    _finalize(record, plants)
+    if record.breach is not None:
+        raise SimulationAborted(record) from record.breach
     return SimResult(config=config, record=record, summary=summarize(record))
 
 
-def _check_chunk(record: TelemetryRecord, plants: PlantBank, start: int, stop: int,
-                 capacity, cap, params) -> None:
+def _check_chunk(config: SimConfig, record: TelemetryRecord, plants: PlantBank,
+                 start: int, stop: int) -> None:
     """Raise the earliest invariant breach of the slots ``start`` to
     ``stop``: the earliest slot, then the step order (see the module
     docstring). The state after slot t is record row t + 1."""
+    eps, capacity = config.params.epsilon, config.capacity
+    cap = config.params.nu_bar + eps + DUAL_BOUND_ATOL
     rows, after = slice(start, stop), slice(start + 1, stop + 1)
     nonfinite = plants.nonfinite(start, stop)
     overspent = record.spend[rows] > record.battery[rows] + energy.CAUSALITY_ATOL
     nu, beta, charge = record.nu[after], record.beta[after], record.battery[after]
     over = (nu > cap).any(axis=-1)
-    off = np.abs(beta - params.epsilon * (capacity - charge)) > MIRROR_ATOL
-    dual = over | off if record.energy_accounting == "fluid" else over
+    off = np.abs(beta - eps * (capacity - charge)) > MIRROR_ATOL
+    dual = over | off if config.energy_accounting == "fluid" else over
     breached = (nonfinite | overspent | dual).any(axis=1)
     if not breached.any():
         return
     k = int(breached.argmax())
     t = start + k
     if nonfinite[k].any():
-        raise InvalidStateError(plant=int(nonfinite[k].argmax()), slot=t)
+        raise InvalidStateError(t, int(nonfinite[k].argmax()))
     if overspent[k].any():
-        node = int(overspent[k].argmax())
-        raise EnergyCausalityError(
-            node=node, spend=float(record.spend[t, node]),
-            charge=float(record.battery[t, node]), slot=t,
-        )
+        i = int(overspent[k].argmax())
+        raise EnergyCausalityError(t, i, float(record.spend[t, i]), float(record.battery[t, i]))
     i = int(dual[k].argmax())
     if over[k, i]:
-        raise InvariantViolation(
-            f"multiplier bound exceeded for node {i}: nu = {nu[k, i]}, cap = {cap[i]}",
-            kind="dual_bound",
-            slot=t,
-        )
-    mirror = params.epsilon * (capacity[i] - charge[k, i])
-    raise InvariantViolation(
-        f"battery mirror diverged for node {i}: "
-        f"beta = {float(beta[k, i])!r}, expected {float(mirror)!r}",
-        kind="mirror",
-        slot=t,
-    )
+        raise InvariantViolation(t, i, nu[k, i].copy(), cap[i], kind="dual_bound")
+    raise InvariantViolation(t, i, float(beta[k, i]), float(eps * (capacity[i] - charge[k, i])),
+                             kind="mirror")
 
 
 def summarize(record: TelemetryRecord) -> Summary:
-    """Final summary of ``record``; empty arrays for a zero-length run."""
-    violations = dict(record.violations)
+    """Final summary of ``record``; empty arrays for a zero-length run. The
+    ``violations`` counters hold a 1 at the kind of the record's breach."""
+    kind = None if record.breach is None else record.breach.kind
+    violations = {k: int(k == kind) for k in BREACH_KINDS}
     if record.horizon == 0:
         return Summary(horizon=0, violations=violations,
                        **dict.fromkeys(SUMMARY_FIELDS, np.zeros(0)), max_nu=np.zeros((0, 0)))

@@ -131,7 +131,7 @@ def summary_dict(summary: Summary) -> dict:
     columns = {name: getattr(summary, name).tolist() for name in SUMMARY_FIELDS}
     return {
         "horizon": summary.horizon,
-        "violations": {k: summary.violations.get(k, 0) for k in BREACH_KINDS},
+        "violations": dict(summary.violations),
         "nodes": [
             {"node": i + 1, **{name: column[i] for name, column in columns.items()},
              "max_nu": max_nu}
@@ -169,7 +169,7 @@ def write_outputs(record: TelemetryRecord, summary: Summary, outdir) -> None:
     write_csv(outdir / "summary.csv", {
         **_summary_columns(summary, SUMMARY_FIELDS),
         **_per_node("max_nu", summary.max_nu),
-        **{f"{k}_violations": [summary.violations.get(k, 0)] * count for k in BREACH_KINDS},
+        **{f"{k}_violations": [summary.violations[k]] * count for k in BREACH_KINDS},
     })
     with open(outdir / "summary.json", "w", newline="\n") as fh:
         json.dump(_json_finite(summary_dict(summary)), fh, indent=2, sort_keys=True,

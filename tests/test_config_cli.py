@@ -100,10 +100,17 @@ class TestConfigLoading:
         ("battery: {capacity: 0}\n", "battery capacity must be positive"),
         ("battery: {initial: 30}\n", "battery charge 30.0 outside [0, 20.0]"),
         ("schedule_window: [2000, 100]\n", "schedule_window start 2000 is after its stop 100"),
+        ("battery:\n  - {capacity: 20.0}\n  - {capacity: 20.0, initial: 30}\n",
+         "battery[1].initial: battery charge 30.0 outside [0, 20.0]"),
+        ("battery:\n  - {capacity: -1.0}\n  - {capacity: 20.0}\n",
+         "battery[0].capacity: battery capacity must be positive"),
+        ("battery: {capacity: 0}\n", "battery.capacity: battery capacity must be positive"),
     ], ids=["plant-key-missing", "plant-not-mapping", "harvest-key-missing",
             "battery-not-mapping", "channel-not-mapping", "scheduler-null",
             "availability-list", "decode-null", "battery-capacity-zero",
-            "battery-charge-above-capacity", "schedule-window-inverted"])
+            "battery-charge-above-capacity", "schedule-window-inverted",
+            "battery-list-charge-above-capacity", "battery-list-capacity-negative",
+            "battery-capacity-zero-key"])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, entries, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(entries)

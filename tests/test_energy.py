@@ -79,7 +79,7 @@ class TestStepBattery:
         cause = err.value.cause
         assert isinstance(cause, EnergyCausalityError)
         assert cause.slot == 7 and cause.node == 1
-        assert cause.spend == 0.5 and cause.charge == pytest.approx(0.2)
+        assert cause.observed == 0.5 and cause.expected == pytest.approx(0.2)
 
     @given(
         st.lists(

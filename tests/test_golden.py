@@ -39,7 +39,7 @@ from ehctrl import telemetry
 from ehctrl.cli import main
 from ehctrl.config import build_config, read_raw
 from ehctrl.control import PlantModel, required_reception_probability
-from ehctrl.sim import SimulationAborted, run
+from ehctrl.sim import SimulationAborted, run, summarize
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_acceptance import _random_sized_config  # noqa: E402
@@ -356,7 +356,8 @@ def abort_digest(case: str, workdir: Path) -> str:
     path = workdir / "slots.csv"
     telemetry.write_slots_csv(aborted.record, path)
     message = hashlib.sha256(str(aborted).encode()).hexdigest()[:16]
-    counts = ",".join(f"{k}={v}" for k, v in sorted(aborted.record.violations.items()) if v)
+    violations = summarize(aborted.record).violations
+    counts = ",".join(f"{k}={v}" for k, v in sorted(violations.items()) if v)
     return (f"{_sha256(path)} {type(cause).__name__}/{cause.kind}@{aborted.slot}"
             f" rows={aborted.record.horizon} msg={message} {counts}")
 

@@ -84,6 +84,9 @@ class TestRunInvariants:
             "causality": 0, "mirror": 0, "dual_bound": 0, "nonfinite": 0,
         }
 
+    def test_completed_run_has_no_breach(self, result):
+        assert result.record.breach is None
+
     def test_causality_every_slot(self, result):
         assert np.all(result.record.z <= result.record.battery + 1e-12)
 
@@ -323,10 +326,43 @@ class TestDegenerateRuns:
             setattr(record, name, np.ones((50, 1), dtype=bool))
         record.collided = np.zeros((50, 1), dtype=bool)
         record.nu = np.zeros((50, 1, 1))
-        record.violations = {}
         summary = summarize(record)
         assert summary.p_rx_analytic[0] == pytest.approx(1.0)
         assert summary.p_rx_empirical[0] == pytest.approx(1.0)
+
+
+def assert_aborted_by(aborted, kind):
+    """``aborted`` carries its breach as the record's, and the summary of
+    its record counts that breach alone."""
+    assert aborted.record.breach is aborted.cause
+    assert aborted.cause.kind == kind
+    assert {k: v for k, v in summarize(aborted.record).violations.items() if v} == {kind: 1}
+
+
+# One breach of every kind, with the ``args`` it must hold:
+# (slot, node, observed, expected, kind).
+BREACHES = (
+    (EnergyCausalityError(7, 1, 0.5, 0.25), (7, 1, 0.5, 0.25, "causality")),
+    (InvalidStateError(3, 2), (3, 2, None, None, "nonfinite")),
+    (InvariantViolation(4, 0, np.array([20.5, 3.0]), np.array([20.0, 20.0]), kind="dual_bound"),
+     (4, 0, np.array([20.5, 3.0]), np.array([20.0, 20.0]), "dual_bound")),
+    (InvariantViolation(5, 1, 0.25, 0.5, kind="mirror"), (5, 1, 0.25, 0.5, "mirror")),
+)
+BREACH_MESSAGES = (
+    "energy causality violated at slot 7: node 1 spends 0.5 with charge 0.25",
+    "plant 2 state went non-finite at slot 3",
+    "invariant violated at slot 4: multiplier bound exceeded for node 0: "
+    "nu = [20.5  3. ], cap = [20. 20.]",
+    "invariant violated at slot 5: battery mirror diverged for node 1: "
+    "beta = 0.25, expected 0.5",
+)
+
+
+def same_fields(args, fields):
+    return len(args) == len(fields) and all(
+        np.array_equal(a, f) if isinstance(f, np.ndarray) else a == f and type(a) is type(f)
+        for a, f in zip(args, fields)
+    )
 
 
 class TestAborts:
@@ -339,9 +375,8 @@ class TestAborts:
         with pytest.raises(SimulationAborted) as err:
             run(config)
         assert isinstance(err.value.cause, EnergyCausalityError)
-        assert err.value.cause.kind == "causality"
+        assert_aborted_by(err.value, "causality")
         assert err.value.slot == 0
-        assert err.value.record.violations["causality"] == 1
         assert err.value.record.horizon == 1  # partial telemetry kept
 
     def test_mirror_divergence_aborts(self, monkeypatch):
@@ -356,8 +391,7 @@ class TestAborts:
             run(short_config(seed=1, horizon=200, battery={"capacity": 20.0, "initial": 10.0}))
         assert isinstance(err.value.cause, InvariantViolation)
         assert "mirror" in str(err.value.cause)
-        assert err.value.cause.kind == "mirror"
-        assert err.value.record.violations["mirror"] == 1
+        assert_aborted_by(err.value, "mirror")
 
     def test_dual_cap_breach_aborts(self, monkeypatch):
         monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
@@ -372,10 +406,10 @@ class TestAborts:
         with pytest.raises(SimulationAborted) as err:
             run(short_config(seed=1, horizon=50))
         assert isinstance(err.value.cause, InvariantViolation)
-        assert err.value.cause.kind == "dual_bound"
+        assert_aborted_by(err.value, "dual_bound")
         assert "node 1" in str(err.value.cause)
         assert err.value.slot == 0
-        assert err.value.record.violations == {
+        assert summarize(err.value.record).violations == {
             "causality": 0, "mirror": 0, "dual_bound": 1, "nonfinite": 0,
         }
 
@@ -392,20 +426,32 @@ class TestAborts:
         with pytest.raises(SimulationAborted) as err:
             run(config)
         assert isinstance(err.value.cause, InvalidStateError)
-        assert err.value.cause.kind == "nonfinite"
-        assert err.value.record.violations["nonfinite"] == 1
+        assert_aborted_by(err.value, "nonfinite")
 
     def test_aborts_survive_pickling(self):
-        record = TelemetryRecord(horizon=0, count=1, required_p=np.zeros(1),
-                                 collision_prob=0.0)
-        for cause in (EnergyCausalityError(node=1, spend=0.5, charge=0.25, slot=7),
-                      InvalidStateError(plant=2, slot=3),
-                      InvariantViolation("nu too large", kind="dual_bound", slot=4)):
-            aborted = pickle.loads(pickle.dumps(SimulationAborted(cause, record, cause.slot)))
+        for cause, fields in BREACHES:
+            record = TelemetryRecord(horizon=0, count=1, required_p=np.zeros(1),
+                                     collision_prob=0.0, breach=cause)
+            aborted = pickle.loads(pickle.dumps(SimulationAborted(record)))
             assert type(aborted.cause) is type(cause)
             assert str(aborted) == f"run aborted at slot {cause.slot}: {cause}"
-            assert vars(aborted.cause) == vars(cause)
+            assert same_fields(aborted.cause.args, fields)
+            assert aborted.record.breach is aborted.cause
             assert aborted.slot == cause.slot and aborted.record.count == 1
+
+    @pytest.mark.parametrize("case", range(len(BREACHES)),
+                             ids=[fields[-1] for _, fields in BREACHES])
+    def test_breach_args_are_its_fields(self, case):
+        breach, fields = BREACHES[case]
+        assert same_fields(breach.args, fields)
+        assert same_fields(
+            (breach.slot, breach.node, breach.observed, breach.expected, breach.kind), fields
+        )
+        assert str(breach) == BREACH_MESSAGES[case]
+        restored = pickle.loads(pickle.dumps(breach))
+        assert type(restored) is type(breach)
+        assert same_fields(restored.args, fields)
+        assert str(restored) == str(breach)
 
 
 CORE_SLOTS = 40

@@ -1,7 +1,8 @@
 """The run-file writers: ``write_outputs``'s write errors, ``run``'s stdout
-through a pipe, the state traces of ``fig_state.csv``, and the run files,
-figures and stderr after a non-finite abort. The bytes of every file are
-pinned in ``test_golden.py``."""
+through a pipe, the state traces of ``fig_state.csv``, the run files,
+figures and stderr after a non-finite abort, and the warning about a
+schedule window past the horizon. The bytes of every file are pinned in
+``test_golden.py``."""
 
 import csv
 import errno
@@ -137,3 +138,31 @@ class TestNonFiniteSummary:
         for name in per_slot:
             with open(out / name, newline="") as fh:
                 assert [int(row["slot"]) for row in csv.DictReader(fh)] == slots
+
+
+class TestScheduleWindow:
+    @staticmethod
+    def warnings(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_window_past_the_horizon_warns(self, tmp_path, caplog):
+        """The shipped window [1050, 1100] starts after a 300-slot horizon:
+        the header-only fig_schedule_window.csv comes with one warning."""
+        out = tmp_path / "figures"
+        assert main(["figures", "--horizon", "300", "--out", str(out)]) == 0
+        assert self.warnings(caplog) == [
+            "schedule_window [1050, 1100] starts at or after the horizon 300: "
+            "fig_schedule_window.csv holds only its header"
+        ]
+        assert (out / "fig_schedule_window.csv").read_text() == "slot,node,q,tx,collided\n"
+
+    def test_window_inside_the_horizon_is_silent(self, tmp_path, caplog):
+        assert main(["figures", "--horizon", "1051", "--out", str(tmp_path / "figures")]) == 0
+        assert self.warnings(caplog) == []
+
+    def test_aborted_run_is_silent(self, tmp_path, caplog):
+        """A run that stops at slot 63 of 300 expects a partial window."""
+        cfg = str(diverging_config(tmp_path))
+        out = str(tmp_path / "figures")
+        assert main(["figures", "--config", cfg, "--horizon", "300", "--out", out]) == 3
+        assert self.warnings(caplog) == []
