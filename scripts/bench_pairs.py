@@ -51,13 +51,10 @@ The ``write`` pseudo-workload times the run-file writers alone. Each run is
 a fresh process on the tree's ``src``: it simulates the shipped config
 (``configs/paper-sec6.cfg``, 10k slots) at ``--seed`` once, then times
 ``WRITE_CALLS`` calls of ``telemetry.write_outputs`` into a temporary
-directory and reports their median (``write_s``). The schedule window is
-passed only where the tree's ``write_outputs`` takes a ``window``
-parameter (the trees whose ``run`` also wrote the ``fig_*.csv`` files), so
-``write_s`` compares what ``ehctrl run`` writes at each commit. Runs are
-paired and alternate like the others, and both sides must write the same
-``slots.csv`` and ``summary.json`` digests. Whole-process wall times carry
-the machine's clock switching; this isolates the writing layer.
+directory and reports their median (``write_s``). Runs are paired and
+alternate like the others, and both sides must write the same ``slots.csv``
+and ``summary.json`` digests. Whole-process wall times carry the machine's
+clock switching; this isolates the writing layer.
 
 Results go to ``BENCH_<pr>.json`` (or ``--out``) under the key
 ``<workload>@seed<seed>`` (``tier1`` for the suite); entries already in the file for other keys are
@@ -135,20 +132,18 @@ WRITE_CALLS = 3
 # prints the median seconds of the write_outputs calls and the digest of
 # slots.csv and summary.json.
 WRITE_PROBE = """
-import hashlib, inspect, json, statistics, sys, tempfile, time
+import hashlib, json, statistics, sys, tempfile, time
 from pathlib import Path
 from ehctrl import telemetry
 from ehctrl.config import load_config
 from ehctrl.sim import run
 config = load_config(sys.argv[1], seed=int(sys.argv[2]))
 result = run(config)
-takes_window = "window" in inspect.signature(telemetry.write_outputs).parameters
-window = (config.schedule_window,) if takes_window else ()
 times = []
 with tempfile.TemporaryDirectory(prefix="bench-write-") as out:
     for _ in range(int(sys.argv[3])):
         start = time.perf_counter()
-        telemetry.write_outputs(result.record, result.summary, out, *window)
+        telemetry.write_outputs(result.record, result.summary, out)
         times.append(time.perf_counter() - start)
     digest = " ".join(hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
                       for name in ("slots.csv", "summary.json"))

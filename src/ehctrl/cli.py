@@ -34,7 +34,12 @@ import numpy as np
 
 from . import config as config_mod
 from . import telemetry
-from .control import PlantModel, control_performance_bound, required_reception_probability
+from .control import (
+    DEFAULT_LMI_TOL,
+    PlantModel,
+    control_performance_bound,
+    required_reception_probability,
+)
 from .errors import ConfigError, InfeasibleTargetError
 from .scheduler import sizing_needs, sizing_violations
 from .sim import SimulationAborted, run, summarize
@@ -92,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_req.add_argument("--lyapunov", type=float, default=1.0, help="scalar certificate weight")
     p_req.add_argument("--plant-file", type=Path, default=None,
                        help="YAML file with a_open/a_closed matrices")
-    p_req.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance")
+    p_req.add_argument("--tol", type=float, default=DEFAULT_LMI_TOL, help="bisection tolerance")
 
     p_check = sub.add_parser("check-config", help="verify sizing rules")
     p_check.add_argument("--config", type=Path, default=None)

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .comm import ChannelConfig, DecodingCurve
-from .control import PlantModel, required_reception_probability
+from .control import DEFAULT_LMI_TOL, PlantModel, required_reception_probability
 from .coordination import AvailabilitySchedule
 from .energy import HarvestConfig
 from .errors import ConfigError
@@ -51,7 +51,7 @@ DEFAULTS: dict = {
     "initial_state": 0.0,
     "required_reception": None,
     "schedule_window": [1050, 1100],
-    "lmi_tol": 1e-6,
+    "lmi_tol": DEFAULT_LMI_TOL,
 }
 
 
@@ -179,9 +179,11 @@ def _node_entries(raw: dict, key: str, count: int) -> list[tuple[str, dict]]:
 def build_config(raw: dict, seed=None, horizon=None) -> SimConfig:
     """Turn a raw config dict into a validated :class:`SimConfig`.
 
+    Keys left out of ``raw`` fall back to the shipped defaults, and an
+    unknown key is a :class:`ConfigError`, as in a config file.
     ``seed``/``horizon`` override the corresponding keys (CLI flags).
     """
-    raw = copy.deepcopy(raw)
+    raw = _merge(DEFAULTS, raw)
     if seed is not None:
         raw["seed"] = seed
     if horizon is not None:

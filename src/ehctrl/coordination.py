@@ -63,17 +63,6 @@ class DualMailbox:
         self.slots = np.zeros((count, count), dtype=int)
 
 
-@dataclass(eq=False)
-class AvailabilityDecision:
-    """Who can participate and who shares this slot. ``available[j]`` marks
-    node j capable of sending and receiving (drives the subgradient mask);
-    None, outside random mode, marks every node capable. ``exchange[i, j]``
-    marks mailbox (i <- j) refreshes, forced ones included."""
-
-    available: np.ndarray | None
-    exchange: np.ndarray
-
-
 @functools.cache
 def _pair_mask(count: int) -> np.ndarray:
     """Read-only mask of every off-diagonal pair."""
@@ -85,14 +74,16 @@ def _pair_mask(count: int) -> np.ndarray:
 def advance_availability(
     schedule: AvailabilitySchedule,
     t: int,
-    uniforms,
+    capable,
     transmit_flags,
     mailbox: DualMailbox,
-) -> AvailabilityDecision:
-    """Availability sets for slot t, with forced exchanges injected for any
-    pair that would otherwise exceed the staleness bound next slot.
-    ``uniforms`` holds one uniform draw per node for this slot, read only in
-    random mode (node i is up when its draw is below ``prob``).
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(available, exchange)`` of slot t, with forced exchanges injected
+    for any pair that would otherwise exceed the staleness bound next slot.
+    ``capable`` holds one up flag per node for this slot, read only in
+    random mode. ``available[j]`` marks node j capable of sending and
+    receiving (it drives the subgradient mask); ``exchange[i, j]`` marks the
+    mailbox (i <- j) refreshes, forced ones included.
 
     Only the random mode models nodes going down; always-on and piggyback
     nodes stay capable every slot (``available`` is None). Piggyback
@@ -102,30 +93,20 @@ def advance_availability(
     """
     pairs = _pair_mask(mailbox.count)
     if schedule.mode == "always-on":
-        return AvailabilityDecision(available=None, exchange=pairs)
+        return None, pairs
     # Next slot a pair's staleness is (t + 1) - last_slot; force a refresh
     # wherever that would exceed the bound.
     forced = (t + 1 - mailbox.slots) > schedule.staleness_bound
     if schedule.mode == "random":
-        capable = np.asarray(uniforms) < schedule.prob
         exchange = ((capable[:, None] & capable) | forced) & pairs
-        available = capable | np.logical_or.reduce(forced, axis=0)
-    else:
-        # The sender's packet carries its duals, everyone listens.
-        exchange = (np.asarray(transmit_flags, dtype=bool) | forced) & pairs
-        available = None
-    return AvailabilityDecision(available=available, exchange=exchange)
+        return capable | np.logical_or.reduce(forced, axis=0), exchange
+    # The sender's packet carries its duals, everyone listens.
+    return None, (np.asarray(transmit_flags, dtype=bool) | forced) & pairs
 
 
-def exchange_duals(
-    mailbox: DualMailbox,
-    decision: AvailabilityDecision,
-    nu: np.ndarray,
-    t: int,
-) -> None:
-    """Refresh mailbox entries for every exchanging pair with the senders'
+def exchange_duals(mailbox: DualMailbox, exchange: np.ndarray, nu: np.ndarray, t: int) -> None:
+    """Refresh the mailbox entries marked in ``exchange`` with the senders'
     current multipliers (receiver i gets nu[j, i] from sender j), stamped
     with this slot. Non-exchanging pairs keep their old snapshot untouched."""
-    exchange = decision.exchange
     np.copyto(mailbox.values, nu.T, where=exchange)
     mailbox.slots[exchange] = t

@@ -36,8 +36,9 @@ slot loop runs the feedback core only, and the rest runs once per
 
   * before the chunk, the channel, harvest, transmission, availability and
     noise streams are drawn for all of it (the same values as slot by
-    slot), harvests are checked to be non-negative, and the h, q and e
-    columns are recorded;
+    slot), harvests are checked to be non-negative, the h, q and e columns
+    are recorded, and random mode's up flags are set (node i is up in a
+    slot when its availability draw is below ``prob``);
   * per slot, the core runs steps 2, 3, 6, 7 and 8 and writes the z,
     transmitted, battery, phi, beta and nu rows. Batteries and transmission
     draws stay in it because integer accounting gates transmission on
@@ -346,8 +347,9 @@ def _draw_chunk(
 ):
     """Draw every stream that does not depend on the feedback for the slots
     ``start`` to ``stop``. Records the h, q and e columns and returns the
-    per-slot rows of q, e, the transmission uniforms, the availability
-    uniforms (None outside random mode) and the process noise stacks."""
+    per-slot rows of q, e, the transmission uniforms, the up flags (a node
+    is up when its availability draw is below ``prob``; None outside random
+    mode) and the process noise stacks."""
     size = stop - start
     h, q = comm.draw_channels(config.channel, streams["channel"], size)
     e = np.stack(
@@ -361,7 +363,7 @@ def _draw_chunk(
     record.q[start:stop] = q
     record.harvested[start:stop] = e
     availability = (
-        _uniforms(streams["availability"], size)
+        _uniforms(streams["availability"], size) < config.availability.prob
         if config.availability.mode == "random"
         else [None] * size
     )
@@ -370,8 +372,7 @@ def _draw_chunk(
 
 
 def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbox,
-                 capacity: np.ndarray, start: int, q_chunk, e_chunk, transmit,
-                 availability) -> None:
+                 start: int, q_chunk, e_chunk, transmit, availability) -> None:
     """Steps 2, 3, 6, 7 and 8 of the slots from ``start`` on, one per row of
     the chunk's draws, as array expressions through the scheduler, energy
     and coordination functions. Reads slot t's state from record rows t,
@@ -401,24 +402,23 @@ def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbo
         # 6. battery steps (fluid: the transmit probability is the spend);
         # 9. the state after the slot goes into rows t + 1 as it is computed
         spend = z if fluid else tx.astype(float)
-        record.battery[t + 1] = energy.step_batteries(charge, capacity, spend, e_chunk[k])
+        record.battery[t + 1] = energy.step_batteries(charge, config.capacity, spend, e_chunk[k])
 
         # 7. masked dual updates
-        decision = coordination.advance_availability(
+        available, exchange = coordination.advance_availability(
             config.availability, t, availability[k], tx, mailbox
         )
         grads = scheduler.dual_subgradients(z, s_own, s_cross, y, q, e_chunk[k], params)
         record.phi[t + 1], record.nu[t + 1], record.beta[t + 1] = scheduler.apply_dual_step(
-            phi, nu, beta, grads, params, decision.available
+            phi, nu, beta, grads, params, available
         )
 
         # 8. exchange into mailboxes (post-update values, stamped this slot)
-        coordination.exchange_duals(mailbox, decision, record.nu[t + 1], t)
+        coordination.exchange_duals(mailbox, exchange, record.nu[t + 1], t)
 
 
 def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbox,
-                  capacity: np.ndarray, start: int, q_chunk, e_chunk, transmit,
-                  availability) -> None:
+                  start: int, q_chunk, e_chunk, transmit, availability) -> None:
     """:func:`_array_chunk` on Python floats and lists: per node the same
     operations in the same order, so the same bytes (see the module
     docstring). Reads the chunk's draws and the start state with one
@@ -431,10 +431,9 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
     floor = float(params.s_floor)
     ceil = 1.0 - floor
     log_p, nu_bar, y_bar = params.log_p.tolist(), params.nu_bar.tolist(), params.y_bar.tolist()
-    caps = capacity.tolist()
+    caps = config.capacity.tolist()
     fluid = config.energy_accounting == "fluid"
-    mode, prob, bound = (config.availability.mode, config.availability.prob,
-                         config.availability.staleness_bound)
+    mode, bound = config.availability.mode, config.availability.staleness_bound
     charge = record.battery[start].tolist()
     phi, beta = record.phi[start].tolist(), record.beta[start].tolist()
     nu = record.nu[start].tolist()
@@ -445,15 +444,14 @@ def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailb
     # the cyclic collector is not kept busy by rows awaiting the record.
     zs, txs, batteries, phis, betas, nus = [], [], [], [], [], []
     stop = start + len(q_chunk)
-    for t, q, e, u, up in zip(range(start, stop), q_chunk.tolist(), e_chunk.tolist(),
-                              transmit.tolist(), availability):
+    for t, q, e, u, capable in zip(range(start, stop), q_chunk.tolist(), e_chunk.tolist(),
+                                   transmit.tolist(), availability):
         # 7. availability of this slot (random mode keeps the diagonal of
         # the forced matrix in the column reduction, as the array core does)
         available = None
         if mode != "always-on":
             forced = [[t + 1 - s > bound for s in row] for row in stamps]
             if mode == "random":
-                capable = [v < prob for v in up]
                 available = [capable[j] or any(row[j] for row in forced) for j in nodes]
         z, tx, battery, new_phi, new_beta, new_nu = [], [], [], [], [], []
         for i in nodes:
@@ -568,8 +566,7 @@ def run(config: SimConfig) -> SimResult:
                 config, streams, plants, record, start, stop
             )
             # 2., 3., 6., 7. and 8. slot by slot, 9. into record rows
-            core(config, record, mailbox, config.capacity, start, q_chunk, e_chunk, transmit,
-                 availability)
+            core(config, record, mailbox, start, q_chunk, e_chunk, transmit, availability)
 
             # 4. and 5. replayed over the chunk's rows, then the checks
             received, collided = comm.resolve_chunk(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -49,6 +50,21 @@ class TestConfigLoading:
     def test_overrides_take_effect(self):
         config = build_config(read_raw(None), seed=77, horizon=123)
         assert config.seed == 77 and config.horizon == 123
+
+    def test_partial_mapping_falls_back_to_defaults(self):
+        def same(a, b):
+            if dataclasses.is_dataclass(a):
+                return type(a) is type(b) and all(
+                    same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+            if isinstance(a, (tuple, list)):
+                return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+            if isinstance(a, np.ndarray):
+                return a.dtype == b.dtype and np.array_equal(a, b)
+            return type(a) is type(b) and a == b
+
+        assert same(build_config({"horizon": 100}), build_config(read_raw(None), horizon=100))
+        with pytest.raises(ConfigError, match="unknown config key nope"):
+            build_config({"nope": 1})
 
     def test_strict_sizing_failure(self, tmp_path):
         cfg = tmp_path / "undersized.cfg"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ehctrl.coordination import (
-    AvailabilityDecision,
     AvailabilitySchedule,
     DualMailbox,
     advance_availability,
@@ -26,9 +25,9 @@ def staleness(mailbox, t):
     return (t - mailbox.slots)[~np.eye(mailbox.count, dtype=bool)]
 
 
-def uniforms(streams):
-    """One slot's availability draws, one per node stream."""
-    return np.array([rng.random() for rng in streams])
+def up_flags(streams, prob):
+    """One slot's up flags: a node is up when its draw is below ``prob``."""
+    return np.array([rng.random() for rng in streams]) < prob
 
 
 class TestSchedule:
@@ -44,11 +43,11 @@ class TestSchedule:
         mailbox = DualMailbox(3)
         schedule = AvailabilitySchedule(mode="always-on")
         for t in range(5):
-            decision = advance_availability(schedule, t, None, [False] * 3, mailbox)
-            assert decision.available is None  # no node is ever masked
-            off_diag = decision.exchange[~np.eye(3, dtype=bool)]
+            available, exchange = advance_availability(schedule, t, None, [False] * 3, mailbox)
+            assert available is None  # no node is ever masked
+            off_diag = exchange[~np.eye(3, dtype=bool)]
             assert off_diag.all()
-            exchange_duals(mailbox, decision, make_nu(3, lambda j, i: t), t)
+            exchange_duals(mailbox, exchange, make_nu(3, lambda j, i: t), t)
             assert staleness(mailbox, t).max() <= 1
 
 
@@ -61,10 +60,10 @@ class TestStalenessBounds:
         worst = 0
         for t in range(10_000):
             worst = max(worst, int(staleness(mailbox, t).max()))
-            decision = advance_availability(
-                schedule, t, uniforms(streams), [False, False], mailbox
+            _, exchange = advance_availability(
+                schedule, t, up_flags(streams, schedule.prob), [False, False], mailbox
             )
-            exchange_duals(mailbox, decision, make_nu(2, lambda j, i: t), t)
+            exchange_duals(mailbox, exchange, make_nu(2, lambda j, i: t), t)
         assert worst <= bound
 
     def test_piggyback_forced_refresh_at_bound(self):
@@ -73,30 +72,26 @@ class TestStalenessBounds:
         mailbox = DualMailbox(2)
         refreshed_at = []
         for t in range(15):  # node 2 stays silent throughout
-            decision = advance_availability(schedule, t, None, [False, False], mailbox)
-            if decision.exchange[0, 1]:
+            _, exchange = advance_availability(schedule, t, None, [False, False], mailbox)
+            if exchange[0, 1]:
                 refreshed_at.append(t)
-            exchange_duals(mailbox, decision, make_nu(2, lambda j, i: t), t)
+            exchange_duals(mailbox, exchange, make_nu(2, lambda j, i: t), t)
         assert refreshed_at == [bound]  # fires exactly when staleness hits the bound
 
     def test_piggyback_shares_on_transmission(self):
         schedule = AvailabilitySchedule(mode="piggyback", staleness_bound=50)
         mailbox = DualMailbox(2)
-        decision = advance_availability(schedule, 0, None, [False, True], mailbox)
-        assert decision.exchange[0, 1] and not decision.exchange[1, 0]
+        available, exchange = advance_availability(schedule, 0, None, [False, True], mailbox)
+        assert exchange[0, 1] and not exchange[1, 0]
         # piggyback nodes stay capable of computing every slot
-        assert decision.available is None
+        assert available is None
 
 
 class TestMailbox:
     def test_snapshot_is_receiver_column(self):
         mailbox = DualMailbox(2)
         duals = make_nu(2, lambda j, i: 10 * j + i)
-        decision = AvailabilityDecision(
-            available=np.ones(2, dtype=bool),
-            exchange=~np.eye(2, dtype=bool),
-        )
-        exchange_duals(mailbox, decision, duals, t=3)
+        exchange_duals(mailbox, ~np.eye(2, dtype=bool), duals, t=3)
         # receiver 0 holds nu_{1,0} = 10, receiver 1 holds nu_{0,1} = 1
         assert mailbox.values[0, 1] == 10.0
         assert mailbox.values[1, 0] == 1.0
@@ -105,11 +100,9 @@ class TestMailbox:
 
     def test_unavailable_sender_leaves_mailbox_untouched(self):
         mailbox = DualMailbox(2)
-        decision = AvailabilityDecision(
-            available=np.array([True, False]),
-            exchange=np.array([[False, False], [True, False]]),
-        )
-        exchange_duals(mailbox, decision, make_nu(2, lambda j, i: 7.0), t=5)
+        # node 1 is down: only the (1 <- 0) pair exchanges
+        exchange_duals(mailbox, np.array([[False, False], [True, False]]),
+                       make_nu(2, lambda j, i: 7.0), t=5)
         assert mailbox.values[0, 1] == 0.0 and mailbox.slots[0, 1] == 0
         assert mailbox.values[1, 0] == 7.0 and mailbox.slots[1, 0] == 5
 
@@ -122,12 +115,12 @@ class TestMailbox:
         for t in range(500):
             duals = make_nu(2, lambda j, i: np.sin(0.1 * t + j) + 2.0 + i)
             history[t] = duals
-            decision = advance_availability(
-                schedule, t, uniforms(streams), [False, False], mailbox
+            _, exchange = advance_availability(
+                schedule, t, up_flags(streams, schedule.prob), [False, False], mailbox
             )
-            exchange_duals(mailbox, decision, duals, t)
+            exchange_duals(mailbox, exchange, duals, t)
             exchanged.update(
-                (i, j) for i in range(2) for j in range(2) if decision.exchange[i, j]
+                (i, j) for i in range(2) for j in range(2) if exchange[i, j]
             )
             for i, j in exchanged:
                 stamp = int(mailbox.slots[i, j])
@@ -139,11 +132,7 @@ class TestMailbox:
         for t in range(1, 9):
             observed.append(int(t - mailbox.slots[0, 1]))
             if t % 2 == 0:  # exchange at the end of even slots
-                decision = AvailabilityDecision(
-                    available=np.ones(2, dtype=bool),
-                    exchange=~np.eye(2, dtype=bool),
-                )
-                exchange_duals(mailbox, decision, make_nu(2, lambda j, i: t), t)
+                exchange_duals(mailbox, ~np.eye(2, dtype=bool), make_nu(2, lambda j, i: t), t)
         # staleness during successive slots alternates between 1 and 2
         assert observed[2:] == [1, 2, 1, 2, 1, 2]
 

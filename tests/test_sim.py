@@ -58,6 +58,24 @@ def assert_identical(rec_a: TelemetryRecord, rec_b: TelemetryRecord):
         assert np.array_equal(a, b)
 
 
+# Config overrides of each chunk-size case and the slot it aborts at:
+# always-on, random, piggyback with integer accounting, the array core with
+# a matrix stack, and a plant that diverges.
+CHUNK_CASES = {
+    "always-on": ({}, None),
+    "random": ({"availability": {"mode": "random", "prob": 0.5, "staleness_bound": 10}}, None),
+    "piggyback-integer": ({"availability": {"mode": "piggyback", "staleness_bound": 5},
+                           "energy_accounting": "integer"}, None),
+    "nine-nodes": ({"plants": [{"a_open": [[1.05, 0.1], [0.0, 1.05]],
+                                "a_closed": [[0.1, 0.0], [0.0, 0.1]]}]
+                              + [{"a_open": 1.05, "a_closed": 0.1}] * 8,
+                    "availability": {"mode": "random"}, "channel": {"collision_prob": 0.01}},
+                   None),
+    "abort": ({"plants": [{"a_open": 1e10, "a_closed": 0.1}, {"a_open": 1.05, "a_closed": 0.1}],
+               "required_reception": [0.5, 0.3]}, 63),
+}
+
+
 class TestDeterminism:
     def test_same_seed_same_telemetry(self, tmp_path):
         res_a = run(short_config(seed=3))
@@ -71,6 +89,24 @@ class TestDeterminism:
         res_a = run(short_config(seed=3))
         res_b = run(short_config(seed=4))
         assert not np.array_equal(res_a.record.z, res_b.record.z)
+
+    @pytest.mark.parametrize("overrides, aborted_at", CHUNK_CASES.values(), ids=CHUNK_CASES)
+    def test_chunk_size_leaves_record(self, monkeypatch, overrides, aborted_at):
+        """Each stream gives the same values drawn a chunk at a time as slot
+        by slot, so where the chunks split the horizon moves no record byte
+        and no abort."""
+        config = short_config(horizon=700, **overrides)
+        outcomes = []
+        for chunk in (1, 7, 256, 1000):
+            monkeypatch.setattr(ehctrl.sim, "DRAW_CHUNK", chunk)
+            try:
+                record = run(config).record
+            except SimulationAborted as err:
+                record = err.record
+            slot = None if record.breach is None else record.breach.slot
+            outcomes.append((slot, [a.tobytes() for a in record_arrays(record)]))
+        assert outcomes[0][0] == aborted_at
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
 @pytest.fixture(scope="module")
@@ -472,11 +508,11 @@ def core_id(case) -> str:
 
 
 def core_inputs(nodes, mode, accounting, start_copies, state, seed):
-    """Config, record, mailbox, capacities, start slot and draws of one
-    chunk. The mailbox starts with stale copies drawn apart from the
-    multipliers (``mailbox``) or with the other nodes' current multipliers
-    stamped in the start slot (``direct``), the state the always-on mailbox
-    keeps. Row ``start`` of the record holds the start state: ``sized``
+    """Config, record, mailbox, start slot and draws of one chunk; random
+    mode's draws are up flags. The mailbox starts with stale copies drawn
+    apart from the multipliers (``mailbox``) or with the other nodes'
+    current multipliers stamped in the start slot (``direct``), the state
+    the always-on mailbox keeps. Row ``start`` of the record holds the start state: ``sized``
     keeps the mirror and the caps, ``faults`` adds the states the
     fault-injection tests create (z above the charge, nu above its cap,
     beta off the mirror) and the nu = 0, phi = 0 and p = 0 corners, ``nan``
@@ -543,11 +579,11 @@ def core_inputs(nodes, mode, accounting, start_copies, state, seed):
     q = rng.uniform(0.2, 1.0, shape)
     e = np.where(rng.random(shape) < 0.3, 1.0, rng.uniform(0.0, 1.0, shape))
     transmit = rng.random(shape)
-    availability = rng.random(shape) if mode == "random" else [None] * CORE_SLOTS
+    availability = rng.random(shape) < 0.5 if mode == "random" else [None] * CORE_SLOTS
     if state != "sized":
         interference = np.nansum(mailbox.values[0])
         record.nu[start, 0, 0] += (2.0 + params.collision_prob * interference) / q[0, 0]
-    return config, record, mailbox, capacity, start, q, e, transmit, availability
+    return config, record, mailbox, start, q, e, transmit, availability
 
 
 def canonical_nan(values: np.ndarray) -> np.ndarray:
@@ -567,12 +603,12 @@ class TestScalarCore:
         # Seeded by the case itself, so a case keeps its draws whatever
         # the threshold makes of the case list.
         seed = zlib.crc32(core_id(case).encode())
-        config, record, mailbox, capacity, start, *draws = core_inputs(*case, seed)
+        config, record, mailbox, start, *draws = core_inputs(*case, seed)
         written = {}
         for core in (_array_chunk, _scalar_chunk):
             rec, box = copy.deepcopy(record), copy.deepcopy(mailbox)
             with np.errstate(invalid="ignore"):
-                core(config, rec, box, capacity, start, *draws)
+                core(config, rec, box, start, *draws)
             columns = [getattr(rec, name) for name in (
                 "z", "transmitted", "battery", "phi", "beta", "nu")]
             written[core] = [canonical_nan(a).tobytes()
