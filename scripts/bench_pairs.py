@@ -24,15 +24,18 @@ won in the metric's better direction.
 
 The ``m-scaling`` pseudo-workload (``--workload m-scaling``, also run by
 default) times ``sim.run`` alone in a fresh process per run: µs per slot
-over ``M_SCALING_SLOTS`` slots at each node count in ``M_SCALING_NODES``,
-always-on at M = 2 and random availability (p = 0.5, B = 10) above, scalar
-plants and collision probability 0.01. Each probe then runs ``sim.run``
-once more, untimed, under ``tracemalloc`` and reports that run's peak
-traced memory, so the µs per slot are taken without tracing. Each row
-also gives, per side, the median number of cyclic-collector passes per
-generation during the timed run, counted through ``gc.callbacks``. It runs
-paired like the workloads, alternating sides per pair and node count, and
-checks that both sides produce the same digest of every record column.
+over ``M_SCALING_SLOTS`` slots for each (node count, availability) row of
+``M_SCALING_ROWS``, with scalar plants and collision probability 0.01. The
+rows are always-on at M = 1; always-on, piggyback (B = 20) and random
+availability (p = 0.5, B = 10) at M = 2, the modes of the ``seed-batch``
+workload; and random availability at M = 3 to 8, 32 and 128. Each probe
+then runs ``sim.run`` once more, untimed, under ``tracemalloc`` and reports
+that run's peak traced memory, so the µs per slot are taken without
+tracing. Each row also gives, per side, the median number of
+cyclic-collector passes per generation during the timed run, counted
+through ``gc.callbacks``. It runs paired like the workloads, alternating
+sides per pair and row, and checks that both sides produce the same digest
+of every record column.
 The rows at M = 3 to 8 sit on both sides of ``ehctrl.sim.SCALAR_MAX_NODES``,
 the node count up to which ``sim.run`` takes its scalar slot core (at
 most 7).
@@ -83,9 +86,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 M_SCALING = "m-scaling"
-M_SCALING_NODES = (2, 3, 4, 5, 6, 7, 8, 32, 128)
+M_SCALING_MODES = {
+    "always-on": {"mode": "always-on", "prob": 1.0, "staleness_bound": 1},
+    "piggyback B=20": {"mode": "piggyback", "prob": 0.5, "staleness_bound": 20},
+    "random p=0.5 B=10": {"mode": "random", "prob": 0.5, "staleness_bound": 10},
+}
+# (node count, key of M_SCALING_MODES) of each row.
+M_SCALING_ROWS = (
+    (1, "always-on"), (2, "always-on"), (2, "piggyback B=20"), (2, "random p=0.5 B=10"),
+    *((nodes, "random p=0.5 B=10") for nodes in (3, 4, 5, 6, 7, 8, 32, 128)),
+)
 M_SCALING_SLOTS = 1000
-# Run with the tree's src on sys.path: argv is nodes, slots, seed; prints
+# Run with the tree's src on sys.path: argv is nodes, slots, seed and the
+# availability mapping as JSON; prints
 # the µs per slot of sim.run and the collections per generation of that
 # run, a digest of the run's record and the tracemalloc peak of a second,
 # untimed run.
@@ -93,14 +106,12 @@ M_SCALING_PROBE = """
 import gc, hashlib, json, sys, time, tracemalloc
 from ehctrl.config import build_config, read_raw
 from ehctrl.sim import run
-nodes, slots, seed = map(int, sys.argv[1:])
+nodes, slots, seed = map(int, sys.argv[1:4])
 raw = read_raw(None)
 raw["plants"] = [{"a_open": 1.1, "a_closed": 0.15} if i % 2 else
                  {"a_open": 1.05, "a_closed": 0.1} for i in range(nodes)]
 raw["channel"] = {**raw["channel"], "collision_prob": 0.01}
-raw["availability"] = (
-    {"mode": "always-on", "prob": 1.0, "staleness_bound": 1} if nodes == 2
-    else {"mode": "random", "prob": 0.5, "staleness_bound": 10})
+raw["availability"] = json.loads(sys.argv[4])
 config = build_config(raw, seed=seed, horizon=slots)
 collections = [0, 0, 0]
 def count(phase, info):
@@ -214,9 +225,10 @@ def run_probe(tree: Path, name: str, script: str, *args) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def probe_once(tree: Path, nodes: int, seed: int) -> dict:
+def probe_once(tree: Path, nodes: int, mode: str, seed: int) -> dict:
     """One ``M_SCALING_PROBE`` run on ``tree``."""
-    return run_probe(tree, M_SCALING, M_SCALING_PROBE, nodes, M_SCALING_SLOTS, seed)
+    return run_probe(tree, M_SCALING, M_SCALING_PROBE, nodes, M_SCALING_SLOTS, seed,
+                     json.dumps(M_SCALING_MODES[mode]))
 
 
 def write_once(tree: Path, seed: int) -> dict:
@@ -322,22 +334,22 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
 
 
 def m_scaling(sides: dict, pairs: int, seed: int) -> dict:
-    """Paired µs-per-slot and tracemalloc-peak rows at every node count in
-    ``M_SCALING_NODES``."""
-    runs = {(nodes, side): [] for nodes in M_SCALING_NODES for side in sides}
-    for k, nodes in itertools.product(range(pairs), M_SCALING_NODES):
+    """Paired µs-per-slot and tracemalloc-peak rows for every (node count,
+    availability) in ``M_SCALING_ROWS``."""
+    runs = {(row, side): [] for row in M_SCALING_ROWS for side in sides}
+    for k, row in itertools.product(range(pairs), M_SCALING_ROWS):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
-            runs[nodes, side].append(probe_once(sides[side], nodes, seed))
-        print(f"{M_SCALING} pair {k + 1}/{pairs} M={nodes}: " + ", ".join(
-            f"{side} {runs[nodes, side][-1]['us_per_slot']:.1f} us/slot" for side in order
+            runs[row, side].append(probe_once(sides[side], *row, seed))
+        print(f"{M_SCALING} pair {k + 1}/{pairs} M={row[0]} {row[1]}: " + ", ".join(
+            f"{side} {runs[row, side][-1]['us_per_slot']:.1f} us/slot" for side in order
         ), file=sys.stderr)
     rows = []
-    for nodes in M_SCALING_NODES:
-        base, change = runs[nodes, "base"], runs[nodes, "change"]
+    for row in M_SCALING_ROWS:
+        base, change = runs[row, "base"], runs[row, "change"]
         rows.append({
-            "nodes": nodes,
-            "availability": "always-on" if nodes == 2 else "random p=0.5 B=10",
+            "nodes": row[0],
+            "availability": row[1],
             "same_digest": len({r["digest"] for r in base + change}) == 1,
             **{name: paired([r[name] for r in base], [r[name] for r in change], unit, "lower")
                for name, unit in (("us_per_slot", "us"), ("tracemalloc_peak_mb", "MB"))},

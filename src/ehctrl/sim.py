@@ -54,9 +54,17 @@ scheduler, energy and coordination functions; its cost is ~60 numpy calls
 per slot whatever M is. :func:`_scalar_chunk` does the same operations in
 the same order on Python floats, node by node, so its cost grows with M^2
 but starts far lower; it runs up to ``SCALAR_MAX_NODES`` = 7 nodes, the
-largest count at which it can give the array core's bytes (below). It keeps
-each slot's values in flat per-chunk lists, so no list outlives its slot to
-keep the cyclic collector busy.
+largest count at which it can give the array core's bytes (below). Its slot
+loop is straight-line source generated per shape (node count, availability
+mode, energy accounting) with every node and pair loop unrolled, each
+multiplier, charge and mailbox entry a local. The first run of a shape
+compiles it, once per process (:func:`_kernel`), and ``linecache`` holds
+it under a name giving the shape, for tracebacks and debuggers. Every
+config value (step size, collision probability, floors, log p, caps,
+capacities, staleness bound) is an argument, so the source depends on the
+shape alone and no config text becomes code. The kernel reads the draws as
+one list per node column and extends one flat list per chunk, so no object
+outlives its slot to keep the cyclic collector busy.
 
 Both forms give the same bytes because every operation is one IEEE
 operation or the same libm call on each side, with three orders kept:
@@ -68,8 +76,10 @@ operation or the same libm call on each side, with three orders kept:
     which no state reaches;
   * the interference is summed left to right from column 0;
   * the cross-log sum starts from int 0 in ascending column order.
-numpy's ``add.reduce`` sums a row left to right only when it has fewer than
-8 entries (it sums longer rows pairwise in blocks of 8), which sets the
+Random mode also keeps the diagonal of the forced matrix in the column
+reduction of its availability, as the array core does. numpy's
+``add.reduce`` sums a row left to right only when it has fewer than 8
+entries (it sums longer rows pairwise in blocks of 8), which sets the
 threshold at 7. The fault-injection tests patch module functions that
 only the array core calls; they set ``SCALAR_MAX_NODES`` to 0.
 
@@ -97,11 +107,11 @@ breach raise no numpy warning, since the abort reports them.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -417,117 +427,147 @@ def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbo
         coordination.exchange_duals(mailbox, exchange, record.nu[t + 1], t)
 
 
+@functools.cache
+def _kernel(count: int, mode: str, accounting: str):
+    """The compiled slot kernel of one shape, built on first use and kept
+    for the life of the process (at most 7 x 3 x 2 shapes). Its source is
+    registered with ``linecache`` under a name that gives the shape, so
+    tracebacks and debuggers show its lines."""
+    filename = f"<ehctrl.sim slot kernel: {count} nodes, {mode}, {accounting}>"
+    source = _kernel_source(count, mode, accounting == "fluid")
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"log": math.log, "log1p": math.log1p, "inf": math.inf}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _kernel_source(count: int, mode: str, fluid: bool) -> str:
+    """Source of the slot kernel of one shape: :func:`_array_chunk`'s slot
+    on Python floats with every node and pair loop unrolled, the
+    multipliers, charges and mailbox entries as locals. It reads the config
+    values from ``consts`` and the start state from ``state`` and
+    ``stamps``, takes one row of draws per slot from ``rows``, extends
+    ``out`` per slot with the z, transmitted, battery, phi, beta and nu
+    rows, and returns the mailbox values and stamps."""
+    nodes = range(count)
+    every = [(i, j) for i in nodes for j in nodes]
+    pairs = [(i, j) for i, j in every if i != j]
+
+    def per_node(*names):
+        return [f"{name}{i}" for name in names for i in nodes]
+
+    def per_pair(*names):
+        return [f"{name}{i}_{j}" for name in names for i, j in every]
+
+    def joined(names):
+        return ", ".join(names) + ","
+
+    draws = per_node("q", "e", "u", *(("up",) if mode == "random" else ()))
+    # 7. availability of this slot (random mode keeps the diagonal of the
+    # forced matrix in the column reduction, as the array core does)
+    forced = [] if mode == "always-on" else every if mode == "random" else pairs
+    body = ["t1 = t + 1"] if forced else []
+    body += [f"f{i}_{j} = t1 - st{i}_{j} > bound" for i, j in forced]
+    if mode == "random":
+        body += [f"a{j} = up{j} or " + " or ".join(f"f{i}_{j}" for i in nodes) for j in nodes]
+    for i in nodes:
+        body += [
+            # 2. interference summed left to right from column 0
+            f"z{i} = 0.5 * (n{i}_{i} * q{i} - qc * ({' + '.join(f'v{i}_{j}' for j in nodes)})"
+            f" - b{i})",
+            f"z{i} = 0.0 if 0.0 > z{i} else 1.0 if 1.0 < z{i} else z{i}",
+            # 3. (integer accounting gates on whole units) and 6.
+            f"tx{i} = u{i} < z{i}" + ("" if fluid else f" and c{i} >= 1.0"),
+            f"c{i} = c{i} - " + (f"z{i}" if fluid else f"(1.0 if tx{i} else 0.0)") + f" + e{i}",
+            f"c{i} = 0.0 if 0.0 > c{i} else cap{i} if cap{i} < c{i} else c{i}",
+            # 7. node i's row of the dual step; phi / 0 reads as +inf, which
+            # the clips send to the limits
+            f"so = p{i} / n{i}_{i} if n{i}_{i} != 0.0 else inf",
+            "so = floor if floor > so else 1.0 if 1.0 < so else so",
+            f"zq = qc * z{i}",
+            "cross = 0",
+        ]
+        for j in nodes:
+            if j == i:
+                body.append(f"g = so - z{i} * q{i}")
+            else:
+                body += [
+                    f"s = 1.0 - (p{i} / n{i}_{j} if n{i}_{j} != 0.0 else inf)",
+                    "s = 0.0 if 0.0 > s else ceil if ceil < s else s",
+                    "if s:  # s = 0 adds -0.0 to the log sum: skipped exactly",
+                    "    cross += log1p(-s)",
+                    "g = zq - s",
+                ]
+            masked = f"(g if a{j} else 0.0)" if mode == "random" else "g"
+            body += [
+                f"g = g - yb{i}_{j} if n{i}_{j} > nb{i}_{j} else g",
+                f"n{i}_{j} = n{i}_{j} + eps * {masked}",
+                f"n{i}_{j} = 0.0 if 0.0 > n{i}_{j} else n{i}_{j}",
+            ]
+        body += [
+            f"p{i} = p{i} + eps * (lp{i} - (log(so) + cross))",
+            f"p{i} = 0.0 if 0.0 > p{i} else p{i}",
+            f"b{i} = b{i} + eps * (z{i} - e{i})",
+            f"b{i} = 0.0 if 0.0 > b{i} else b{i}",
+        ]
+    # 8. exchange the post-update values
+    for i, j in pairs:
+        exchange = [f"v{i}_{j} = n{j}_{i}", f"st{i}_{j} = t"]
+        if mode == "always-on":
+            body += exchange
+        else:
+            up = f"up{i} and up{j}" if mode == "random" else f"tx{j}"
+            body += [f"if {up} or f{i}_{j}:", *("    " + line for line in exchange)]
+    body.append(f"out += ({joined(per_node('z', 'tx', 'c', 'p', 'b') + per_pair('n'))})")
+    consts = ["eps", "qc", "floor", "ceil", "bound", *per_node("lp"), *per_pair("nb", "yb"),
+              *per_node("cap")]
+    lines = [
+        "def kernel(rows, out, state, stamps, consts):",
+        f"    {joined(consts)} = consts",
+        f"    {joined(per_node('c', 'p', 'b') + per_pair('n', 'v'))} = state",
+        f"    {joined(per_pair('st'))} = stamps",
+        f"    for t, {joined(draws)} in rows:",
+        *("        " + line for line in body),
+        f"    return ({joined(per_pair('v'))}), ({joined(per_pair('st'))})",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _scalar_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbox,
                   start: int, q_chunk, e_chunk, transmit, availability) -> None:
-    """:func:`_array_chunk` on Python floats and lists: per node the same
+    """:func:`_array_chunk` through the generated kernel of the run's shape
+    (node count, availability mode, energy accounting): per node the same
     operations in the same order, so the same bytes (see the module
-    docstring). Reads the chunk's draws and the start state with one
-    ``tolist`` each, and writes the chunk's record rows and the mailbox
-    back once."""
-    params = config.params
-    nodes = range(config.count)
-    pairs = [(i, j) for i in nodes for j in nodes if i != j]
-    eps, qc = float(params.epsilon), float(params.collision_prob)
-    floor = float(params.s_floor)
-    ceil = 1.0 - floor
-    log_p, nu_bar, y_bar = params.log_p.tolist(), params.nu_bar.tolist(), params.y_bar.tolist()
-    caps = config.capacity.tolist()
-    fluid = config.energy_accounting == "fluid"
-    mode, bound = config.availability.mode, config.availability.staleness_bound
-    charge = record.battery[start].tolist()
-    phi, beta = record.phi[start].tolist(), record.beta[start].tolist()
-    nu = record.nu[start].tolist()
-    values, stamps = mailbox.values.tolist(), mailbox.slots.tolist()
+    docstring). Hands the kernel the config values, the start state and
+    the mailbox as flat lists and the draws as one column list per node,
+    and writes the chunk's record rows and the mailbox back once."""
+    M, mode, params = config.count, config.availability.mode, config.params
+    kernel = _kernel(M, mode, config.energy_accounting)
+    columns = [*q_chunk.T.tolist(), *e_chunk.T.tolist(), *transmit.T.tolist()]
     if mode == "random":
-        availability = availability.tolist()
-    # Flat per-chunk columns, slot-major: a slot's own lists die with it, so
-    # the cyclic collector is not kept busy by rows awaiting the record.
-    zs, txs, batteries, phis, betas, nus = [], [], [], [], [], []
+        columns += availability.T.tolist()
+    floor = float(params.s_floor)
+    consts = (
+        float(params.epsilon), float(params.collision_prob), floor, 1.0 - floor,
+        config.availability.staleness_bound,
+        *np.concatenate([params.log_p, params.nu_bar.ravel(), params.y_bar.ravel(),
+                         config.capacity]).tolist(),
+    )
+    state = np.concatenate([record.battery[start], record.phi[start], record.beta[start],
+                            record.nu[start].ravel(), mailbox.values.ravel()]).tolist()
     stop = start + len(q_chunk)
-    for t, q, e, u, capable in zip(range(start, stop), q_chunk.tolist(), e_chunk.tolist(),
-                                   transmit.tolist(), availability):
-        # 7. availability of this slot (random mode keeps the diagonal of
-        # the forced matrix in the column reduction, as the array core does)
-        available = None
-        if mode != "always-on":
-            forced = [[t + 1 - s > bound for s in row] for row in stamps]
-            if mode == "random":
-                available = [capable[j] or any(row[j] for row in forced) for j in nodes]
-        z, tx, battery, new_phi, new_beta, new_nu = [], [], [], [], [], []
-        for i in nodes:
-            nu_i, phi_i = nu[i], phi[i]
-            # 2. interference summed left to right from column 0, as numpy's
-            # add.reduce does on rows of fewer than 8 entries
-            z_i = 0.5 * (nu_i[i] * q[i] - qc * reduce(add, values[i]) - beta[i])
-            z_i = 0.0 if 0.0 > z_i else 1.0 if 1.0 < z_i else z_i
-            # 3. (integer accounting gates on whole units)
-            tx_i = u[i] < z_i and (fluid or charge[i] >= 1.0)
-            # 6.
-            b = charge[i] - (z_i if fluid else (1.0 if tx_i else 0.0)) + e[i]
-            battery.append(0.0 if 0.0 > b else caps[i] if caps[i] < b else b)
-            # 7. node i's row of the dual step; phi / 0 reads as +inf,
-            # which the clips send to the limits
-            s_own = phi_i / nu_i[i] if nu_i[i] != 0.0 else math.inf
-            s_own = floor if floor > s_own else 1.0 if 1.0 < s_own else s_own
-            zq = qc * z_i
-            cross = 0
-            row = []
-            for j in nodes:
-                v = nu_i[j]
-                if j == i:
-                    g = s_own - z_i * q[i]
-                else:
-                    s = 1.0 - (phi_i / v if v != 0.0 else math.inf)
-                    s = 0.0 if 0.0 > s else ceil if ceil < s else s
-                    if s:  # s = 0 adds -0.0 to the log sum: skipped exactly
-                        cross += math.log1p(-s)
-                    g = zq - s
-                if v > nu_bar[i][j]:  # a fired relaxation y (x - 0.0 is x elsewhere)
-                    g -= y_bar[i][j]
-                if available is not None and not available[j]:
-                    g = 0.0
-                v += eps * g
-                row.append(0.0 if 0.0 > v else v)
-            f = phi_i + eps * (log_p[i] - (math.log(s_own) + cross))
-            new_phi.append(0.0 if 0.0 > f else f)
-            f = beta[i] + eps * (z_i - e[i])
-            new_beta.append(0.0 if 0.0 > f else f)
-            new_nu.append(row)
-            z.append(z_i)
-            tx.append(tx_i)
-        charge, phi, beta, nu = battery, new_phi, new_beta, new_nu
+    out = []
+    values, stamps = kernel(zip(range(start, stop), *columns), out, state,
+                            mailbox.slots.ravel().tolist(), consts)
 
-        # 8. exchange the post-update values
-        if mode == "always-on":
-            exchange = pairs
-        elif mode == "random":
-            exchange = [(i, j) for i, j in pairs if capable[i] and capable[j] or forced[i][j]]
-        else:
-            exchange = [(i, j) for i, j in pairs if tx[j] or forced[i][j]]
-        for i, j in exchange:
-            values[i][j] = nu[j][i]
-            stamps[i][j] = t
-
-        zs += z
-        txs += tx
-        batteries += charge
-        phis += phi
-        betas += beta
-        for row in nu:
-            nus += row
-
-    # 9. one reshape per column
-    M = config.count
-    shape = (stop - start, M)
-    record.z[start:stop] = np.reshape(zs, shape)
-    record.transmitted[start:stop] = np.reshape(txs, shape)
+    # 9. one array for the chunk, its columns into the record rows
+    block = np.reshape(out, (stop - start, 5 + M, M))
+    record.z[start:stop], record.transmitted[start:stop] = block[:, 0], block[:, 1]
     span = slice(start + 1, stop + 1)
-    record.battery[span] = np.reshape(batteries, shape)
-    record.phi[span] = np.reshape(phis, shape)
-    record.beta[span] = np.reshape(betas, shape)
-    record.nu[span] = np.reshape(nus, (*shape, M))
-    mailbox.values[...] = values
-    mailbox.slots[...] = stamps
+    record.battery[span], record.phi[span], record.beta[span], record.nu[span] = (
+        block[:, 2], block[:, 3], block[:, 4], block[:, 5:])
+    mailbox.values[...] = np.reshape(values, (M, M))
+    mailbox.slots[...] = np.reshape(stamps, (M, M))
 
 
 def run(config: SimConfig) -> SimResult:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import itertools
+import linecache
 import pickle
 import zlib
 
@@ -59,13 +60,19 @@ def assert_identical(rec_a: TelemetryRecord, rec_b: TelemetryRecord):
 
 
 # Config overrides of each chunk-size case and the slot it aborts at:
-# always-on, random, piggyback with integer accounting, the array core with
-# a matrix stack, and a plant that diverges.
+# always-on, random, piggyback with integer accounting, the largest scalar
+# kernel with batteries small enough to gate transmissions, the array core
+# with a matrix stack, and a plant that diverges.
 CHUNK_CASES = {
     "always-on": ({}, None),
     "random": ({"availability": {"mode": "random", "prob": 0.5, "staleness_bound": 10}}, None),
     "piggyback-integer": ({"availability": {"mode": "piggyback", "staleness_bound": 5},
                            "energy_accounting": "integer"}, None),
+    "seven-nodes-random-integer": ({"plants": [{"a_open": 1.05, "a_closed": 0.1}] * 7,
+                                    "availability": {"mode": "random", "prob": 0.5,
+                                                     "staleness_bound": 10},
+                                    "energy_accounting": "integer",
+                                    "battery": {"capacity": 3.0}}, None),
     "nine-nodes": ({"plants": [{"a_open": [[1.05, 0.1], [0.0, 1.05]],
                                 "a_closed": [[0.1, 0.0], [0.0, 0.1]]}]
                               + [{"a_open": 1.05, "a_closed": 0.1}] * 8,
@@ -93,11 +100,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("overrides, aborted_at", CHUNK_CASES.values(), ids=CHUNK_CASES)
     def test_chunk_size_leaves_record(self, monkeypatch, overrides, aborted_at):
         """Each stream gives the same values drawn a chunk at a time as slot
-        by slot, so where the chunks split the horizon moves no record byte
-        and no abort."""
+        by slot, and each core form carries its mailbox from chunk to chunk,
+        so neither where the chunks split the horizon nor which form runs
+        moves a record byte or the abort."""
         config = short_config(horizon=700, **overrides)
         outcomes = []
-        for chunk in (1, 7, 256, 1000):
+        for scalar_max_nodes, chunk in itertools.product((SCALAR_MAX_NODES, 0),
+                                                         (1, 7, 256, 1000)):
+            monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", scalar_max_nodes)
             monkeypatch.setattr(ehctrl.sim, "DRAW_CHUNK", chunk)
             try:
                 record = run(config).record
@@ -631,6 +641,37 @@ class TestScalarCore:
             run(short_config(horizon=10, plants=[{"a_open": 1.05, "a_closed": 0.1}] * nodes))
         assert chosen == ["_scalar_chunk", "_array_chunk"]
         assert SCALAR_MAX_NODES < 8  # numpy sums rows of 8 or more pairwise
+
+    def test_kernel_compiled_once_per_shape(self):
+        """A kernel's source depends on the shape alone: a second config of
+        the same shape, differing in every config value the kernel reads,
+        reuses the first one's kernel."""
+        ehctrl.sim._kernel.cache_clear()
+        first = short_config(horizon=300, energy_accounting="integer",
+                             availability={"mode": "piggyback", "staleness_bound": 5})
+        second = short_config(
+            horizon=300, energy_accounting="integer",
+            availability={"mode": "piggyback", "staleness_bound": 7},
+            required_reception=[0.3, 0.2], battery={"capacity": 15.0},
+            scheduler={"epsilon": 0.5, "nu_bar": 12.0, "y_bar": 30.0, "s_floor": 1e-3},
+            channel={"collision_prob": 0.1},
+        )
+        for name in ("epsilon", "collision_prob", "s_floor", "p", "nu_bar", "y_bar"):
+            assert not np.array_equal(getattr(first.params, name),
+                                      getattr(second.params, name)), name
+        assert not np.array_equal(first.capacity, second.capacity)
+        run(first)
+        info = ehctrl.sim._kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        run(second)
+        info = ehctrl.sim._kernel.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+
+    def test_kernel_source_is_shown_in_tracebacks(self):
+        code = ehctrl.sim._kernel(2, "random", "fluid").__code__
+        assert "2 nodes, random, fluid" in code.co_filename
+        assert linecache.getline(code.co_filename, code.co_firstlineno).startswith(
+            "def kernel(")
 
 
 @pytest.mark.parametrize("enabled", [True, False])
