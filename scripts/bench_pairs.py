@@ -8,19 +8,25 @@ Usage (from the repository root):
 
 The base commit (default ``HEAD``, so run it before committing the change,
 or pass ``--base HEAD~1`` after) is extracted with ``git archive`` into a
-temporary directory, and the working tree's files (tracked and untracked,
-not ignored) are copied beside it. So neither side has compiled bytecode:
-the workers run with ``PYTHONDONTWRITEBYTECODE=1`` and compile ``ehctrl``
+temporary directory ``base``, and the working tree's files (tracked and
+untracked, not ignored) are copied beside it into ``tree``. The two names
+have the same length, so both sides' paths do too (``peak_rss_mb`` moves
+with the length of the path). Neither side has compiled bytecode: every
+process runs with ``PYTHONDONTWRITEBYTECODE=1`` and compiles ``ehctrl``
 from source on both sides, as in a fresh checkout (a ``__pycache__`` on one
 side alone moves its ``setup_s`` and ``peak_rss_mb``; with ``.pyc`` files
-``paper-run`` peaks about 0.9 MB higher). For each workload,
-``bench/run.py`` then runs
-``--pairs`` times on each side, base and working tree alternating and the
-side that goes first swapping from pair to pair, all at the same
-``--seconds`` and ``--seed``. Every end-to-end metric that
-``BENCHMARK.json`` lists is reported per side as the per-run values, their
-median and quartiles, together with the number of pairs the working tree
-won in the metric's better direction.
+``paper-run`` peaks about 0.9 MB higher).
+
+One driver runs every workload. ``launch`` starts one fresh process per
+run, in the side's directory with its ``src`` on ``PYTHONPATH``, and
+``alternate`` runs each entry of a workload ``--pairs`` times on each side,
+base and working tree alternating and the side that goes first swapping
+from pair to pair (base first in even pairs), all at the same ``--seconds``
+and ``--seed``. For a workload of ``BENCHMARK.json`` the run is
+``bench/run.py``; every end-to-end metric that ``BENCHMARK.json`` lists is
+reported per side as the per-run values, their median and quartiles,
+together with the number of pairs the working tree won in the metric's
+better direction.
 
 The ``m-scaling`` pseudo-workload (``--workload m-scaling``, also run by
 default) times ``sim.run`` alone in a fresh process per run: µs per slot
@@ -29,19 +35,19 @@ over ``M_SCALING_SLOTS`` slots for each (node count, availability) row of
 rows are always-on at M = 1; always-on, piggyback (B = 20) and random
 availability (p = 0.5, B = 10) at M = 2, the modes of the ``seed-batch``
 workload; and random availability at M = 3 to 8, 32 and 128. Each probe
-then runs ``sim.run`` once more, untimed, under ``tracemalloc`` and reports
-that run's peak traced memory, so the µs per slot are taken without
-tracing. Each row also gives, per side, the median number of
-cyclic-collector passes per generation during the timed run, counted
-through ``gc.callbacks``. It runs paired like the workloads, alternating
-sides per pair and row, and checks that both sides produce the same digest
-of every record column.
-The rows at M = 3 to 8 sit on both sides of ``ehctrl.sim.SCALAR_MAX_NODES``,
-the node count up to which ``sim.run`` takes its scalar slot core (at
-most 7).
+first runs ``sim.run`` once untimed, so the timed run is warm: the
+``numpy.random`` import and compiling the slot kernel of the row's shape
+are not in its µs per slot. It then runs ``sim.run`` once more, untimed,
+under ``tracemalloc`` and reports that run's peak traced memory, so the
+µs per slot are taken without tracing. Each row also gives, per side, the
+median number of cyclic-collector passes per generation during the timed
+run, counted through ``gc.callbacks``. The rows are entries of one
+alternation: each pair runs every row on both sides. Both sides must
+produce the same digest of every record column. The rows at M = 3 to 8
+sit on both sides of ``ehctrl.sim.SCALAR_MAX_NODES``, the node count up to
+which ``sim.run`` takes its scalar slot core (at most 7).
 
-Two more pseudo-workloads time whole commands, paired the same way, in a
-fresh process per run with the tree's ``src`` on ``PYTHONPATH``:
+Two more pseudo-workloads time whole commands:
 
   tier1   the Tier-1 suite, ``python -m pytest -q -p no:cacheprovider``;
           reports the wall time and pytest's last line (tests passed)
@@ -50,13 +56,12 @@ fresh process per run with the tree's ``src`` on ``PYTHONPATH``:
           point); reports the wall time and checks that both sides write
           the same ``sweep.csv``
 
-The ``write`` pseudo-workload times the run-file writers alone. Each run is
-a fresh process on the tree's ``src``: it simulates the shipped config
-(``configs/paper-sec6.cfg``, 10k slots) at ``--seed`` once, then times
-``WRITE_CALLS`` calls of ``telemetry.write_outputs`` into a temporary
-directory and reports their median (``write_s``). Runs are paired and
-alternate like the others, and both sides must write the same ``slots.csv``
-and ``summary.json`` digests. Whole-process wall times carry the machine's
+The ``write`` pseudo-workload times the run-file writers alone. Each run
+simulates the shipped config (``configs/paper-sec6.cfg``, 10k slots) at
+``--seed`` once, then times ``WRITE_CALLS`` calls of
+``telemetry.write_outputs`` into a temporary directory and reports their
+median (``write_s``). Both sides must write the same ``slots.csv`` and
+``summary.json`` digests. Whole-process wall times carry the machine's
 clock switching; this isolates the writing layer.
 
 Results go to ``BENCH_<pr>.json`` (or ``--out``) under the key
@@ -70,7 +75,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
+import io
 import json
 import os
 import platform
@@ -84,6 +89,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Directory of each side under the temporary directory: names of one length.
+SIDE_DIRS = {"base": "base", "change": "tree"}
 
 M_SCALING = "m-scaling"
 M_SCALING_MODES = {
@@ -98,9 +105,9 @@ M_SCALING_ROWS = (
 )
 M_SCALING_SLOTS = 1000
 # Run with the tree's src on sys.path: argv is nodes, slots, seed and the
-# availability mapping as JSON; prints
-# the µs per slot of sim.run and the collections per generation of that
-# run, a digest of the run's record and the tracemalloc peak of a second,
+# availability mapping as JSON; prints the µs per slot of a warm sim.run
+# (after one untimed run) and the collections per generation of that run,
+# a digest of the run's record and the tracemalloc peak of a third,
 # untimed run.
 M_SCALING_PROBE = """
 import gc, hashlib, json, sys, time, tracemalloc
@@ -113,6 +120,7 @@ raw["plants"] = [{"a_open": 1.1, "a_closed": 0.15} if i % 2 else
 raw["channel"] = {**raw["channel"], "collision_prob": 0.01}
 raw["availability"] = json.loads(sys.argv[4])
 config = build_config(raw, seed=seed, horizon=slots)
+run(config)
 collections = [0, 0, 0]
 def count(phase, info):
     if phase == "start":
@@ -182,11 +190,8 @@ def extract(rev: str, dest: Path) -> None:
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
-    tar_path = dest.parent / "base.tar"
-    tar_path.write_bytes(archive)
-    with tarfile.open(tar_path) as tar:
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
-    tar_path.unlink()
 
 
 def copy_worktree(dest: Path) -> None:
@@ -197,104 +202,82 @@ def copy_worktree(dest: Path) -> None:
             shutil.copy2(ROOT / name, dest / name)
 
 
-def bench_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One ``bench/run.py`` run on ``tree``: its result and context lines."""
-    proc = subprocess.run(
-        [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
-         "--seconds", str(seconds), "--seed", str(seed)],
-        cwd=tree, capture_output=True, text=True,
-    )
-    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"bench/run.py failed in {tree}:\n{proc.stderr[-2000:]}")
-    result = json.loads(lines[-1])
-    result["context"] = json.loads(lines[0])["context"]
-    return result
-
-
-def run_probe(tree: Path, name: str, script: str, *args) -> dict:
-    """The JSON last line of ``script`` run with ``args`` on ``tree`` in a
-    fresh process."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise SystemExit(f"{name} probe failed in {tree}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def probe_once(tree: Path, nodes: int, mode: str, seed: int) -> dict:
-    """One ``M_SCALING_PROBE`` run on ``tree``."""
-    return run_probe(tree, M_SCALING, M_SCALING_PROBE, nodes, M_SCALING_SLOTS, seed,
-                     json.dumps(M_SCALING_MODES[mode]))
-
-
-def write_once(tree: Path, seed: int) -> dict:
-    """One ``WRITE_PROBE`` run on ``tree`` at the shipped config."""
-    result = run_probe(tree, WRITE, WRITE_PROBE, tree / "configs" / "paper-sec6.cfg",
-                       seed, WRITE_CALLS)
-    result["last_line"] = f"slots.csv, summary.json sha256 {result['digest']}"
-    return result
-
-
-def command_once(tree: Path, argv: list[str]) -> dict:
-    """Wall time of ``python <argv>`` run in ``tree`` with its ``src``, and
-    the last line it printed."""
+def launch(tree: Path, argv: list) -> tuple[float, str]:
+    """Wall time and stdout of ``python <argv>`` run in ``tree`` with its
+    ``src`` on ``PYTHONPATH`` and no bytecode written; exits with the tail
+    of its output if it fails."""
+    argv = [str(arg) for arg in argv]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
                           capture_output=True, text=True)
     wall = time.perf_counter() - start
     if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} failed in {tree}:\n{proc.stdout[-2000:]}"
-                         f"{proc.stderr[-2000:]}")
-    return {"wall_s": wall, "last_line": proc.stdout.strip().splitlines()[-1]}
+        raise SystemExit(f"python {' '.join(argv)[:200]} failed in {tree}:\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return wall, proc.stdout
+
+
+def bench_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
+    """One ``bench/run.py`` run on ``tree``: its result and context lines."""
+    _, out = launch(tree, ["bench/run.py", "--workload", workload,
+                           "--seconds", seconds, "--seed", seed])
+    lines = [line for line in out.splitlines() if line.startswith("{")]
+    if not lines:
+        raise SystemExit(f"bench/run.py printed no result line in {tree}:\n{out[-2000:]}")
+    result = json.loads(lines[-1])
+    result["context"] = json.loads(lines[0])["context"]
+    return result
+
+
+def probe(tree: Path, script: str, *args) -> dict:
+    """The JSON last line of ``script`` run with ``args`` on ``tree``."""
+    return json.loads(launch(tree, ["-c", script, *args])[1].splitlines()[-1])
+
+
+def write_once(tree: Path, seed: int) -> dict:
+    """One ``WRITE_PROBE`` run on ``tree`` at the shipped config."""
+    result = probe(tree, WRITE_PROBE, tree / "configs" / "paper-sec6.cfg", seed, WRITE_CALLS)
+    result["last_line"] = f"slots.csv, summary.json sha256 {result['digest']}"
+    return result
 
 
 def tier1_once(tree: Path, seed: int) -> dict:
-    return command_once(tree, ["-m", "pytest", "-q", "-p", "no:cacheprovider"])
+    wall, out = launch(tree, ["-m", "pytest", "-q", "-p", "no:cacheprovider"])
+    return {"wall_s": wall, "last_line": out.strip().splitlines()[-1]}
 
 
 def sweep_once(tree: Path, seed: int) -> dict:
     """One 5-point ``ehctrl sweep``, with the digest of its ``sweep.csv``."""
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as out:
-        result = command_once(tree, [
+        wall, _ = launch(tree, [
             "-m", "ehctrl", "sweep", "--param", "harvest_mean", "--values", SWEEP_VALUES,
-            "--seed", str(seed), "--out", out,
+            "--seed", seed, "--out", out,
         ])
-        result["digest"] = hashlib.sha256((Path(out) / "sweep.csv").read_bytes()).hexdigest()
-    result["last_line"] = f"sweep.csv sha256 {result['digest']}"
-    return result
+        digest = hashlib.sha256((Path(out) / "sweep.csv").read_bytes()).hexdigest()
+    return {"wall_s": wall, "digest": digest, "last_line": f"sweep.csv sha256 {digest}"}
 
 
-def timed_command(name: str, once, sides: dict, pairs: int, seed: int,
-                  metric: str) -> dict:
-    """Paired times, under ``metric``, of one whole command (``tier1_once``
-    or ``sweep_once``) or of the writers (``write_once``)."""
-    runs = {side: [] for side in sides}
-    for k in range(pairs):
-        order = ("base", "change") if k % 2 == 0 else ("change", "base")
-        for side in order:
-            runs[side].append(once(sides[side], seed))
-        print(f"{name} pair {k + 1}/{pairs}: " + ", ".join(
-            f"{side} {runs[side][-1][metric]:.3f} s" for side in order
-        ), file=sys.stderr)
-    digests = {r.get("digest") for side in sides for r in runs[side]}
-    return {
-        "workload": name,
-        "seed": seed,
-        "all_correct": len(digests) == 1,
-        "last_line": {side: runs[side][-1]["last_line"] for side in sides},
-        "metrics": {metric: paired([r[metric] for r in runs["base"]],
-                                   [r[metric] for r in runs["change"]], "s", "lower")},
-    }
-
-
-# The pseudo-workloads timed by ``timed_command``: the run and its metric.
+# The whole-command and writer pseudo-workloads: the run and its metric.
 TIMED = {WRITE: (write_once, "write_s"), SWEEP: (sweep_once, "wall_s"),
          TIER1: (tier1_once, "wall_s")}
+
+
+def alternate(name: str, sides: dict, pairs: int, entries: dict, show) -> dict:
+    """Run every entry's ``once(tree)`` (``entries`` maps a label to it)
+    ``pairs`` times on each side, the base side first in even pairs and the
+    change side first in odd ones; the results per label and side.
+    ``show(result)`` formats one result for the progress line."""
+    runs = {label: {side: [] for side in sides} for label in entries}
+    for k in range(pairs):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        for label, once in entries.items():
+            for side in order:
+                runs[label][side].append(once(sides[side]))
+            print(f"{name} pair {k + 1}/{pairs}{label}: " + ", ".join(
+                f"{side} {show(runs[label][side][-1])}" for side in order
+            ), file=sys.stderr)
+    return runs
 
 
 def summarize(values: list[float]) -> dict:
@@ -304,67 +287,78 @@ def summarize(values: list[float]) -> dict:
 
 def paired(base: list[float], change: list[float], unit: str, better: str) -> dict:
     """Per-side statistics of one metric over the pairs, and the pairs won."""
-    higher = better == "higher"
-    wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+    wins = sum((c > b) if better == "higher" else (c < b) for b, c in zip(base, change))
     b_stats, c_stats = summarize(base), summarize(change)
-    delta = c_stats["median"] - b_stats["median"]
     return {
         "unit": unit,
         "better": better,
         "base": b_stats,
         "change": c_stats,
-        "change_over_base": (
-            c_stats["median"] / b_stats["median"] if b_stats["median"] else None
-        ),
+        "change_over_base": c_stats["median"] / b_stats["median"] if b_stats["median"] else None,
         "pair_wins": wins,
         "pairs": len(base),
-        "median_gap_exceeds_base_iqr": abs(delta) > b_stats["iqr"],
+        "median_gap_exceeds_base_iqr": abs(c_stats["median"] - b_stats["median"]) > b_stats["iqr"],
     }
 
 
-def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    return {
-        spec["name"]: paired(
-            [b["metrics"][spec["name"]]["value"] for b, _ in pairs],
-            [c["metrics"][spec["name"]]["value"] for _, c in pairs],
-            spec["unit"], spec["better"],
-        )
-        for spec in metrics
-    }
-
-
-def m_scaling(sides: dict, pairs: int, seed: int) -> dict:
-    """Paired µs-per-slot and tracemalloc-peak rows for every (node count,
-    availability) in ``M_SCALING_ROWS``."""
-    runs = {(row, side): [] for row in M_SCALING_ROWS for side in sides}
-    for k, row in itertools.product(range(pairs), M_SCALING_ROWS):
-        order = ("base", "change") if k % 2 == 0 else ("change", "base")
-        for side in order:
-            runs[row, side].append(probe_once(sides[side], *row, seed))
-        print(f"{M_SCALING} pair {k + 1}/{pairs} M={row[0]} {row[1]}: " + ", ".join(
-            f"{side} {runs[row, side][-1]['us_per_slot']:.1f} us/slot" for side in order
-        ), file=sys.stderr)
-    rows = []
-    for row in M_SCALING_ROWS:
-        base, change = runs[row, "base"], runs[row, "change"]
-        rows.append({
-            "nodes": row[0],
-            "availability": row[1],
-            "same_digest": len({r["digest"] for r in base + change}) == 1,
-            **{name: paired([r[name] for r in base], [r[name] for r in change], unit, "lower")
+def measure(workload: str, sides: dict, args, spec: dict, report: dict) -> dict:
+    """Alternate ``workload``'s runs on both sides and shape its
+    ``BENCH_<pr>.json`` entry; a ``bench/run.py`` workload is measured by
+    the end-to-end metrics of ``spec`` (``BENCHMARK.json``) and also
+    records the numpy version in ``report``."""
+    if workload == M_SCALING:
+        runs = alternate(M_SCALING, sides, args.pairs, {
+            f" M={nodes} {mode}": lambda tree, nodes=nodes, mode=mode: probe(
+                tree, M_SCALING_PROBE, nodes, M_SCALING_SLOTS, args.seed,
+                json.dumps(M_SCALING_MODES[mode]))
+            for nodes, mode in M_SCALING_ROWS
+        }, lambda r: f"{r['us_per_slot']:.1f} us/slot")
+        rows = [{
+            "nodes": nodes,
+            "availability": mode,
+            "same_digest": len({r["digest"] for r in row["base"] + row["change"]}) == 1,
+            **{name: paired([r[name] for r in row["base"]],
+                            [r[name] for r in row["change"]], unit, "lower")
                for name, unit in (("us_per_slot", "us"), ("tracemalloc_peak_mb", "MB"))},
             "gc_collections": {
-                side: [statistics.median(r["gc_collections"][g] for r in side_runs)
+                side: [statistics.median(r["gc_collections"][g] for r in row[side])
                        for g in range(3)]
-                for side, side_runs in (("base", base), ("change", change))
+                for side in ("base", "change")
             },
-        })
+        } for (nodes, mode), row in zip(M_SCALING_ROWS, runs.values())]
+        return {"workload": M_SCALING, "seed": args.seed, "slots": M_SCALING_SLOTS,
+                "all_correct": all(row["same_digest"] for row in rows), "rows": rows}
+    if workload in TIMED:
+        once, metric = TIMED[workload]
+        runs = alternate(workload, sides, args.pairs, {"": lambda tree: once(tree, args.seed)},
+                         lambda r: f"{r[metric]:.3f} s")[""]
+        return {
+            "workload": workload,
+            "seed": args.seed,
+            "all_correct": len({r.get("digest") for side in sides for r in runs[side]}) == 1,
+            "last_line": {side: runs[side][-1]["last_line"] for side in sides},
+            "metrics": {metric: paired([r[metric] for r in runs["base"]],
+                                       [r[metric] for r in runs["change"]], "s", "lower")},
+        }
+    runs = alternate(
+        workload, sides, args.pairs,
+        {"": lambda tree: bench_once(tree, workload, args.seconds, args.seed)},
+        lambda r: f"node_slots_per_s={r['metrics']['node_slots_per_s']['value']:.0f}",
+    )[""]
+    report["numpy"] = runs["change"][0]["context"]["numpy"]
     return {
-        "workload": M_SCALING,
-        "seed": seed,
-        "slots": M_SCALING_SLOTS,
-        "all_correct": all(row["same_digest"] for row in rows),
-        "rows": rows,
+        "workload": workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "all_correct": all(r["correct"] for side in sides for r in runs[side]),
+        "metrics": {
+            metric["name"]: paired(
+                [r["metrics"][metric["name"]]["value"] for r in runs["base"]],
+                [r["metrics"][metric["name"]]["value"] for r in runs["change"]],
+                metric["unit"], metric["better"],
+            )
+            for metric in spec["end_to_end"]
+        },
     }
 
 
@@ -383,7 +377,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
-    workloads = args.workload or names
     out_path = args.out or ROOT / f"BENCH_{args.pr}.json"
 
     report = json.loads(out_path.read_text()) if out_path.exists() else {}
@@ -397,43 +390,12 @@ def main(argv=None) -> int:
     report.setdefault("results", {})
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
-        sides["base"].mkdir()
+        sides = {side: Path(tmp) / name for side, name in SIDE_DIRS.items()}
         extract(args.base, sides["base"])
         copy_worktree(sides["change"])
-        for workload in workloads:
-            if workload == M_SCALING:
-                report["results"][f"{M_SCALING}@seed{args.seed}"] = m_scaling(
-                    sides, args.pairs, args.seed
-                )
-                out_path.write_text(json.dumps(report, indent=1) + "\n")
-                continue
-            if workload in TIMED:
-                once, metric = TIMED[workload]
-                key = TIER1 if workload == TIER1 else f"{workload}@seed{args.seed}"
-                report["results"][key] = timed_command(
-                    workload, once, sides, args.pairs, args.seed, metric
-                )
-                out_path.write_text(json.dumps(report, indent=1) + "\n")
-                continue
-            pairs = []
-            for k in range(args.pairs):
-                order = ("base", "change") if k % 2 == 0 else ("change", "base")
-                run = {side: bench_once(sides[side], workload, args.seconds, args.seed)
-                       for side in order}
-                pairs.append((run["base"], run["change"]))
-                rates = (run[side]["metrics"]["node_slots_per_s"]["value"] for side in order)
-                print(f"{workload} pair {k + 1}/{args.pairs}: " + ", ".join(
-                    f"{side} node_slots_per_s={rate:.0f}" for side, rate in zip(order, rates)
-                ), file=sys.stderr)
-            report["numpy"] = pairs[0][1]["context"]["numpy"]
-            report["results"][f"{workload}@seed{args.seed}"] = {
-                "workload": workload,
-                "seed": args.seed,
-                "seconds": args.seconds,
-                "all_correct": all(b["correct"] and c["correct"] for b, c in pairs),
-                "metrics": compare(pairs, spec["end_to_end"]),
-            }
+        for workload in args.workload or names:
+            key = TIER1 if workload == TIER1 else f"{workload}@seed{args.seed}"
+            report["results"][key] = measure(workload, sides, args, spec, report)
             out_path.write_text(json.dumps(report, indent=1) + "\n")
     print(out_path)
     return 0
