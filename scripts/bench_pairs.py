@@ -34,7 +34,8 @@ over ``M_SCALING_SLOTS`` slots for each (node count, availability) row of
 ``M_SCALING_ROWS``, with scalar plants and collision probability 0.01. The
 rows are always-on at M = 1; always-on, piggyback (B = 20) and random
 availability (p = 0.5, B = 10) at M = 2, the modes of the ``seed-batch``
-workload; and random availability at M = 3 to 8, 32 and 128. Each probe
+workload, and at M = 32, where the array core runs each mode; and random
+availability at M = 3 to 8 and 128. Each probe
 first runs ``sim.run`` once untimed, so the timed run is warm: the
 ``numpy.random`` import and compiling the slot kernel of the row's shape
 are not in its µs per slot. It then runs ``sim.run`` once more, untimed,
@@ -101,7 +102,9 @@ M_SCALING_MODES = {
 # (node count, key of M_SCALING_MODES) of each row.
 M_SCALING_ROWS = (
     (1, "always-on"), (2, "always-on"), (2, "piggyback B=20"), (2, "random p=0.5 B=10"),
-    *((nodes, "random p=0.5 B=10") for nodes in (3, 4, 5, 6, 7, 8, 32, 128)),
+    *((nodes, "random p=0.5 B=10") for nodes in (3, 4, 5, 6, 7, 8)),
+    (32, "always-on"), (32, "piggyback B=20"), (32, "random p=0.5 B=10"),
+    (128, "random p=0.5 B=10"),
 )
 M_SCALING_SLOTS = 1000
 # Run with the tree's src on sys.path: argv is nodes, slots, seed and the

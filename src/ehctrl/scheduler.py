@@ -6,8 +6,9 @@ j's constraint, ``phi[i]`` prices the log-domain reception requirement and
 ``beta[i]`` the average energy constraint. Remote multipliers enter only
 through the stale copies, the last values received from the other nodes.
 Every step below is elementwise across nodes. The functions hold no state:
-each takes only the multiplier arrays it reads and returns new arrays, and
-the caller keeps the multipliers (:mod:`ehctrl.sim` in its record rows).
+each takes only the multiplier arrays it reads and returns new arrays (the
+dual step writes into the ``out`` arrays it is given), and the caller keeps
+the multipliers (:mod:`ehctrl.sim` in its record rows).
 
 Closed forms, with c = nu_ii * q_i - q_c * sum_{j != i} nu_ji - beta:
 
@@ -192,18 +193,24 @@ def apply_dual_step(
     grads: tuple[np.ndarray, np.ndarray, np.ndarray],
     params: SchedulerParams,
     available: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Projected ascent step for every node; returns the stepped ``(phi, nu,
-    beta)``. Multiplier column j is frozen while node j is unavailable
-    (``available[j]`` false), since its subgradient cannot be formed; phi
-    and beta always step."""
+    """Projected ascent step for every node; writes the stepped ``(phi, nu,
+    beta)`` into ``out`` (new arrays when None, which must not overlap the
+    inputs otherwise) and returns it. Multiplier column j is frozen while
+    node j is unavailable (``available[j]`` false), since its subgradient
+    cannot be formed: its step is eps * 0.0. phi and beta always step."""
     phi_grad, nu_grad, beta_grad = grads
     eps = params.epsilon
-    if available is not None:
-        nu_grad = np.where(available[None, :], nu_grad, 0.0)
+    if out is None:
+        out = np.empty_like(phi), np.empty_like(nu), np.empty_like(beta)
+    phi_out, nu_out, beta_out = out
+    np.multiply(eps, phi_grad, out=phi_out)
+    np.multiply(eps, nu_grad, out=nu_out)
+    if available is not None and np.count_nonzero(available) < available.size:
+        np.copyto(nu_out, eps * 0.0, where=~available)
+    np.multiply(eps, beta_grad, out=beta_out)
     # phi_grad = -inf (p_i = 0) projects cleanly to 0 here.
-    return (
-        np.maximum(phi + eps * phi_grad, 0.0),
-        np.maximum(nu + eps * nu_grad, 0.0),
-        np.maximum(beta + eps * beta_grad, 0.0),
-    )
+    for value, stepped in zip((phi, nu, beta), out):
+        np.maximum(np.add(value, stepped, out=stepped), 0.0, out=stepped)
+    return out

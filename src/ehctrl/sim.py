@@ -5,9 +5,10 @@ phi (M,), nu (M, M) and beta (M,) and of the battery charges (M,) is the
 state slot t starts from, and the slot writes its successor into row t + 1.
 The only state a per-slot core carries from slot to slot is the mailbox
 (M, M); the plants step in one state stack per dimension. Every function the
-loop calls takes arrays and returns arrays; only the small-M form of the
-per-slot core (see below) works on Python floats. Every slot runs, in this
-fixed order:
+loop calls takes arrays and returns arrays (the dual step writes into the
+record rows it is given); the small-M form of the per-slot core (see below)
+works on Python floats, and the array form forms its cross terms on them.
+Every slot runs, in this fixed order:
 
   1. draw channel states and harvest arrivals
   2. every node computes its auxiliary, reception and transmit variables
@@ -49,9 +50,16 @@ slot loop runs the feedback core only, and the rest runs once per
     the invariant checks.
 
 The per-slot core comes in two forms with one signature, chosen by the node
-count alone. :func:`_array_chunk` evaluates every node at once through the
-scheduler, energy and coordination functions; its cost is ~60 numpy calls
-per slot whatever M is. :func:`_scalar_chunk` does the same operations in
+count alone. :func:`_array_chunk` evaluates every node at once in one
+in-place pass per slot: about 55 numpy calls whatever M is, which write
+into the record rows or into scratch allocated once per chunk, and one
+Python step per cross pair whose s_ij can be nonzero (phi_i < nu_ij; about
+25 per slot at M = 32). It calls the three functions the fault-injection
+tests patch (:func:`~ehctrl.scheduler.compute_z`,
+:func:`~ehctrl.energy.step_batteries` and
+:func:`~ehctrl.scheduler.apply_dual_step`) and does the other steps itself,
+with the operations of the scheduler and coordination functions in their
+order. :func:`_scalar_chunk` does the same operations in
 the same order on Python floats, node by node, so its cost grows with M^2
 but starts far lower; it runs up to ``SCALAR_MAX_NODES`` = 7 nodes, the
 largest count at which it can give the array core's bytes (below). Its slot
@@ -76,8 +84,10 @@ operation or the same libm call on each side, with three orders kept:
     which no state reaches;
   * the interference is summed left to right from column 0;
   * the cross-log sum starts from int 0 in ascending column order.
-Random mode also keeps the diagonal of the forced matrix in the column
-reduction of its availability, as the array core does. numpy's
+The kernel's random mode also keeps the diagonal of the forced matrix in
+the column reduction of its availability, as the array core does, and the
+array core forms each cross pair's s_ij, log1p(-s_ij) and subgradient
+q_c z_i - s_ij on Python floats with the kernel's expressions. numpy's
 ``add.reduce`` sums a row left to right only when it has fewer than 8
 entries (it sums longer rows pairwise in blocks of 8), which sets the
 threshold at 7. The fault-injection tests patch module functions that
@@ -115,7 +125,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import comm, coordination, energy, scheduler
+from . import comm, energy, scheduler
 from .comm import ChannelConfig
 from .control import PlantBank, PlantModel
 from .coordination import AvailabilitySchedule, DualMailbox
@@ -384,47 +394,110 @@ def _draw_chunk(
 def _array_chunk(config: SimConfig, record: TelemetryRecord, mailbox: DualMailbox,
                  start: int, q_chunk, e_chunk, transmit, availability) -> None:
     """Steps 2, 3, 6, 7 and 8 of the slots from ``start`` on, one per row of
-    the chunk's draws, as array expressions through the scheduler, energy
-    and coordination functions. Reads slot t's state from record rows t,
-    writes its z and transmitted rows and the state after it into rows
-    t + 1; across slots it carries nothing but ``mailbox``, updated in
-    place."""
-    params = config.params
+    the chunk's draws, one in-place pass per slot over all nodes at once.
+    Reads slot t's state from record rows t and writes its z and
+    transmitted rows and the state after it into rows t + 1, through
+    ``out=`` into those rows or into scratch allocated once per chunk; only
+    the results of :func:`~ehctrl.scheduler.compute_z` and
+    :func:`~ehctrl.energy.step_batteries`, which the fault-injection tests
+    patch, are copied in. Across slots it carries nothing but ``mailbox``,
+    updated in place. The operations are those of the scheduler's closed
+    forms, :func:`~ehctrl.coordination.advance_availability` and
+    :func:`~ehctrl.coordination.exchange_duals`, in their order, except
+    for the cross terms: multipliers are never negative, so s_ij = 0
+    wherever phi_i >= nu_ij, and the other pairs' s_ij, log terms and
+    subgradients are formed on Python floats as the scalar kernel forms
+    them."""
+    M, params, mode = config.count, config.params, config.availability.mode
     fluid = config.energy_accounting == "fluid"
-    for k in range(len(q_chunk)):
+    qc, floor, log_p = params.collision_prob, params.s_floor, params.log_p.tolist()
+    ceil, bound = 1.0 - floor, config.availability.staleness_bound
+    log, log1p, inf = math.log, math.log1p, math.inf
+    pairs = ~np.eye(M, dtype=bool)
+    values, stamps = mailbox.values, mailbox.slots
+    so, zq, zq_own, phi_grad, beta_grad, spend = np.empty((6, M))
+    own_nonzero, gate, available = np.empty((3, M), dtype=bool)
+    nu_grad = np.empty((M, M))
+    flat_grad = nu_grad.reshape(-1)
+    own_grad = flat_grad[:: M + 1]
+    cross_open, fired, forced, exchange = np.empty((4, M, M), dtype=bool)
+    flat_open = cross_open.reshape(-1)
+    if mode == "always-on":  # every pair exchanges every slot
+        exchange[...] = pairs
+    elif mode == "random":  # pairs whose two ends are up, per slot
+        up_pairs = availability[:, :, None] & availability[:, None, :] & pairs
+    for k, (q, e, u, up) in enumerate(zip(q_chunk, e_chunk, transmit, availability)):
         t = start + k
-        q = q_chunk[k]
         phi, nu, beta, charge = record.phi[t], record.nu[t], record.beta[t], record.battery[t]
+        after = record.phi[t + 1], record.nu[t + 1], record.beta[t + 1]
 
         # 2. primal computation from current duals and stale copies
-        z = scheduler.compute_z(nu, beta, mailbox.values, q, params)
-        s_own, s_cross = scheduler.compute_s(phi, nu, params)
-        y = scheduler.compute_y(nu, params)
+        z = scheduler.compute_z(nu, beta, values, q, params)
+        record.z[t] = z
 
         # 3. transmission draws into the record row (integer accounting
-        # gates on whole units)
-        tx = np.less(transmit[k], z, out=record.transmitted[t])
+        # gates on whole units and spends them)
+        tx = np.less(u, z, out=record.transmitted[t])
         if not fluid:
-            tx &= charge >= 1.0
-
-        record.z[t] = z
+            np.logical_and(tx, np.greater_equal(charge, 1.0, out=gate), out=tx)
+            np.copyto(spend, tx)
 
         # 6. battery steps (fluid: the transmit probability is the spend);
         # 9. the state after the slot goes into rows t + 1 as it is computed
-        spend = z if fluid else tx.astype(float)
-        record.battery[t + 1] = energy.step_batteries(charge, config.capacity, spend, e_chunk[k])
+        record.battery[t + 1] = energy.step_batteries(
+            charge, config.capacity, z if fluid else spend, e)
 
-        # 7. masked dual updates
-        available, exchange = coordination.advance_availability(
-            config.availability, t, availability[k], tx, mailbox
-        )
-        grads = scheduler.dual_subgradients(z, s_own, s_cross, y, q, e_chunk[k], params)
-        record.phi[t + 1], record.nu[t + 1], record.beta[t + 1] = scheduler.apply_dual_step(
-            phi, nu, beta, grads, params, available
-        )
+        # 7. availability: a refresh is forced where the staleness would
+        # pass the bound next slot; random mode's column reduction keeps
+        # the diagonal
+        if mode != "always-on":
+            np.less(stamps, t + 1 - bound, out=forced)
+            if mode == "random":
+                np.logical_or(np.logical_or.reduce(forced, axis=0, out=available), up,
+                              out=available)
+                np.logical_or(up_pairs[k], np.logical_and(forced, pairs, out=exchange),
+                              out=exchange)
+            else:  # piggyback: the sender's packet carries its duals
+                np.logical_and(np.logical_or(tx, forced, out=exchange), pairs, out=exchange)
+
+        # 7. subgradients: q_c z_i - s_ij off the diagonal, s_ii - z_i q_i
+        # on it, less y_bar_ij where nu_ij is above its cap
+        diagonal = nu.diagonal()
+        if np.count_nonzero(diagonal) == M:
+            np.divide(phi, diagonal, out=so)
+        else:  # phi / 0 reads as +inf wherever nu_ii = 0; the clips send it to 1
+            so.fill(inf)
+            np.divide(phi, diagonal, out=so, where=np.not_equal(diagonal, 0.0, out=own_nonzero))
+        np.minimum(np.maximum(so, floor, out=so), 1.0, out=so)
+        np.multiply(qc, z, out=zq)
+        np.copyto(nu_grad, zq[:, None])
+        np.subtract(so, np.multiply(z, q, out=zq_own), out=own_grad)
+        # s_ij = 0 where phi_i >= nu_ij; the other pairs j != i are open
+        cross = [0] * M
+        np.less(np.greater_equal(phi[:, None], nu, out=cross_open), pairs, out=cross_open)
+        open_pairs = flat_open.nonzero()[0]
+        if open_pairs.size:
+            phis, zqs, g = phi.tolist(), zq.tolist(), []
+            for ij, n in zip(open_pairs.tolist(), nu.take(open_pairs).tolist()):
+                i = ij // M
+                s = 1.0 - (phis[i] / n if n != 0.0 else inf)
+                s = 0.0 if 0.0 > s else ceil if ceil < s else s
+                if s:  # s = 0 adds -0.0 to the log sum: skipped exactly
+                    cross[i] += log1p(-s)
+                g.append(zqs[i] - s)
+            flat_grad[open_pairs] = g
+        if np.count_nonzero(np.greater(nu, params.nu_bar, out=fired)):
+            np.subtract(nu_grad, params.y_bar, out=nu_grad, where=fired)
+        phi_grad[:] = [lp - (log(s) + c) for lp, s, c in zip(log_p, so.tolist(), cross)]
+        np.subtract(z, e, out=beta_grad)
+
+        # 7. masked dual updates into the rows t + 1
+        scheduler.apply_dual_step(phi, nu, beta, (phi_grad, nu_grad, beta_grad), params,
+                                  available if mode == "random" else None, out=after)
 
         # 8. exchange into mailboxes (post-update values, stamped this slot)
-        coordination.exchange_duals(mailbox, exchange, record.nu[t + 1], t)
+        np.putmask(values, exchange, after[1].T)
+        np.putmask(stamps, exchange, t)
 
 
 @functools.cache

@@ -9,6 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
+import ehctrl.coordination
 import ehctrl.energy
 import ehctrl.scheduler
 import ehctrl.sim
@@ -250,19 +251,28 @@ def interior_share(z: np.ndarray) -> float:
     return float(np.mean((z > 0.0) & (z < 1.0)))
 
 
+PIGGYBACK_INTEGER = {
+    "energy_accounting": "integer",
+    "availability": {"mode": "piggyback", "prob": 1.0, "staleness_bound": 5},
+    "harvest": {"mean": 0.25, "distribution": "uniform"},
+    "battery": {"capacity": 20.0, "initial": 0.0},
+}
+
+
 class TestRecordTrace:
     """Row t + 1 of every state column is the recursion applied to row t,
     and z in slot t is the z step of row t and the mailbox rebuilt from the
     record. Random mode is left out: its availability draws are not
     recorded."""
 
+    # Two nodes run the scalar core, nine the array core.
     @pytest.mark.parametrize("overrides", [
         {},
-        {"energy_accounting": "integer",
-         "availability": {"mode": "piggyback", "prob": 1.0, "staleness_bound": 5},
-         "harvest": {"mean": 0.25, "distribution": "uniform"},
-         "battery": {"capacity": 20.0, "initial": 0.0}},
-    ], ids=["always-on-fluid", "piggyback-integer"])
+        PIGGYBACK_INTEGER,
+        {"plants": node_plants(9)},
+        {**PIGGYBACK_INTEGER, "plants": node_plants(9)},
+    ], ids=["always-on-fluid", "piggyback-integer",
+            "always-on-fluid-9-nodes", "piggyback-integer-9-nodes"])
     def test_rows_follow_recursion(self, overrides):
         config = short_config(seed=4, horizon=600, **overrides)
         params = config.params
@@ -443,8 +453,8 @@ class TestAborts:
         monkeypatch.setattr(ehctrl.sim, "SCALAR_MAX_NODES", 0)
         true_step = ehctrl.scheduler.apply_dual_step
 
-        def overshooting_step(phi, nu, beta, grads, params, available=None):
-            phi, nu, beta = true_step(phi, nu, beta, grads, params, available)
+        def overshooting_step(phi, nu, beta, grads, params, available=None, out=None):
+            phi, nu, beta = true_step(phi, nu, beta, grads, params, available, out)
             nu[1, 0] = params.nu_bar[1, 0] + params.epsilon + 1.0
             return phi, nu, beta
 
@@ -672,6 +682,68 @@ class TestScalarCore:
         assert "2 nodes, random, fluid" in code.co_filename
         assert linecache.getline(code.co_filename, code.co_firstlineno).startswith(
             "def kernel(")
+
+
+def reference_chunk(config, record, mailbox, start, q_chunk, e_chunk, transmit, availability):
+    """The slot core composed of the scheduler, energy and coordination
+    functions, one call each per step and slot: the reference of
+    :func:`ehctrl.sim._array_chunk` at every node count."""
+    params = config.params
+    fluid = config.energy_accounting == "fluid"
+    for k in range(len(q_chunk)):
+        t = start + k
+        q = q_chunk[k]
+        phi, nu, beta, charge = record.phi[t], record.nu[t], record.beta[t], record.battery[t]
+        z = ehctrl.scheduler.compute_z(nu, beta, mailbox.values, q, params)
+        s_own, s_cross = ehctrl.scheduler.compute_s(phi, nu, params)
+        y = ehctrl.scheduler.compute_y(nu, params)
+        tx = np.less(transmit[k], z, out=record.transmitted[t])
+        if not fluid:
+            tx &= charge >= 1.0
+        record.z[t] = z
+        spend = z if fluid else tx.astype(float)
+        record.battery[t + 1] = ehctrl.energy.step_batteries(
+            charge, config.capacity, spend, e_chunk[k])
+        available, exchange = ehctrl.coordination.advance_availability(
+            config.availability, t, availability[k], tx, mailbox)
+        grads = ehctrl.scheduler.dual_subgradients(z, s_own, s_cross, y, q, e_chunk[k], params)
+        record.phi[t + 1], record.nu[t + 1], record.beta[t + 1] = (
+            ehctrl.scheduler.apply_dual_step(phi, nu, beta, grads, params, available))
+        ehctrl.coordination.exchange_duals(mailbox, exchange, record.nu[t + 1], t)
+
+
+# Node counts at which numpy sums rows pairwise (8 or more entries), where
+# the scalar kernel cannot serve as the array core's reference.
+ARRAY_CORE_CASES = list(itertools.product(
+    (8, 9, 12),
+    ("always-on", "random", "piggyback"),
+    ("fluid", "integer"),
+    ("mailbox", "direct"),
+    ("sized", "faults", "nan"),
+))
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("case", ARRAY_CORE_CASES, ids=core_id)
+    def test_array_chunk_matches_reference(self, case):
+        """The array core writes the bytes of :func:`reference_chunk`, NaN
+        canonicalised, from the same draws and start state."""
+        seed = zlib.crc32(core_id(case).encode())
+        config, record, mailbox, start, *draws = core_inputs(*case, seed)
+        written = {}
+        for core in (reference_chunk, _array_chunk):
+            rec, box = copy.deepcopy(record), copy.deepcopy(mailbox)
+            with np.errstate(invalid="ignore"):
+                core(config, rec, box, start, *draws)
+            columns = [getattr(rec, name) for name in (
+                "z", "transmitted", "battery", "phi", "beta", "nu")]
+            written[core] = [canonical_nan(a).tobytes()
+                             for a in (*columns, box.values, box.slots)]
+            rows = slice(start, start + CORE_SLOTS)
+            if case[-1] == "faults":  # the corners were reached
+                assert (rec.z[rows] > rec.battery[rows]).any()
+                assert rec.z[start, 0] == 1.0
+        assert written[_array_chunk] == written[reference_chunk]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
